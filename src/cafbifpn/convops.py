@@ -1,10 +1,12 @@
 """Convolution variants for the feature-enhancement branches: standard
-(arbitrary kernel, stride, zero padding, dilation), depthwise, bilinear
-sampling, and deformable convolution with a learned offset field.
+(arbitrary kernel, stride, zero padding, dilation), depthwise, and
+deformable convolution with a learned offset field sampled bilinearly.
 
 All spatial layouts are [channels, height, width], single image.  Every
-function accepts plain tensors or tape nodes; gradients flow through
-values and sampling weights, never through integer sample indices.
+function accepts plain tensors or tape nodes.  Each convolution records
+one tape node whose hand-written vector-Jacobian product returns the
+gradients of every operand on the tape; gradients flow through values
+and sampling weights, never through integer sample indices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .instrumentation import active_kink_monitor
 
 
@@ -48,16 +50,32 @@ def conv_output_extent(extent: int, pad: int, kernel: int, stride: int, dilation
     return (extent + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
 
 
-def _zero_pad2d(x, pad_h: int, pad_w: int):
-    v = T._val(x)
+def _pad(v: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
+    if pad_h == 0 and pad_w == 0:
+        return v
     c, h, w = v.shape
-    if pad_h > 0:
-        band = T.zeros([c, pad_h, w])
-        x = T.concat_axis([band, x, band], axis=1)
-    if pad_w > 0:
-        band = T.zeros([c, h + 2 * pad_h, pad_w])
-        x = T.concat_axis([band, x, band], axis=2)
-    return x
+    buf = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w))
+    buf[:, pad_h:pad_h + h, pad_w:pad_w + w] = v
+    return buf
+
+
+def _window(i: int, j: int, d: int, s: int, h_out: int, w_out: int) -> tuple:
+    """Padded-map slice read by tap (i, j) for every output position."""
+    return (slice(None),
+            slice(i * d, i * d + (h_out - 1) * s + 1, s),
+            slice(j * d, j * d + (w_out - 1) * s + 1, s))
+
+
+def _columns(padded: np.ndarray, kh: int, kw: int, s: int, d: int,
+             h_out: int, w_out: int) -> np.ndarray:
+    """im2col in one copy: rows tap-major, channel-minor, one column per
+    output position.  An unpadded 1x1, stride-1 input needs no copy."""
+    c = padded.shape[0]
+    sc, sh, sw = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (kh, kw, c, h_out, w_out), (d * sh, d * sw, sc, s * sh, s * sw),
+        writeable=False)
+    return windows.reshape(kh * kw * c, h_out * w_out)
 
 
 def conv2d(x, p: Conv2dParams):
@@ -72,29 +90,46 @@ def conv2d(x, p: Conv2dParams):
         raise ShapeError(f"conv2d channel mismatch: input {xv.shape[0]} vs weights {c_in}")
     if bv.shape != (c_out,):
         raise ShapeError(f"conv2d bias dims {list(bv.shape)} != [{c_out}]")
+    if xv.dtype != wv.dtype:
+        raise ShapeError(f"conv2d: input dtype {xv.dtype} vs weights {wv.dtype}")
     ph, pw = p.pad_hw
     s, d = p.stride, p.dilation
-    h_out = conv_output_extent(xv.shape[1], ph, kh, s, d)
-    w_out = conv_output_extent(xv.shape[2], pw, kw, s, d)
+    h, w = xv.shape[1], xv.shape[2]
+    h_out = conv_output_extent(h, ph, kh, s, d)
+    w_out = conv_output_extent(w, pw, kw, s, d)
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"conv2d output extent non-positive: {h_out}x{w_out}")
 
-    padded = _zero_pad2d(x, ph, pw)
-    cols = []
-    for i in range(kh):
-        for j in range(kw):
-            win = T.slice_axes(padded, (
-                slice(None),
-                slice(i * d, i * d + (h_out - 1) * s + 1, s),
-                slice(j * d, j * d + (w_out - 1) * s + 1, s),
-            ))
-            cols.append(T.reshape(win, [c_in, h_out * w_out]))
-    stacked = cols[0] if len(cols) == 1 else T.concat_axis(cols, axis=0)
-    # weight matrix rows must follow the same tap-major, channel-minor order
-    wmat = T.reshape(T.permute(p.weights, (0, 2, 3, 1)), [c_out, kh * kw * c_in])
-    out = T.matmul(wmat, stacked)
-    out = T.add(out, T.expand(T.reshape(p.bias, [c_out, 1]), [c_out, h_out * w_out]))
-    return T.reshape(out, [c_out, h_out, w_out])
+    # grads closes over shapes, never over padded or the columns, so a
+    # tape keeps neither alive
+    padded = _pad(xv, ph, pw)
+    padded_shape = padded.shape
+    # weight matrix rows follow the columns' tap-major, channel-minor order
+    wmat = np.ascontiguousarray(wv.transpose(0, 2, 3, 1)).reshape(c_out, kh * kw * c_in)
+    out = wmat @ _columns(padded, kh, kw, s, d, h_out, w_out)
+    out += bv.reshape(c_out, 1)
+    need_x, need_w, need_b = T._on_tape(x, p.weights, p.bias)
+
+    def grads(g):
+        g2 = g.reshape(c_out, h_out * w_out)
+        gx = gw = gb = None
+        if need_x:
+            # col2im; taps are summed in reverse, the order backward sums
+            # per-tap slice nodes in, so the bits equal that composition's
+            gcols = (wmat.T @ g2).reshape(kh, kw, c_in, h_out, w_out)
+            gpad = np.zeros(padded_shape)
+            for t in reversed(range(kh * kw)):
+                i, j = divmod(t, kw)
+                gpad[_window(i, j, d, s, h_out, w_out)] += gcols[i, j]
+            gx = gpad[:, ph:ph + h, pw:pw + w]
+        if need_w:
+            cols = _columns(_pad(xv, ph, pw), kh, kw, s, d, h_out, w_out)
+            gw = (g2 @ cols.T).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        if need_b:
+            gb = g2.sum(axis=1)
+        return gx, gw, gb
+
+    return T._emit((x, p.weights, p.bias), out.reshape(c_out, h_out, w_out), grads)
 
 
 def depthwise_conv2d(x, weights, padding: int | None = None):
@@ -112,73 +147,113 @@ def depthwise_conv2d(x, weights, padding: int | None = None):
     if padding is not None and padding != pad:
         raise ConfigError(f"depthwise padding must be (k-1)/2 = {pad}, got {padding}")
     h, w = xv.shape[1], xv.shape[2]
-    padded = _zero_pad2d(x, pad, pad)
+    taps = [divmod(t, k) for t in range(k * k)]
+
+    padded = _pad(xv, pad, pad)
+    padded_shape = padded.shape
     out = None
-    for i in range(k):
-        for j in range(k):
-            win = T.slice_axes(padded, (slice(None), slice(i, i + h), slice(j, j + w)))
-            tap = T.expand(T.slice_axes(weights, (slice(None), slice(i, i + 1), slice(j, j + 1))), [c, h, w])
-            term = T.mul(win, tap)
-            out = term if out is None else T.add(out, term)
-    return out
+    for i, j in taps:
+        term = padded[:, i:i + h, j:j + w] * wv[:, i:i + 1, j:j + 1]
+        out = term if out is None else out + term
+    need_x, need_w = T._on_tape(x, weights)
+
+    def grads(g):
+        gx = gw = None
+        if need_x:
+            gpad = np.zeros(padded_shape)
+            for i, j in reversed(taps):
+                gpad[:, i:i + h, j:j + w] += g * wv[:, i:i + 1, j:j + 1]
+            gx = gpad[:, pad:pad + h, pad:pad + w]
+        if need_w:
+            again = _pad(xv, pad, pad)
+            gw = np.zeros((c, k, k))
+            for i, j in taps:
+                gw[:, i, j] += (g * again[:, i:i + h, j:j + w]).sum(axis=(1, 2))
+        return gx, gw
+
+    return T._emit((x, weights), out, grads)
 
 
-def bilinear_sample(x: T.Tensor, y: float, x_pos: float) -> T.Tensor:
-    """Channel vector at fractional (y, x); neighbors outside the map
-    contribute zero."""
-    if not (np.isfinite(y) and np.isfinite(x_pos)):
-        raise NumericError(f"non-finite sample coordinates ({y}, {x_pos})")
-    v = T._val(x)
-    c, h, w = v.shape
-    y0 = int(np.floor(y))
-    x0 = int(np.floor(x_pos))
-    out = np.zeros(c, dtype=v.dtype)
-    for yy, wy in ((y0, 1.0 - (y - y0)), (y0 + 1, y - y0)):
-        for xx, wx in ((x0, 1.0 - (x_pos - x0)), (x0 + 1, x_pos - x0)):
-            if 0 <= yy < h and 0 <= xx < w:
-                out += wy * wx * v[:, yy, xx]
-    return T.Tensor(out, copy=False)
+def _tap_positions(ov: np.ndarray, t: int, kh: int, kw: int) -> tuple:
+    """Sampling positions [H,W] of tap t: the tap's lattice point plus its
+    (dy, dx) offsets."""
+    h, w = ov.shape[1], ov.shape[2]
+    ry = t // kw - (kh - 1) // 2
+    rx = t % kw - (kw - 1) // 2
+    pos_y = ov[2 * t] + (np.arange(h, dtype=np.float64)[:, None] + ry)
+    pos_x = ov[2 * t + 1] + (np.arange(w, dtype=np.float64)[None, :] + rx)
+    return pos_y, pos_x
 
 
-def _sample_maps(x, pos_y, pos_x):
-    """Bilinear-sample every channel of x at per-pixel positions [H,W];
-    differentiable in the values and the positions."""
-    xv = T._val(x)
-    c, h, w = xv.shape
-    py = T._val(pos_y)
-    px = T._val(pos_x)
+class _Bilinear:
+    """The four corners of bilinear sampling at positions [H,W] on an
+    H x W map, in the order (y0,x0), (y0,x1), (y1,x0), (y1,x1).  A corner
+    outside the map reads a clipped in-range pixel with weight zero."""
 
-    monitor = active_kink_monitor()
-    if monitor is not None:
-        monitor.record_lattice(py)
-        monitor.record_lattice(px)
+    def __init__(self, pos_y: np.ndarray, pos_x: np.ndarray, h: int, w: int):
+        y0 = np.floor(pos_y)
+        x0 = np.floor(pos_x)
+        self.wy = ((y0 + 1.0) - pos_y, pos_y - y0)
+        self.wx = ((x0 + 1.0) - pos_x, pos_x - x0)
+        yi = y0.astype(np.int64).reshape(-1)
+        xi = x0.astype(np.int64).reshape(-1)
+        ys, xs = (yi, yi + 1), (xi, xi + 1)
+        y_in = [(y >= 0) & (y < h) for y in ys]
+        x_in = [(x >= 0) & (x < w) for x in xs]
+        y_off = [np.clip(y, 0, h - 1) * w for y in ys]
+        x_off = [np.clip(x, 0, w - 1) for x in xs]
+        self.index = [y_off[a] + x_off[b] for a in (0, 1) for b in (0, 1)]
+        self.inside = [y_in[a] & x_in[b] for a in (0, 1) for b in (0, 1)]
+        self.weights = [self.inside[2 * a + b] * (self.wy[a] * self.wx[b]).reshape(-1)
+                        for a in (0, 1) for b in (0, 1)]
 
-    y0 = np.floor(py)
-    x0 = np.floor(px)
-    wy1 = T.sub(pos_y, T.Tensor(y0, copy=False))
-    wy0 = T.sub(T.Tensor(y0 + 1.0, copy=False), pos_y)
-    wx1 = T.sub(pos_x, T.Tensor(x0, copy=False))
-    wx0 = T.sub(T.Tensor(x0 + 1.0, copy=False), pos_x)
+    def sample(self, v2: np.ndarray) -> np.ndarray:
+        """Samples [C, H*W] of the flattened map v2 [C, H*W], gathering
+        one corner at a time."""
+        out = None
+        for idx, wt in zip(self.index, self.weights):
+            term = np.take(v2, idx, axis=1) * wt
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
 
-    out = None
-    for yi, wy in ((y0.astype(np.int64), wy0), (y0.astype(np.int64) + 1, wy1)):
-        for xi, wx in ((x0.astype(np.int64), wx0), (x0.astype(np.int64) + 1, wx1)):
-            inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-            yc = np.clip(yi, 0, h - 1)
-            xc = np.clip(xi, 0, w - 1)
-            flat = (np.arange(c)[:, None, None] * (h * w) + yc[None] * w + xc[None])
-            corner = T.gather_flat(x, flat, [c, h, w])
-            masked = T.mul(corner, T.Tensor(np.broadcast_to(inside, (c, h, w)).astype(np.float64), copy=True))
-            weight = T.expand(T.mul(wy, wx), [c, h, w])
-            term = T.mul(masked, weight)
-            out = term if out is None else T.add(out, term)
-    return out
+    def scatter_add(self, acc, gs: np.ndarray) -> np.ndarray:
+        """acc (None for zero) plus the value gradient: each corner's share
+        of gs [C, H*W] scattered back onto the flattened map, corners added
+        in reverse order."""
+        c, n = gs.shape
+        channel_base = (np.arange(c) * n)[:, None]
+        for idx, wt in reversed(list(zip(self.index, self.weights))):
+            part = np.bincount((channel_base + idx).reshape(-1), (gs * wt).reshape(-1),
+                               minlength=c * n)
+            acc = part if acc is None else acc + part
+        return acc
+
+    def position_grads(self, gs: np.ndarray, v2: np.ndarray) -> tuple:
+        """Gradients of sum(gs * samples of v2) with respect to pos_y and
+        pos_x."""
+        dots = [(gs * np.take(v2, idx, axis=1)).sum(axis=0) * inside
+                for idx, inside in zip(self.index, self.inside)]
+        wx0, wx1 = (u.reshape(-1) for u in self.wx)
+        wy0, wy1 = (u.reshape(-1) for u in self.wy)
+        g00, g01, g10, g11 = dots
+        gy = (g11 * wx1 + g10 * wx0) - (g01 * wx1 + g00 * wx0)
+        gx = (g11 * wy1 + g01 * wy0) - (g10 * wy1 + g00 * wy0)
+        return gy, gx
 
 
 def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets):
-    """Deformable 3x3 with an explicit offset field [2*kh*kw, H, W]."""
+    """Deformable 3x3 with an explicit offset field [2*kh*kw, H, W].
+
+    Taps are sampled and multiplied one at a time, summed in tap order.
+    Backward keeps nothing per tap: it recomputes the sampling positions
+    from the offsets and gathers the corners again.
+    """
     xv = T._val(x)
     wv = T._val(base.weights)
+    bv = T._val(base.bias)
     c_out, c_in, kh, kw = wv.shape
     if xv.shape[0] != c_in:
         raise ShapeError(f"deformable channel mismatch: input {xv.shape[0]} vs weights {c_in}")
@@ -186,26 +261,46 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets):
     if ov.shape != (2 * kh * kw, xv.shape[1], xv.shape[2]):
         raise ShapeError(f"offset dims {list(ov.shape)} != [{2 * kh * kw}, {xv.shape[1]}, {xv.shape[2]}]")
     h, w = xv.shape[1], xv.shape[2]
-    grid_y = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
-    grid_x = np.broadcast_to(np.arange(w, dtype=np.float64)[None, :], (h, w))
+    x2 = xv.reshape(c_in, h * w)
 
+    def tap_weights(t):
+        return np.ascontiguousarray(wv[:, :, t // kw, t % kw])
+
+    monitor = active_kink_monitor()
     out = None
     for t in range(kh * kw):
-        ry = t // kw - (kh - 1) // 2
-        rx = t % kw - (kw - 1) // 2
-        dy = T.reshape(T.slice_axes(offsets, (slice(2 * t, 2 * t + 1),)), [h, w])
-        dx = T.reshape(T.slice_axes(offsets, (slice(2 * t + 1, 2 * t + 2),)), [h, w])
-        pos_y = T.add(dy, T.Tensor(grid_y + ry, copy=True))
-        pos_x = T.add(dx, T.Tensor(grid_x + rx, copy=True))
-        sampled = _sample_maps(x, pos_y, pos_x)
-        w_tap = T.reshape(
-            T.slice_axes(base.weights,
-                         (slice(None), slice(None), slice(t // kw, t // kw + 1), slice(t % kw, t % kw + 1))),
-            [c_out, c_in])
-        term = T.matmul(w_tap, T.reshape(sampled, [c_in, h * w]))
-        out = term if out is None else T.add(out, term)
-    out = T.add(out, T.expand(T.reshape(base.bias, [c_out, 1]), [c_out, h * w]))
-    return T.reshape(out, [c_out, h, w])
+        pos_y, pos_x = _tap_positions(ov, t, kh, kw)
+        if monitor is not None:
+            monitor.record_lattice(pos_y)
+            monitor.record_lattice(pos_x)
+        bil = _Bilinear(pos_y, pos_x, h, w)
+        term = tap_weights(t) @ bil.sample(x2)
+        out = term if out is None else out + term
+    out += bv.reshape(c_out, 1)
+    need_x, need_w, need_b, need_o = T._on_tape(x, base.weights, base.bias, offsets)
+
+    def grads(g):
+        g2 = g.reshape(c_out, h * w)
+        gx = None
+        gw = np.zeros(wv.shape) if need_w else None
+        go = np.zeros(ov.shape) if need_o else None
+        # reverse tap and corner order, the order backward sums per-corner
+        # gather nodes in, so the bits equal that composition's
+        for t in reversed(range(kh * kw)):
+            bil = _Bilinear(*_tap_positions(ov, t, kh, kw), h, w)
+            if need_w:
+                gw[:, :, t // kw, t % kw] += g2 @ bil.sample(x2).T
+            gs = tap_weights(t).T @ g2 if (need_x or need_o) else None
+            if need_x:
+                gx = bil.scatter_add(gx, gs)
+            if need_o:
+                gy, gxp = bil.position_grads(gs, x2)
+                go[2 * t] += gy.reshape(h, w)
+                go[2 * t + 1] += gxp.reshape(h, w)
+        return (gx.reshape(c_in, h, w) if need_x else None, gw,
+                g2.sum(axis=1) if need_b else None, go)
+
+    return T._emit((x, base.weights, base.bias, offsets), out.reshape(c_out, h, w), grads)
 
 
 def deformable_conv2d(x, p: DeformableParams):

@@ -18,7 +18,8 @@ from .attention import (BraParams, ba_forward, compute_routing, make_bra_params,
                         region_partition)
 from .cfe import cfe_forward, cfe_receptive_probe, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
-                      deformable_conv2d, deformable_conv2d_with_offsets)
+                      deformable_conv2d, deformable_conv2d_with_offsets,
+                      depthwise_conv2d)
 from .errors import FormatError
 from .instrumentation import count_macs, watch_kinks
 from .oracles import (conv2d_reference, dense_attention_reference,
@@ -58,6 +59,22 @@ def _untiles(t: np.ndarray, c: int, h: int, w: int, s: int) -> np.ndarray:
 
 # -- tensor core ---------------------------------------------------------
 
+def _fd_rel_err(loss_of, x0) -> float:
+    """Largest relative error of the tape gradient of loss_of at x0
+    against central finite differences."""
+    tape = T.Tape()
+    leaf = tape.leaf(x0)
+    analytic = _arr(tape.backward(loss_of(leaf), T.tensor([1.0]))[leaf])
+    fd = _arr(finite_diff_grad(lambda xt: float(_arr(loss_of(xt)).reshape(-1)[0]), x0))
+    rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
+    return float(rel.max())
+
+
+def _weighted_sum(out):
+    """A scalar whose gradient differs at every output element."""
+    return T.sum_all(T.mul(out, T.Rng(99).tensor(list(T._val(out).shape), -1.0, 1.0)))
+
+
 def check_op_gradients():
     w = T._val(T.Rng(5).tensor([3, 3], -1.0, 1.0))
     gather_idx = np.array([[1, 5], [7, 10]])
@@ -81,13 +98,44 @@ def check_op_gradients():
         rm = T.reduce_mean_axis(e, 2)
         return T.add(T.sum_all(g), T.add(T.sum_all(rm), T.scale(T.sum_all(c), 0.3)))
 
-    tape = T.Tape()
-    leaf = tape.leaf(x0)
-    analytic = _arr(tape.backward(graph(leaf), T.tensor([1.0]))[leaf])
-    fd = _arr(finite_diff_grad(lambda xt: float(_arr(graph(xt)).reshape(-1)[0]), x0))
-    rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
-    if float(rel.max()) > TOL_GRAD:
-        raise AssertionError(f"composite-op gradient rel err {float(rel.max()):.3e}")
+    err = _fd_rel_err(graph, x0)
+    if err > TOL_GRAD:
+        raise AssertionError(f"composite-op gradient rel err {err:.3e}")
+
+    # the convolution primitives, each operand on its own
+    rng = T.Rng(26)
+    x = rng.tensor([2, 7, 6], -1.0, 1.0)
+    convs = [Conv2dParams(weights=rng.tensor([3, 2, 3, 2], -0.5, 0.5),
+                          bias=rng.tensor([3], -0.2, 0.2), stride=s, padding=pad, dilation=d)
+             for s, d, pad in ((2, 2, (1, 2)), (1, 2, (2, 0)))]
+    kernel = rng.tensor([2, 3, 3], -0.5, 0.5)
+    xd = rng.tensor([2, 4, 4], -1.0, 1.0)
+    base = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
+                        bias=rng.tensor([2], -0.2, 0.2), padding=1)
+    # fractions held in [0.15, 0.55], off the lattice; whole-pixel shifts
+    # of up to 2 put some samples partly or wholly outside the map
+    shift = np.floor(_arr(rng.tensor([18, 4, 4], -2.0, 3.0)))
+    offsets = T.tensor(_arr(rng.tensor([18, 4, 4], -0.2, 0.2)) + 0.35 + shift)
+    cases = [case for c in convs for case in (
+        (f"conv2d stride {c.stride} input", lambda v, c=c: conv2d(v, c), x),
+        (f"conv2d stride {c.stride} weights",
+         lambda v, c=c: conv2d(x, replace(c, weights=v)), c.weights),
+        (f"conv2d stride {c.stride} bias", lambda v, c=c: conv2d(x, replace(c, bias=v)), c.bias),
+    )] + [
+        ("depthwise input", lambda v: depthwise_conv2d(v, kernel), x),
+        ("depthwise kernel", lambda v: depthwise_conv2d(x, v), kernel),
+        ("deformable input", lambda v: deformable_conv2d_with_offsets(v, base, offsets), xd),
+        ("deformable offsets", lambda v: deformable_conv2d_with_offsets(xd, base, v), offsets),
+        ("deformable weights",
+         lambda v: deformable_conv2d_with_offsets(xd, replace(base, weights=v), offsets),
+         base.weights),
+        ("deformable bias",
+         lambda v: deformable_conv2d_with_offsets(xd, replace(base, bias=v), offsets), base.bias),
+    ]
+    for what, op, x0 in cases:
+        err = _fd_rel_err(lambda v: _weighted_sum(op(v)), x0)
+        if err > TOL_GRAD:
+            raise AssertionError(f"{what} gradient rel err {err:.3e}")
 
 
 def check_softmax_rows():

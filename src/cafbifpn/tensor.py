@@ -33,15 +33,15 @@ class Tensor:
 
     def __init__(self, data, dtype: str | None = None, copy: bool = True):
         np_dtype = _DTYPES[dtype] if dtype is not None else None
-        arr = np.array(data, dtype=np_dtype, order="C", copy=copy)
+        # copy=False still copies when the layout or dtype demands it
+        make = np.array if copy else np.asarray
+        arr = make(data, dtype=np_dtype, order="C")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.size == 0 or min(arr.shape) < 1:
             raise ShapeError(f"tensor extents must all be >= 1, got {arr.shape}")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -139,15 +139,17 @@ class Tape:
     def backward(self, output: Node, seed: Tensor) -> dict[Node, Tensor]:
         """Gradient of (seed . output) with respect to every reached node.
 
-        Visits nodes in reverse creation order, accumulating (never
-        overwriting) each node's gradient slot, so fan-out is correct and
-        runs are deterministic.
+        Visits nodes in reverse creation order, summing each node's
+        incoming gradients in that order, so fan-out is correct and runs
+        are deterministic.  Gradient arrays are never written in place:
+        a slot may share its array with another slot or with the seed,
+        and fan-in adds out of place.
         """
         if not isinstance(output, Node) or output.tape is not self:
             raise GraphError("output node is not recorded on this tape")
         if tuple(seed.dims) != output.dims:
             raise ShapeError(f"seed dims {seed.dims} != output dims {output.dims}")
-        slots: dict[int, np.ndarray] = {output.index: np.array(seed.array, dtype=np.float64)}
+        slots: dict[int, np.ndarray] = {output.index: np.asarray(seed.array, dtype=np.float64)}
         for idx in range(output.index, -1, -1):
             g = slots.get(idx)
             if g is None:
@@ -159,15 +161,8 @@ class Tape:
                 if not isinstance(parent, Node) or pg is None:
                     continue
                 slot = slots.get(parent.index)
-                if slot is None:
-                    slots[parent.index] = np.array(pg, dtype=np.float64)
-                else:
-                    slot += pg
+                slots[parent.index] = pg if slot is None else slot + pg
         return {self.nodes[i]: Tensor(g, copy=False) for i, g in slots.items()}
-
-
-def backward(tape: Tape, output: Node, seed: Tensor) -> dict[Node, Tensor]:
-    return tape.backward(output, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +188,11 @@ def _tape_of(args) -> Tape | None:
             elif tape is not a.tape:
                 raise GraphError("operands are recorded on different tapes")
     return tape
+
+
+def _on_tape(*args) -> tuple[bool, ...]:
+    """Which operands need a gradient; ops skip the others' products."""
+    return tuple(isinstance(a, Node) for a in args)
 
 
 def _emit(args, value: np.ndarray, grads_fn: Callable | None):
@@ -221,19 +221,24 @@ def add(a, b):
 
 def sub(a, b):
     _same_layout(a, b, "sub")
-    return _emit((a, b), _val(a) - _val(b), lambda g: (g, -g))
+    _, need_b = _on_tape(a, b)
+    return _emit((a, b), _val(a) - _val(b), lambda g: (g, -g if need_b else None))
 
 
 def mul(a, b):
     _same_layout(a, b, "mul")
     av, bv = _val(a), _val(b)
-    return _emit((a, b), av * bv, lambda g: (g * bv, g * av))
+    need_a, need_b = _on_tape(a, b)
+    return _emit((a, b), av * bv, lambda g: (g * bv if need_a else None,
+                                             g * av if need_b else None))
 
 
 def div(a, b):
     _same_layout(a, b, "div")
     av, bv = _val(a), _val(b)
-    return _emit((a, b), av / bv, lambda g: (g / bv, -g * av / (bv * bv)))
+    need_a, need_b = _on_tape(a, b)
+    return _emit((a, b), av / bv, lambda g: (g / bv if need_a else None,
+                                             -g * av / (bv * bv) if need_b else None))
 
 
 def scale(a, c: float):
@@ -263,7 +268,9 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner extents differ: {list(av.shape)} x {list(bv.shape)}")
     if av.dtype != bv.dtype:
         raise ShapeError(f"matmul: dtype {av.dtype} vs {bv.dtype}")
-    return _emit((a, b), av @ bv, lambda g: (g @ bv.T, av.T @ g))
+    need_a, need_b = _on_tape(a, b)
+    return _emit((a, b), av @ bv, lambda g: (g @ bv.T if need_a else None,
+                                             av.T @ g if need_b else None))
 
 
 def softmax_lastdim(a):

@@ -143,3 +143,22 @@ def test_offset_gradients_off_lattice():
         lambda o: float(arr(T.sum_all(deformable_conv2d_with_offsets(x, base, o)))[0]),
         offsets)
     assert float(rel_err(analytic, fd).max()) <= 1e-5
+
+
+def test_each_convolution_records_one_tape_node():
+    rng = T.Rng(39)
+    x = rng.tensor([2, 5, 5], -1.0, 1.0)
+    base = _rand_conv(rng, 3, 2, 3, 3, padding=1)
+    pred = _rand_conv(rng, 18, 2, 3, 3, padding=1)
+    ops = (
+        (lambda v: conv2d(v, _rand_conv(rng, 3, 2, 3, 3, padding=(1, 2), dilation=2, stride=2)), 1),
+        (lambda v: depthwise_conv2d(v, rng.tensor([2, 5, 5], -1.0, 1.0)), 1),
+        (lambda v: deformable_conv2d_with_offsets(v, base, rng.tensor([18, 5, 5], -1.0, 1.0)), 1),
+        (lambda v: deformable_conv2d(v, DeformableParams(base, pred)), 2),
+    )
+    for op, nodes in ops:
+        tape = T.Tape()
+        leaf = tape.leaf(x)
+        out = op(leaf)
+        assert len(tape.nodes) == 1 + nodes
+        assert tape.nodes[-1] is out

@@ -29,6 +29,16 @@ def test_zeros_full_from_flat():
     assert arr(t)[1, 2] == 6.0
 
 
+def test_no_copy_tensor_of_non_contiguous_array():
+    a = np.arange(6.0).reshape(2, 3).T
+    t = T.Tensor(a, copy=False)
+    assert t.dims == (3, 2)
+    assert t.array.flags.c_contiguous
+    assert np.array_equal(t.array, a)
+    b = np.arange(6.0).reshape(2, 3)
+    assert np.shares_memory(T.Tensor(b, copy=False).array, b)
+
+
 def test_float32_dtype():
     t = T.tensor([1.0, 2.0], dtype="float32")
     assert t.dtype == "float32"
