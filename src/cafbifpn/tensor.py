@@ -12,6 +12,7 @@ is rejected on tapes.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -98,16 +99,29 @@ def from_flat(values: Iterable[float], dims: Sequence[int], dtype: str = "float6
 
 
 class Node:
-    """A value recorded on a tape, carrying parent links for backward."""
+    """A value recorded on a tape, carrying parent links for backward.
 
-    __slots__ = ("tape", "index", "value", "parents", "_grads_fn")
+    A node refers to its tape weakly: the tape holds its nodes, so a
+    strong back-pointer would make every tape a reference cycle, freed
+    only when the cyclic collector next runs.
+    """
 
-    def __init__(self, tape, index, value, parents, grads_fn):
-        self.tape = tape
+    __slots__ = ("_tape_ref", "index", "value", "parents", "_grads_fn")
+
+    def __init__(self, tape_ref, index, value, parents, grads_fn):
+        self._tape_ref = tape_ref
         self.index = index
         self.value = value  # np.ndarray, float64
         self.parents = parents
         self._grads_fn = grads_fn
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape_ref()
+        if tape is None:
+            raise GraphError("the tape this node was recorded on no longer exists; "
+                             "keep a reference to the Tape while its nodes are in use")
+        return tape
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -121,7 +135,12 @@ class Node:
 
 
 class Tape:
-    """Ordered operation record; creation order is a topological order."""
+    """Ordered operation record; creation order is a topological order.
+
+    The tape owns its nodes and their values.  Dropping the last reference
+    to it frees them at once; a node outliving its tape can no longer be
+    recorded on or differentiated.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -132,7 +151,7 @@ class Tape:
         return self._record(np.array(t.array, dtype=np.float64), (), None)
 
     def _record(self, value: np.ndarray, parents, grads_fn) -> Node:
-        node = Node(self, len(self.nodes), np.ascontiguousarray(value), parents, grads_fn)
+        node = Node(weakref.ref(self), len(self.nodes), np.ascontiguousarray(value), parents, grads_fn)
         self.nodes.append(node)
         return node
 

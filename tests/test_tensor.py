@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +177,26 @@ def test_backward_rejects_foreign_node():
     out_a = T.sum_all(leaf_a)
     with pytest.raises(GraphError):
         tape_b.backward(out_a, T.tensor([1.0]))
+
+
+def test_dropped_tape_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        tape = T.Tape()
+        leaf = tape.leaf(T.tensor([1.0, 2.0]))
+        out = T.sum_all(T.mul(leaf, leaf))
+        tape.backward(out, T.tensor([1.0]))
+        ref = weakref.ref(tape)
+        del tape, leaf, out
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_node_outliving_its_tape_is_rejected():
+    tape = T.Tape()
+    leaf = tape.leaf(T.tensor([1.0, 2.0]))
+    del tape
+    assert leaf.dims == (2,)
+    with pytest.raises(GraphError):
+        T.sum_all(leaf)
