@@ -23,8 +23,7 @@ from .selfcheck import run_selfcheck
 # the tensor() factory stays in its submodule: re-exporting it here would
 # shadow the cafbifpn.tensor module attribute with a function
 from .tensor import Node, Rng, Tape, Tensor, from_flat, full, zeros
-from .tensorio import (RunConfig, config_parse, crop, gen_fixture,
-                       load_backbone, load_fixture, pad_to_multiple,
+from .tensorio import (RunConfig, config_parse, gen_fixture, load_backbone,
                        tensor_read, tensor_write)
 
 __version__ = "0.1.0"
@@ -45,7 +44,7 @@ __all__ = [
     "build_pipeline_params", "c_afbifpn_forward", "fuse", "resize",
     "run_selfcheck",
     "Node", "Rng", "Tape", "Tensor", "from_flat", "full", "zeros",
-    "RunConfig", "config_parse", "crop", "gen_fixture", "load_backbone",
-    "load_fixture", "pad_to_multiple", "tensor_read", "tensor_write",
+    "RunConfig", "config_parse", "gen_fixture", "load_backbone",
+    "tensor_read", "tensor_write",
     "__version__",
 ]

@@ -18,10 +18,6 @@ from .convops import depthwise_conv2d
 from .errors import ConfigError, PartitionError, ShapeError
 from .instrumentation import active_kink_monitor, active_mac_counter
 
-# Test hook: when set, ties in the routing sort are broken by descending
-# region id instead of ascending, to prove the selfcheck catches it.
-CORRUPT_TOPK_TIEBREAK = False
-
 
 @dataclass(frozen=True)
 class RegionTokens:
@@ -31,10 +27,6 @@ class RegionTokens:
     height: int
     width: int
     regions_s: int
-
-    @property
-    def tokens_per_region(self) -> int:
-        return (self.height // self.regions_s) * (self.width // self.regions_s)
 
 
 @dataclass(frozen=True)
@@ -111,16 +103,6 @@ def region_pool(rt: RegionTokens):
 
 def _topk_indices_row(row: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-row, kind="stable")
-    if CORRUPT_TOPK_TIEBREAK:
-        out = []
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and row[order[j + 1]] == row[order[i]]:
-                j += 1
-            out.extend(order[i:j + 1][::-1])
-            i = j + 1
-        order = np.asarray(out)
     return order[:k].astype(np.int64)
 
 

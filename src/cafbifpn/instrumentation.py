@@ -56,10 +56,6 @@ class KinkMonitor:
     def record_routing_margin(self, margin: float) -> None:
         self.min_routing_margin = min(self.min_routing_margin, float(margin))
 
-    def smooth(self, margin: float = 1e-3) -> bool:
-        return all(g >= margin for g in (self.min_relu_gap, self.min_lattice_gap,
-                                         self.min_clamp_gap, self.min_routing_margin))
-
 
 def active_mac_counter() -> MacCounter | None:
     return _MAC_COUNTER.get()

@@ -119,12 +119,16 @@ def topk_reference(row, k: int):
     return order[:k]
 
 
-def finite_diff_grad(scalar_fn, x, h: float = 1e-5):
-    """Central differences, per-coordinate step h * max(1, |x_i|)."""
+def finite_diff_grad(scalar_fn, x, h: float = 1e-5, coords=None):
+    """Central differences, per-coordinate step h * max(1, |x_i|).
+
+    Returns the gradient shaped like x, or, given coords (flat indices),
+    only those derivatives as a 1-D tensor in the order given.
+    """
     base = np.array(T._val(x), dtype=np.float64)
     flat = base.reshape(-1)
-    grad = np.empty_like(flat)
-    for i in range(flat.size):
+    grad = []
+    for i in (range(flat.size) if coords is None else coords):
         step = h * max(1.0, abs(float(flat[i])))
         bumped = flat.copy()
         bumped[i] = flat[i] + step
@@ -133,8 +137,9 @@ def finite_diff_grad(scalar_fn, x, h: float = 1e-5):
         fm = float(scalar_fn(T.tensor(bumped.reshape(base.shape))))
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError(f"non-finite evaluation while differencing coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * step)
-    return T.tensor(grad.reshape(base.shape))
+        grad.append((fp - fm) / (2.0 * step))
+    grad = np.array(grad, dtype=np.float64)
+    return T.tensor(grad if coords is not None else grad.reshape(base.shape))
 
 
 @dataclass(frozen=True)

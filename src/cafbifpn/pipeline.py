@@ -23,8 +23,6 @@ from .instrumentation import active_kink_monitor
 
 LEVELS = (2, 3, 4, 5)
 
-RESIZE_MODE = "nearest-up-mean-down"
-
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -59,8 +57,6 @@ class PipelineParams:
     fusion: FusionWeights
     cfe_enabled: bool = True
     attention_fusion_enabled: bool = True
-    topdown_source: str = "input"
-    resize_mode: str = RESIZE_MODE
 
 
 def resize(f, direction: str):
@@ -128,12 +124,6 @@ def fuse(inputs, raw_weights, epsilon: float):
 
 
 def _validate_params(p: PipelineParams) -> None:
-    if p.topdown_source != "input":
-        raise ConfigError(
-            f"topdown_source {p.topdown_source!r} unsupported: feeding outputs back "
-            "into the top-down intermediates makes the graph cyclic")
-    if p.resize_mode != RESIZE_MODE:
-        raise ConfigError(f"unknown resize mode {p.resize_mode!r}")
     if p.fusion.epsilon < 0:
         raise ConfigError(f"epsilon must be >= 0, got {p.fusion.epsilon}")
     for name, arity in _WEIGHT_ARITY.items():
@@ -249,8 +239,8 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
     """Seeded parameters for a config object and per-level backbone widths.
 
     cfg supplies seed, fusion_width, regions_s, topk_k, heads, epsilon,
-    dilation, lce_kernel, activation, cfe_enabled, attention_fusion_enabled,
-    topdown_source, and optionally offset_scale / zero_lce.  Draw order:
+    dilation, lce_kernel, activation, cfe_enabled and
+    attention_fusion_enabled.  Draw order:
     one entry block per level 2..5 (feature enhancement, or a single 1x1
     projection when disabled), then attention params for level 4 and
     level 3.  Fusion weights start at raw 1.0 and consume no draws.
@@ -260,15 +250,13 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
             raise ConfigError(f"backbone width for level {lvl} missing")
     rng = T.Rng(cfg.seed)
     width = cfg.fusion_width
-    offset_scale = getattr(cfg, "offset_scale", 1.0)
-    zero_lce = getattr(cfg, "zero_lce", False)
     cfe_params = None
     projections = None
     if cfg.cfe_enabled:
         cfe_params = {lvl: make_cfe_params(rng, channels[lvl], width,
                                            activation=cfg.activation,
                                            dilation=cfg.dilation,
-                                           offset_scale=offset_scale)
+                                           offset_scale=1.0)
                       for lvl in LEVELS}
     else:
         projections = {lvl: Conv2dParams(weights=rng.tensor([width, channels[lvl], 1, 1], -0.1, 0.1),
@@ -277,11 +265,10 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
     bra = None
     if cfg.attention_fusion_enabled:
         bra = {4: make_bra_params(rng, width, cfg.regions_s, cfg.topk_k, cfg.heads,
-                                  cfg.lce_kernel, zero_lce=zero_lce),
+                                  cfg.lce_kernel),
                3: make_bra_params(rng, width, cfg.regions_s, cfg.topk_k, cfg.heads,
-                                  cfg.lce_kernel, zero_lce=zero_lce)}
+                                  cfg.lce_kernel)}
     return PipelineParams(cfe=cfe_params, projection=projections, bra=bra,
                           fusion=FusionWeights(epsilon=cfg.epsilon),
                           cfe_enabled=cfg.cfe_enabled,
-                          attention_fusion_enabled=cfg.attention_fusion_enabled,
-                          topdown_source=cfg.topdown_source)
+                          attention_fusion_enabled=cfg.attention_fusion_enabled)

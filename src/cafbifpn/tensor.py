@@ -156,32 +156,36 @@ class Tape:
         return node
 
     def backward(self, output: Node, seed: Tensor) -> dict[Node, Tensor]:
-        """Gradient of (seed . output) with respect to every reached node.
+        """Gradient of (seed . output) with respect to every reached leaf.
 
         Visits nodes in reverse creation order, summing each node's
         incoming gradients in that order, so fan-out is correct and runs
-        are deterministic.  Gradient arrays are never written in place:
-        a slot may share its array with another slot or with the seed,
-        and fan-in adds out of place.
+        are deterministic.  An interior node's gradient is dropped once
+        its VJP has run, so only the leaves' gradients are returned.
+        Gradient arrays are never written in place: a slot may share its
+        array with another slot or with the seed, and fan-in adds out of
+        place.
         """
         if not isinstance(output, Node) or output.tape is not self:
             raise GraphError("output node is not recorded on this tape")
         if tuple(seed.dims) != output.dims:
             raise ShapeError(f"seed dims {seed.dims} != output dims {output.dims}")
         slots: dict[int, np.ndarray] = {output.index: np.asarray(seed.array, dtype=np.float64)}
+        leaves: dict[Node, Tensor] = {}
         for idx in range(output.index, -1, -1):
-            g = slots.get(idx)
+            g = slots.pop(idx, None)
             if g is None:
                 continue
             node = self.nodes[idx]
             if not node.parents:
+                leaves[node] = Tensor(g, copy=False)
                 continue
             for parent, pg in zip(node.parents, node._grads_fn(g)):
                 if not isinstance(parent, Node) or pg is None:
                     continue
                 slot = slots.get(parent.index)
                 slots[parent.index] = pg if slot is None else slot + pg
-        return {self.nodes[i]: Tensor(g, copy=False) for i, g in slots.items()}
+        return leaves
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,12 @@ class RunConfig:
     activation: str = "relu"
     cfe_enabled: bool = True
     attention_fusion_enabled: bool = True
-    topdown_source: str = "input"
     seed: int = 0
 
 
 _INT_FIELDS = {"regions_s", "topk_k", "heads", "fusion_width", "dilation", "lce_kernel", "seed"}
 _BOOL_FIELDS = {"cfe_enabled", "attention_fusion_enabled"}
-_STR_FIELDS = {"activation", "topdown_source"}
+_STR_FIELDS = {"activation"}
 
 
 def config_validate(cfg: RunConfig) -> RunConfig:
@@ -105,7 +104,6 @@ def config_validate(cfg: RunConfig) -> RunConfig:
     want(cfg.dilation >= 1, "dilation >= 1")
     want(cfg.lce_kernel >= 1 and cfg.lce_kernel % 2 == 1, "lce_kernel odd and >= 1")
     want(cfg.activation in ("none", "relu"), "activation in {none, relu}")
-    want(cfg.topdown_source in ("input", "output"), "topdown_source in {input, output}")
     want(0 <= cfg.seed < 2 ** 64, "seed fits in u64")
     return cfg
 
@@ -138,24 +136,6 @@ def config_parse(text: str) -> RunConfig:
             value = float(value)
         vals[key] = value
     return config_validate(RunConfig(**vals))
-
-
-def pad_to_multiple(f: T.Tensor, s: int) -> T.Tensor:
-    """Zero-pad bottom and right edges until s divides both extents."""
-    v = T._val(f)
-    c, h, w = v.shape
-    ph = (-h) % s
-    pw = (-w) % s
-    if ph == 0 and pw == 0:
-        return f if isinstance(f, T.Tensor) else T.tensor(v)
-    return T.tensor(np.pad(v, ((0, 0), (0, ph), (0, pw))))
-
-
-def crop(f: T.Tensor, h: int, w: int) -> T.Tensor:
-    v = T._val(f)
-    if h < 1 or w < 1 or h > v.shape[1] or w > v.shape[2]:
-        raise ConfigError(f"crop {h}x{w} outside map extents {v.shape[1]}x{v.shape[2]}")
-    return T.tensor(v[:, :h, :w])
 
 
 FIXTURE_DIMS = {2: (16, 64, 64), 3: (32, 32, 32), 4: (64, 16, 16), 5: (128, 8, 8)}
@@ -191,19 +171,3 @@ def load_backbone(in_dir) -> dict:
             raise FormatError(f"missing input map {name} in {in_dir}")
         maps[lvl] = tensor_read(path)
     return maps
-
-
-def load_fixture(in_dir) -> tuple:
-    """Read a fixture directory back as ({level: Tensor}, manifest)."""
-    path = Path(in_dir) / "manifest.json"
-    if not path.exists():
-        raise FormatError(f"no manifest.json in {in_dir}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest.json is not valid JSON: {exc}") from exc
-    maps = {}
-    for entry in manifest.get("files", []):
-        lvl = int(entry["level"])
-        maps[lvl] = tensor_read(Path(in_dir) / entry["name"])
-    return maps, manifest

@@ -22,6 +22,14 @@ def rel_err(analytic, fd, floor: float = 1e-3) -> np.ndarray:
     return np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
 
 
+def topk_ties_descending(row, k: int) -> np.ndarray:
+    """A deliberately wrong routing selection: ties broken by descending
+    region id instead of ascending.  Tests patch it over
+    attention._topk_indices_row to show the checks catch it."""
+    order = sorted(range(len(row)), key=lambda i: (-row[i], -i))
+    return np.asarray(order[:k], dtype=np.int64)
+
+
 @pytest.fixture(scope="session")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixture")

@@ -21,7 +21,7 @@ from cafbifpn.oracles import (attention_flops, conv2d_reference,
                               dense_attention_reference)
 from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward, fuse
 from cafbifpn.reference import plain_bifpn_reference, ref_c_afbifpn
-from cafbifpn.tensorio import (RunConfig, config_validate, load_fixture,
+from cafbifpn.tensorio import (RunConfig, config_validate, load_backbone,
                                tensor_read, tensor_write)
 
 from conftest import arr, max_abs_diff
@@ -141,7 +141,7 @@ def test_criterion_05_disabled_stages_reduce_to_plain_pyramid(capfd):
 def test_criterion_06_full_forward_matches_composed_references(capfd, fixture_dir):
     with _criterion(capfd, 6, "the full pyramid on the standard input maps "
                     "equals the stage-by-stage reference composition", budget=30.0) as info:
-        maps, _ = load_fixture(fixture_dir)
+        maps = load_backbone(fixture_dir)
         channels = {lvl: t.dims[0] for lvl, t in maps.items()}
         params = build_pipeline_params(RunConfig(), channels)
         out = c_afbifpn_forward(maps, params)
@@ -154,7 +154,7 @@ def test_criterion_06_full_forward_matches_composed_references(capfd, fixture_di
 def test_criterion_07_wiring_contracts(capfd, fixture_dir, tmp_path):
     with _criterion(capfd, 7, "two attention passes per forward, halving output "
                     "dims, byte-identical reruns") as info:
-        maps, _ = load_fixture(fixture_dir)
+        maps = load_backbone(fixture_dir)
         channels = {lvl: t.dims[0] for lvl, t in maps.items()}
         params = build_pipeline_params(RunConfig(), channels)
         for run in ("a", "b"):

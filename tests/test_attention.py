@@ -11,7 +11,7 @@ from cafbifpn.instrumentation import count_macs, watch_kinks
 from cafbifpn.oracles import attention_flops, dense_attention_reference, topk_reference
 from cafbifpn.reference import ref_ba
 
-from conftest import arr, max_abs_diff, rel_err
+from conftest import arr, max_abs_diff, rel_err, topk_ties_descending
 
 
 def _tiles(x: np.ndarray, s: int) -> np.ndarray:
@@ -71,15 +71,12 @@ def test_routing_selection_matches_full_sort():
                 list(topk_reference([float(v) for v in aff[r]], p.topk_k))
 
 
-def test_corrupt_tiebreak_hook_changes_tied_selection():
+def test_corrupt_tiebreak_hook_changes_tied_selection(monkeypatch):
     x = T.full([5, 8, 8], 0.37)  # constant map forces full score ties
     p = A.make_bra_params(T.Rng(45), 5, 2, 2)
     clean = A.compute_routing(x, p).indices
-    A.CORRUPT_TOPK_TIEBREAK = True
-    try:
-        corrupted = A.compute_routing(x, p).indices
-    finally:
-        A.CORRUPT_TOPK_TIEBREAK = False
+    monkeypatch.setattr(A, "_topk_indices_row", topk_ties_descending)
+    corrupted = A.compute_routing(x, p).indices
     assert not np.array_equal(clean, corrupted)
 
 

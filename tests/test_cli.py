@@ -8,6 +8,8 @@ import pytest
 from cafbifpn import attention
 from cafbifpn.cli import main
 
+from conftest import topk_ties_descending
+
 
 @pytest.fixture()
 def default_cfg(tmp_path):
@@ -24,7 +26,7 @@ def test_selfcheck_passes(capsys):
 
 
 def test_selfcheck_reports_injected_fault(capsys, monkeypatch):
-    monkeypatch.setattr(attention, "CORRUPT_TOPK_TIEBREAK", True)
+    monkeypatch.setattr(attention, "_topk_indices_row", topk_ties_descending)
     assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
     assert "FAIL routing-matches-full-sort" in out

@@ -1,0 +1,66 @@
+"""The shared gradient comparison that selfcheck and gradcheck both rely on:
+it must report agreement on an exact gradient and must report a VJP that
+is off by a relative 1e-4."""
+
+import pytest
+
+from cafbifpn import tensor as T
+from cafbifpn.errors import NumericError
+from cafbifpn.gradcheck import first_smooth, max_rel_err
+
+
+def _square(a, vjp_factor: float):
+    """Elementwise a^2 whose VJP is scaled by vjp_factor."""
+    v = T._val(a)
+    return T._emit((a,), v * v, lambda g: (vjp_factor * 2.0 * v * g,))
+
+
+def _quadratic_loss(weights):
+    def loss_of(values, vjp_factor=1.0):
+        return T.sum_all(T.mul(_square(values["x"], vjp_factor), weights))
+    return loss_of
+
+
+def test_exact_gradient_reports_round_off_only():
+    w = T.Rng(1).tensor([3, 4], 0.5, 2.0)
+    x = T.Rng(2).tensor([3, 4], -2.0, 2.0)
+    worst, count = max_rel_err([("x", x)], _quadratic_loss(w))
+    assert count == 12
+    assert worst <= 1e-8
+
+
+def test_scaled_vjp_is_reported():
+    w = T.Rng(1).tensor([3, 4], 0.5, 2.0)
+    x = T.Rng(2).tensor([3, 4], -2.0, 2.0)
+    loss = _quadratic_loss(w)
+    worst, _ = max_rel_err([("x", x)], lambda v: loss(v, vjp_factor=1.0001))
+    assert worst == pytest.approx(1e-4 / 1.0001, rel=1e-3)
+
+
+def test_coords_pick_the_differenced_coordinates():
+    w = T.Rng(1).tensor([3, 4], 0.5, 2.0)
+    x = T.Rng(2).tensor([3, 4], -2.0, 2.0)
+    y = T.Rng(3).tensor([2], -2.0, 2.0)
+    seen = []
+
+    def coords(t):
+        seen.append(t.size)
+        return [0, t.size - 1]
+
+    def loss_of(values):
+        return T.add(_quadratic_loss(w)(values), T.sum_all(_square(values["y"], 1.0)))
+
+    worst, count = max_rel_err([("x", x), ("y", y)], loss_of, coords)
+    assert seen == [12, 2] and count == 4
+    assert worst <= 1e-8
+
+
+def test_first_smooth_records_rejected_seeds():
+    events = []
+    case, seed = first_smooth(lambda s: (s * 10, None if s == 3 else f"gap {s}"),
+                              range(1, 9), events)
+    assert (case, seed) == (30, 3)
+    assert events == [{"seed": 1, "reason": "gap 1"}, {"seed": 2, "reason": "gap 2"}]
+    with pytest.raises(NumericError, match="gap 8"):
+        first_smooth(lambda s: (s, f"gap {s}"), range(5, 9))
+

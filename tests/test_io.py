@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from cafbifpn import tensor as T
 from cafbifpn.errors import ConfigError, FormatError
 from cafbifpn.tensorio import (FIXTURE_DIMS, RunConfig, config_parse,
-                               config_validate, crop, gen_fixture,
-                               load_backbone, load_fixture, pad_to_multiple,
+                               config_validate, gen_fixture, load_backbone,
                                tensor_read, tensor_write)
-
-from conftest import arr
 
 
 # -- tensor files --------------------------------------------------------
@@ -82,18 +79,19 @@ def test_config_round_trips_every_field():
                        "fusion_width": 12, "epsilon": 0.01, "dilation": 1,
                        "lce_kernel": 3, "activation": "none",
                        "cfe_enabled": False, "attention_fusion_enabled": False,
-                       "topdown_source": "input", "seed": 9})
+                       "seed": 9})
     cfg = config_parse(text)
     assert cfg == RunConfig(regions_s=4, topk_k=8, heads=2, fusion_width=12,
                             epsilon=0.01, dilation=1, lce_kernel=3,
                             activation="none", cfe_enabled=False,
-                            attention_fusion_enabled=False,
-                            topdown_source="input", seed=9)
+                            attention_fusion_enabled=False, seed=9)
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys: nope"):
         config_parse('{"nope": 1}')
+    with pytest.raises(ConfigError, match="unknown config keys: topdown_source"):
+        config_parse('{"topdown_source": "input"}')  # a removed key
 
 
 def test_config_rejects_non_object():
@@ -128,7 +126,7 @@ def test_config_type_guards():
     ({"dilation": 0}, "dilation >= 1"),
     ({"lce_kernel": 4}, "lce_kernel odd"),
     ({"activation": "gelu"}, "activation in"),
-    ({"topdown_source": "sideways"}, "topdown_source in"),
+    ({"lce_kernel": -1}, "lce_kernel odd and >= 1"),
     ({"seed": -1}, "seed fits"),
 ])
 def test_config_invariants_enforced(overrides, rule):
@@ -140,43 +138,11 @@ def test_validate_accepts_defaults():
     assert config_validate(RunConfig()) == RunConfig()
 
 
-# -- padding and cropping ------------------------------------------------
-
-@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_pad_makes_extents_divisible(c, h, w, s):
-    x = T.Rng(c * 1000 + h * 100 + w * 10 + s).tensor([c, h, w], -1.0, 1.0)
-    padded = pad_to_multiple(x, s)
-    _, ph, pw = arr(padded).shape
-    assert ph % s == 0 and pw % s == 0
-    assert ph - h < s and pw - w < s
-    assert np.array_equal(arr(padded)[:, :h, :w], arr(x))
-    assert np.all(arr(padded)[:, h:, :] == 0.0)
-    assert np.all(arr(padded)[:, :, w:] == 0.0)
-
-
-def test_pad_noop_when_already_divisible():
-    x = T.Rng(6).tensor([2, 4, 6], -1.0, 1.0)
-    assert pad_to_multiple(x, 2) is x
-
-
-def test_crop_inverts_pad():
-    x = T.Rng(7).tensor([2, 5, 7], -1.0, 1.0)
-    assert np.array_equal(arr(crop(pad_to_multiple(x, 4), 5, 7)), arr(x))
-
-
-def test_crop_range_checked():
-    x = T.zeros([1, 4, 4])
-    with pytest.raises(ConfigError):
-        crop(x, 5, 4)
-    with pytest.raises(ConfigError):
-        crop(x, 0, 4)
-
-
 # -- fixture generation --------------------------------------------------
 
 def test_fixture_dims_and_manifest(fixture_dir):
-    maps, manifest = load_fixture(fixture_dir)
+    maps = load_backbone(fixture_dir)
+    manifest = json.loads((fixture_dir / "manifest.json").read_text())
     assert sorted(manifest.keys()) == ["files", "seed"]
     assert manifest["seed"] == 0
     assert [e["level"] for e in manifest["files"]] == [2, 3, 4, 5]
@@ -209,8 +175,3 @@ def test_load_backbone_names_missing_file(tmp_path):
     (tmp_path / "backbone_c3.tnsr").unlink()
     with pytest.raises(FormatError, match="backbone_c3.tnsr"):
         load_backbone(tmp_path)
-
-
-def test_load_fixture_requires_manifest(tmp_path):
-    with pytest.raises(FormatError, match="manifest.json"):
-        load_fixture(tmp_path)

@@ -98,6 +98,9 @@ def test_finite_diff_on_quadratic():
     g = arr(finite_diff_grad(f, x0))
     exact = 2.0 * arr(a) * arr(x0)
     assert np.abs(g - exact).max() <= 1e-6
+    picked = arr(finite_diff_grad(f, x0, coords=[4, 1]))
+    assert picked.shape == (2,)
+    assert np.array_equal(picked, g[[4, 1]])
 
 
 def test_finite_diff_rejects_nonfinite_probe():

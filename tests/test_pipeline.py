@@ -221,13 +221,6 @@ def test_bad_halving_rejected():
         c_afbifpn_forward(backbone, params)
 
 
-def test_topdown_source_output_rejected_as_cyclic():
-    channels, backbone = _backbone(93)
-    params = replace(build_pipeline_params(_cfg(), channels), topdown_source="output")
-    with pytest.raises(ConfigError, match="cycl"):
-        c_afbifpn_forward(backbone, params)
-
-
 def test_fusion_weight_arity_enforced():
     channels, backbone = _backbone(94)
     params = build_pipeline_params(_cfg(), channels)

@@ -164,6 +164,20 @@ def test_gradient_accumulates_over_reuse():
     assert np.allclose(g, [5.0, 7.0], atol=1e-12)
 
 
+def test_backward_returns_only_reached_leaves():
+    tape = T.Tape()
+    a = tape.leaf(T.tensor([2.0, 3.0]))
+    b = tape.leaf(T.tensor([5.0, 7.0]))
+    unused = tape.leaf(T.tensor([1.0]))
+    prod = T.mul(a, b)
+    out = T.sum_all(T.add(prod, a))
+    grads = tape.backward(out, T.tensor([1.0]))
+    assert set(grads) == {a, b}  # neither prod, out nor the unreached leaf
+    assert unused not in grads
+    assert np.array_equal(arr(grads[a]), [6.0, 8.0])
+    assert np.array_equal(arr(grads[b]), [2.0, 3.0])
+
+
 def test_leaf_rejects_float32():
     tape = T.Tape()
     with pytest.raises(NumericError):
