@@ -137,52 +137,85 @@ def gather_kv(k_tokens: RegionTokens, v_tokens: RegionTokens, routing: RoutingRe
     if idx.size and (idx.min() < 0 or idx.max() >= n_regions):
         raise IndexError(f"routed region id out of range [0, {n_regions})")
     k = idx.shape[1]
-    # flat index into [S^2, n, C]: region stride n*C, token stride C
-    token_flat = (np.arange(n_tokens)[:, None] * c + np.arange(c)[None, :])
-    flat = (idx[:, :, None, None] * (n_tokens * c) + token_flat[None, None]).reshape(n_regions, k * n_tokens, c)
     counter = active_mac_counter()
     if counter is not None:
         counter.gather += 2 * n_regions * k * n_tokens * c
-    gathered_k = T.gather_flat(k_tokens.data, flat, [n_regions, k * n_tokens, c])
-    gathered_v = T.gather_flat(v_tokens.data, flat, [n_regions, k * n_tokens, c])
-    return gathered_k, gathered_v
+    dims = [n_regions, k * n_tokens, c]
+    return (T.gather_rows(k_tokens.data, idx, dims),
+            T.gather_rows(v_tokens.data, idx, dims))
 
 
 def token_attention(q_tokens: RegionTokens, gathered_k, gathered_v, heads: int) -> RegionTokens:
     """Per region and head: softmax(q . k_g^T / sqrt(d_k)) applied to v_g;
-    heads are contiguous channel groups re-concatenated afterwards."""
+    heads are contiguous channel groups re-concatenated afterwards.
+
+    One tape node.  Each (region, head) block is one [n, G] logits matmul,
+    scaled, normalised in place by T.softmax_inplace and multiplied into
+    the values; on a tape the normalised blocks are kept for the backward,
+    otherwise one block buffer is reused.
+    """
     qv = T._val(q_tokens.data)
     n_regions, n_tokens, c = qv.shape
-    gv = T._val(gathered_k)
-    if gv.shape[0] != n_regions or gv.shape[2] != c:
-        raise ShapeError(f"gathered keys {list(gv.shape)} disagree with queries {list(qv.shape)}")
+    kv, vv = T._val(gathered_k), T._val(gathered_v)
+    if kv.shape[0] != n_regions or kv.shape[2] != c:
+        raise ShapeError(f"gathered keys {list(kv.shape)} disagree with queries {list(qv.shape)}")
+    if vv.shape != kv.shape:
+        raise ShapeError(f"gathered values {list(vv.shape)} disagree with keys {list(kv.shape)}")
     if c % heads:
         raise ConfigError(f"head count {heads} does not divide channel width {c}")
     d = c // heads
-    n_gathered = gv.shape[1]
+    n_gathered = kv.shape[1]
     inv_scale = 1.0 / np.sqrt(d)
     counter = active_mac_counter()
+    if counter is not None:
+        counter.qk += n_regions * heads * n_tokens * d * n_gathered
+        counter.av += n_regions * heads * n_tokens * n_gathered * d
 
-    region_rows = []
+    def blocks(r, cols):
+        """Contiguous operands of one block: q [n, d], k^T [d, G], v [G, d]."""
+        return (np.ascontiguousarray(qv[r, :, cols]), np.ascontiguousarray(kv[r, :, cols].T),
+                np.ascontiguousarray(vv[r, :, cols]))
+
+    need_q, need_k, need_v = T._on_tape(q_tokens.data, gathered_k, gathered_v)
+    taped = need_q or need_k or need_v
+    weights = np.empty((n_regions, heads, n_tokens, n_gathered) if taped else (n_tokens, n_gathered))
+    out = np.empty((n_regions, n_tokens, c))
     for r in range(n_regions):
-        head_outs = []
         for h in range(heads):
-            q = T.reshape(T.slice_axes(q_tokens.data, (slice(r, r + 1), slice(None), slice(h * d, (h + 1) * d))),
-                          [n_tokens, d])
-            kg = T.reshape(T.slice_axes(gathered_k, (slice(r, r + 1), slice(None), slice(h * d, (h + 1) * d))),
-                           [n_gathered, d])
-            vg = T.reshape(T.slice_axes(gathered_v, (slice(r, r + 1), slice(None), slice(h * d, (h + 1) * d))),
-                           [n_gathered, d])
-            logits = T.scale(T.matmul(q, T.permute(kg, (1, 0))), inv_scale)
-            weights = T.softmax_lastdim(logits)
-            head_outs.append(T.matmul(weights, vg))
-            if counter is not None:
-                counter.qk += n_tokens * d * n_gathered
-                counter.av += n_tokens * n_gathered * d
-        row = head_outs[0] if heads == 1 else T.concat_axis(head_outs, axis=1)
-        region_rows.append(T.reshape(row, [1, n_tokens, c]))
-    out = region_rows[0] if n_regions == 1 else T.concat_axis(region_rows, axis=0)
-    return RegionTokens(out, q_tokens.height, q_tokens.width, q_tokens.regions_s)
+            cols = slice(h * d, (h + 1) * d)
+            q, kt, v = blocks(r, cols)
+            s = weights[r, h] if taped else weights
+            np.matmul(q, kt, out=s)
+            s *= inv_scale
+            T.softmax_inplace(s)
+            out[r, :, cols] = s @ v
+
+    def grads(g):
+        gq = np.zeros_like(qv) if need_q else None
+        gk = np.zeros_like(kv) if need_k else None
+        gv = np.zeros_like(vv) if need_v else None
+        for r in range(n_regions):
+            for h in range(heads):
+                cols = slice(h * d, (h + 1) * d)
+                s = weights[r, h]
+                go = np.ascontiguousarray(g[r, :, cols])
+                if need_v:
+                    gv[r, :, cols] += s.T @ go
+                if not (need_q or need_k):
+                    continue
+                q, kt, v = blocks(r, cols)
+                gs = go @ v.T
+                gs -= (gs * s).sum(axis=-1, keepdims=True)
+                gs *= s
+                gs *= inv_scale
+                if need_q:
+                    gq[r, :, cols] += gs @ kt.T
+                if need_k:
+                    gk[r, :, cols] += (q.T @ gs).T
+        return gq, gk, gv
+
+    data = T._emit((q_tokens.data, gathered_k, gathered_v), out, grads)
+    return RegionTokens(data, q_tokens.height, q_tokens.width, q_tokens.regions_s)
 
 
 def lce(v_tokens: RegionTokens, kernel):

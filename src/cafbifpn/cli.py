@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from . import tensorio as IO
 from .attention import ba_forward, make_bra_params
-from .errors import ConfigError, FormatError, KernelError
+from .errors import ConfigError, FormatError, KernelError, NumericError
 from .gradcheck import run_gradcheck
 from .instrumentation import count_macs
 from .oracles import attention_flops
@@ -32,6 +32,15 @@ def _load_config(path: str) -> IO.RunConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     return IO.config_parse(p.read_text())
+
+
+def _json_text(report: dict) -> str:
+    """A report as strict JSON: a NaN or infinity anywhere in it is a
+    failed computation, not a value to print."""
+    try:
+        return json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"report holds a non-finite value: {exc}") from exc
 
 
 def _level_stats(t: T.Tensor) -> dict:
@@ -48,24 +57,23 @@ def cmd_forward(args) -> int:
     backbone = IO.load_backbone(args.input)
     channels = {lvl: T._val(t).shape[0] for lvl, t in backbone.items()}
     params = build_pipeline_params(cfg, channels)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with count_macs() as mc:
         outputs = c_afbifpn_forward(backbone, params)
-    report = {"levels": {}, "ba_invocations": mc.ba_invocations, "mac": mc.as_dict()}
+    report = {"levels": {str(lvl): _level_stats(outputs[lvl]) for lvl in (2, 3, 4, 5)},
+              "ba_invocations": mc.ba_invocations, "mac": mc.as_dict()}
+    text = _json_text(report)  # before any map is written
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for lvl in (2, 3, 4, 5):
         IO.tensor_write(out_dir / f"out_p{lvl}.tnsr", outputs[lvl])
-        report["levels"][str(lvl)] = _level_stats(outputs[lvl])
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args.config)
     report = run_gradcheck(cfg, args.seed)
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(report))
     if not report["pass"]:
         worst = {name: g["max_rel_err"] for name, g in report["groups"].items() if not g["pass"]}
         print(f"gradient check failed: {worst}", file=sys.stderr)
@@ -119,15 +127,12 @@ def cmd_bench(args) -> int:
             for k in ks:
                 if 1 <= k <= s * s:
                     rows.append(_bench_case(cfg, h, w, s, k))
-    json.dump({"sweep": rows}, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text({"sweep": rows}))
     return 0
 
 
 def cmd_gen_fixture(args) -> int:
-    manifest = IO.gen_fixture(args.seed, args.out)
-    json.dump(manifest, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(IO.gen_fixture(args.seed, args.out)))
     return 0
 
 

@@ -30,4 +30,5 @@ class GraphError(KernelError):
 
 
 class FormatError(KernelError):
-    """A serialized tensor file is malformed."""
+    """A serialized tensor file is malformed, or an input map holds values
+    the computation cannot take (NaN or infinity)."""

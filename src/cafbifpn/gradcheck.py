@@ -185,12 +185,13 @@ def _pipeline_case(cfg, case_seed: int):
     # The production draw keeps projections small, which squeezes the
     # affinity gaps below the absolute resampling margin.  Boost them
     # for the check; the math under test is unchanged.
-    boosted = {lvl: replace(bp,
-                            w_q=T.tensor(T._val(bp.w_q) * 10.0),
-                            w_k=T.tensor(T._val(bp.w_k) * 10.0),
-                            w_v=T.tensor(T._val(bp.w_v) * 10.0))
-               for lvl, bp in params.bra.items()}
-    params = replace(params, bra=boosted)
+    if params.bra is not None:
+        boosted = {lvl: replace(bp,
+                                w_q=T.tensor(T._val(bp.w_q) * 10.0),
+                                w_k=T.tensor(T._val(bp.w_k) * 10.0),
+                                w_v=T.tensor(T._val(bp.w_v) * 10.0))
+                   for lvl, bp in params.bra.items()}
+        params = replace(params, bra=boosted)
     rng = T.Rng(case_seed ^ 0x5DEECE66D)
     backbone = {lvl: rng.tensor([channels[lvl], h2 >> (lvl - 2), h2 >> (lvl - 2)], -1.0, 1.0)
                 for lvl in (2, 3, 4, 5)}
@@ -253,8 +254,15 @@ def _relu_case(case_seed: int):
 
 
 def run_gradcheck(cfg, seed: int) -> dict:
-    """Check every parameter group of the full assembly; returns a report
-    with per-group worst relative errors."""
+    """Check every parameter group that the config builds; returns a report
+    with per-group worst relative errors.
+
+    A group whose tensors the config leaves out (the enhancement block or
+    the attention parameters of an ablation) is not checked; the dedicated
+    offset, predictor and relu cases exercise the enhancement block, so
+    they run only when it is enabled.  Absent groups are listed under
+    "skipped", a key the report carries only when some group is absent.
+    """
     events = []
     (params, backbone, routing), case_seed = first_smooth(
         lambda s: _pipeline_case(cfg, s), range(seed, seed + MAX_RESEEDS), events)
@@ -266,15 +274,25 @@ def run_gradcheck(cfg, seed: int) -> dict:
     def pipeline_loss(p):
         return _loss_of(c_afbifpn_forward(backbone, p, routing_override=routing))
 
-    groups = {name: _check_group(params, rows, pipeline_loss, coords)
-              for name, rows in GROUPS.items()}
-    groups["offsets"] = _check_group(*_offsets_case(seed), coords)
-    predictor, _ = first_smooth(_predictor_case,
-                                range(seed + 2000, seed + 2000 + MAX_RESEEDS), events)
-    groups["offset-predictor"] = _check_group(*predictor, coords)
-    relu, _ = first_smooth(_relu_case, range(seed + 1000, seed + 1000 + MAX_RESEEDS), events)
-    groups["relu-path"] = _check_group(*relu, coords)
+    groups, skipped = {}, []
+    for name, rows in GROUPS.items():
+        if any(getattr(params, path[0]) is None for _, path in rows):
+            skipped.append(name)
+        else:
+            groups[name] = _check_group(params, rows, pipeline_loss, coords)
+    if params.cfe_enabled:
+        groups["offsets"] = _check_group(*_offsets_case(seed), coords)
+        predictor, _ = first_smooth(_predictor_case,
+                                    range(seed + 2000, seed + 2000 + MAX_RESEEDS), events)
+        groups["offset-predictor"] = _check_group(*predictor, coords)
+        relu, _ = first_smooth(_relu_case, range(seed + 1000, seed + 1000 + MAX_RESEEDS), events)
+        groups["relu-path"] = _check_group(*relu, coords)
+    else:
+        skipped += ["offsets", "offset-predictor", "relu-path"]
 
     ok = all(g["pass"] for g in groups.values())
-    return {"seed": seed, "case_seed": case_seed, "threshold": PASS_THRESHOLD,
-            "resample_events": events, "groups": groups, "pass": ok}
+    report = {"seed": seed, "case_seed": case_seed, "threshold": PASS_THRESHOLD,
+              "resample_events": events, "groups": groups, "pass": ok}
+    if skipped:
+        report["skipped"] = skipped
+    return report

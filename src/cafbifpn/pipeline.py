@@ -112,7 +112,7 @@ def fuse(inputs, raw_weights, epsilon: float):
     clamped = [_clamp_nonneg(_as_scalar(w)) for w in raw_weights]
     num = None
     for u, x in zip(clamped, inputs):
-        term = T.mul(T.expand(u, dims0), x)
+        term = T.mul(u, x)
         num = term if num is None else T.add(num, term)
     denom = clamped[0]
     for u in clamped[1:]:
@@ -120,7 +120,7 @@ def fuse(inputs, raw_weights, epsilon: float):
     denom = T.add(denom, T.tensor([float(epsilon)]))
     if T._val(denom)[0] == 0.0:
         raise NumericError("fusion denominator is zero: all weights clamped away and epsilon is 0")
-    return T.div(num, T.expand(denom, dims0))
+    return T.div(num, denom)
 
 
 def _validate_params(p: PipelineParams) -> None:

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from . import tensorio as IO
-from .attention import ba_forward, compute_routing, make_bra_params
+from .attention import (RegionTokens, ba_forward, compute_routing, make_bra_params,
+                        token_attention)
 from .cfe import cfe_forward, cfe_receptive_probe, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
                       deformable_conv2d, deformable_conv2d_with_offsets,
@@ -73,7 +74,7 @@ def _weighted_sum(out):
 
 def check_op_gradients():
     w = T._val(T.Rng(5).tensor([3, 3], -1.0, 1.0))
-    gather_idx = np.array([[1, 5], [7, 10]])
+    gather_idx = np.array([[1, 3], [3, 0]])
 
     def draw(seed):
         x0 = T.Rng(seed).tensor([2, 3], -1.0, 1.0)
@@ -88,7 +89,7 @@ def check_op_gradients():
         s = T.softmax_lastdim(m)
         d = T.div(T.sub(r, s), T.add(s, T.full([2, 3], 2.0)))
         c = T.concat_axis([d, s], axis=0)
-        g = T.gather_flat(c, gather_idx, [2, 2])
+        g = T.gather_rows(c, gather_idx, [2, 2, 3])
         p = T.permute(T.reshape(c, [2, 2, 3]), (1, 0, 2))
         sl = T.slice_axes(p, (slice(0, 2), slice(0, 1), slice(1, 3)))
         e = T.expand(sl, [2, 2, 2])
@@ -113,6 +114,15 @@ def check_op_gradients():
     # of up to 2 put some samples partly or wholly outside the map
     shift = np.floor(_arr(rng.tensor([18, 4, 4], -2.0, 3.0)))
     offsets = T.tensor(_arr(rng.tensor([18, 4, 4], -0.2, 0.2)) + 0.35 + shift)
+    # attention over 4 regions of 2 tokens, 3 gathered tokens each, 2 heads
+    queries = rng.tensor([4, 2, 4], -1.0, 1.0)
+    keys, values = rng.tensor([4, 3, 4], -1.0, 1.0), rng.tensor([4, 3, 4], -1.0, 1.0)
+
+    def attend(q, k, v):
+        return token_attention(RegionTokens(q, 2, 4, 2), k, v, 2).data
+
+    rows = rng.tensor([3, 2, 2], -1.0, 1.0)
+    weight, denom = T.tensor([0.7]), T.tensor([1.3])
     cases = [case for c in convs for case in (
         (f"conv2d stride {c.stride} input", lambda v, c=c: conv2d(v, c), x),
         (f"conv2d stride {c.stride} weights",
@@ -128,6 +138,15 @@ def check_op_gradients():
          base.weights),
         ("deformable bias",
          lambda v: deformable_conv2d_with_offsets(xd, replace(base, bias=v), offsets), base.bias),
+        ("attention queries", lambda v: attend(v, keys, values), queries),
+        ("attention gathered keys", lambda v: attend(queries, v, values), keys),
+        ("attention gathered values", lambda v: attend(queries, keys, v), values),
+        ("row gather with a repeated row",
+         lambda v: T.gather_rows(v, np.array([[0, 2], [2, 2]]), [2, 4, 2]), rows),
+        ("scalar-mul weight", lambda v: T.mul(v, x), weight),
+        ("scalar-mul map", lambda v: T.mul(weight, v), x),
+        ("scalar-div numerator", lambda v: T.div(v, denom), x),
+        ("scalar-div denominator", lambda v: T.div(x, v), denom),
     ]
     for what, op, x0 in cases:
         err = _fd_rel_err(lambda v: _weighted_sum(op(v)), x0)
@@ -254,18 +273,18 @@ def check_attention_rows_stochastic():
     x = rng.tensor([4, 8, 8], -1.0, 1.0)
     p = make_bra_params(T.Rng(320), 4, 2, 2, heads=2)
     seen = []
-    real = T.softmax_lastdim
+    real = T.softmax_inplace
 
-    def recording(a):
-        out = real(a)
-        seen.append(_arr(out))
+    def recording(rows):
+        out = real(rows)
+        seen.append(out.copy())
         return out
 
-    T.softmax_lastdim = recording
+    T.softmax_inplace = recording
     try:
         ba_forward(x, p)
     finally:
-        T.softmax_lastdim = real
+        T.softmax_inplace = real
     if not seen:
         raise AssertionError("no attention rows observed")
     for mat in seen:

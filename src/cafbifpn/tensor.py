@@ -248,20 +248,42 @@ def sub(a, b):
     return _emit((a, b), _val(a) - _val(b), lambda g: (g, -g if need_b else None))
 
 
+def _scalar_layout(a, b, op: str) -> tuple:
+    """Like _same_layout, except that either operand may be a scalar
+    (dims (1,)) broadcast over the other.  Returns, per operand, a function
+    that turns an elementwise gradient into that operand's gradient: the
+    sum over every axis for a broadcast scalar, else the identity."""
+    av, bv = _val(a), _val(b)
+    if av.shape != bv.shape and (1,) not in (av.shape, bv.shape):
+        raise ShapeError(f"{op}: dims {list(av.shape)} vs {list(bv.shape)}")
+    if av.dtype != bv.dtype:
+        raise ShapeError(f"{op}: dtype {av.dtype} vs {bv.dtype}")
+    full = np.broadcast_shapes(av.shape, bv.shape)
+
+    def reducer(shape):
+        if shape == full:
+            return lambda g: g
+        return lambda g: g.sum(axis=tuple(range(g.ndim))).reshape(shape)
+
+    return reducer(av.shape), reducer(bv.shape)
+
+
 def mul(a, b):
-    _same_layout(a, b, "mul")
+    """Elementwise product; either operand may be a scalar (dims (1,))."""
+    to_a, to_b = _scalar_layout(a, b, "mul")
     av, bv = _val(a), _val(b)
     need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), av * bv, lambda g: (g * bv if need_a else None,
-                                             g * av if need_b else None))
+    return _emit((a, b), av * bv, lambda g: (to_a(g * bv) if need_a else None,
+                                             to_b(g * av) if need_b else None))
 
 
 def div(a, b):
-    _same_layout(a, b, "div")
+    """Elementwise quotient; either operand may be a scalar (dims (1,))."""
+    to_a, to_b = _scalar_layout(a, b, "div")
     av, bv = _val(a), _val(b)
     need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), av / bv, lambda g: (g / bv if need_a else None,
-                                             -g * av / (bv * bv) if need_b else None))
+    return _emit((a, b), av / bv, lambda g: (to_a(g / bv) if need_a else None,
+                                             to_b(-g * av / (bv * bv)) if need_b else None))
 
 
 def scale(a, c: float):
@@ -296,13 +318,24 @@ def matmul(a, b):
                                              av.T @ g if need_b else None))
 
 
-def softmax_lastdim(a):
-    av = _val(a)
-    if not np.all(np.isfinite(av)):
+def softmax_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with the softmax along its last axis and return it.
+
+    The row maximum is subtracted before exponentiating.  A NaN carries
+    into the maximum, +inf shows in the maximum and -inf in the minimum,
+    so those two cover every non-finite input without a boolean temporary.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    if not (np.isfinite(top).all() and np.isfinite(x.min())):
         raise NumericError("softmax input contains non-finite values")
-    shifted = av - av.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    x -= top
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def softmax_lastdim(a):
+    s = softmax_inplace(np.array(_val(a)))
 
     def grads(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
@@ -429,22 +462,25 @@ def sum_all(a):
                  lambda g: (np.full(shape, g[0], dtype=np.float64),))
 
 
-def gather_flat(a, indices: np.ndarray, out_dims: Sequence[int]):
-    """result.flat[i] = a.flat[indices.flat[i]]; backward scatter-adds."""
+def gather_rows(a, rows: np.ndarray, out_dims: Sequence[int]):
+    """Rows of a along axis 0, in the order of rows.flat, reshaped to
+    out_dims; backward scatter-adds each row's gradient, so a repeated
+    row id sums its gradients in that order."""
     av = _val(a)
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= av.size):
-        raise IndexError(f"gather index out of range for {av.size} elements")
+    idx = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
+        raise IndexError(f"row index out of range for {av.shape[0]} rows")
     out_dims = tuple(int(d) for d in out_dims)
-    if math.prod(out_dims) != idx.size:
-        raise ShapeError(f"gather output dims {list(out_dims)} disagree with {idx.size} indices")
-    out = av.reshape(-1)[idx].reshape(out_dims)
-    size, shape = av.size, av.shape
+    if math.prod(out_dims) != idx.size * math.prod(av.shape[1:]):
+        raise ShapeError(f"gather output dims {list(out_dims)} disagree with "
+                         f"{idx.size} rows of {list(av.shape[1:])}")
+    out = av[idx].reshape(out_dims)
+    shape = av.shape
 
     def grads(g):
-        buf = np.zeros(size, dtype=np.float64)
-        np.add.at(buf, idx, g.reshape(-1))
-        return (buf.reshape(shape),)
+        buf = np.zeros(shape, dtype=np.float64)
+        np.add.at(buf, idx, g.reshape((idx.size,) + shape[1:]))
+        return (buf,)
 
     return _emit((a,), out, grads)
 
@@ -488,19 +524,24 @@ class Rng:
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
 
+    def floats(self, n: int) -> np.ndarray:
+        """The next n next_float draws as one array, computed in wrapping
+        uint64 arithmetic; the cursor advances by n steps."""
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + steps * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z = z ^ (z >> np.uint64(31))
+        self.state = (self.state + n * _GOLDEN) & _MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
     def tensor(self, dims: Sequence[int], low: float = 0.0, high: float = 1.0) -> Tensor:
-        n = math.prod(dims)
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            vals[i] = self.uniform(low, high)
+        vals = low + (high - low) * self.floats(math.prod(dims))
         return Tensor(vals.reshape(tuple(dims)), copy=False)
 
     def symmetric_unit(self, dims: Sequence[int]) -> Tensor:
         """Values 2u - 1, filling row-major."""
-        n = math.prod(dims)
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            vals[i] = 2.0 * self.next_float() - 1.0
+        vals = 2.0 * self.floats(math.prod(dims)) - 1.0
         return Tensor(vals.reshape(tuple(dims)), copy=False)
 
     def randint(self, bound: int) -> int:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cafbifpn import attention as A
 from cafbifpn import tensor as T
-from cafbifpn.errors import ConfigError, PartitionError
+from cafbifpn.errors import ConfigError, NumericError, PartitionError
 from cafbifpn.instrumentation import count_macs, watch_kinks
 from cafbifpn.oracles import attention_flops, dense_attention_reference, topk_reference
 from cafbifpn.reference import ref_ba
@@ -164,3 +164,23 @@ def test_frozen_routing_reused():
     a = A.ba_forward(x, p, routing=routing)
     b = A.ba_forward(x, p)
     assert np.array_equal(arr(a), arr(b))
+
+
+def test_token_attention_records_one_tape_node():
+    rng = T.Rng(53)
+    tape = T.Tape()
+    q = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
+    k = tape.leaf(rng.tensor([4, 3, 4], -1.0, 1.0))
+    v = tape.leaf(rng.tensor([4, 3, 4], -1.0, 1.0))
+    before = len(tape.nodes)
+    out = A.token_attention(A.RegionTokens(q, 2, 4, 2), k, v, heads=2)
+    assert len(tape.nodes) == before + 1
+    assert out.data is tape.nodes[-1]
+    assert set(tape.backward(T.sum_all(out.data), T.tensor([1.0]))) == {q, k, v}
+
+
+def test_token_attention_rejects_non_finite_logits():
+    q = T.full([1, 2, 2], 1.0)
+    k = T.tensor(np.full((1, 3, 2), np.nan))
+    with pytest.raises(NumericError, match="non-finite"):
+        A.token_attention(A.RegionTokens(q, 1, 2, 1), k, k, heads=1)

@@ -2,10 +2,19 @@
 exit codes, report structure, and byte-level determinism."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cafbifpn import attention
+import cafbifpn
+from cafbifpn import attention, cli
+from cafbifpn import tensor as T
+from cafbifpn import tensorio as IO
 from cafbifpn.cli import main
 
 from conftest import topk_ties_descending
@@ -105,6 +114,81 @@ def test_gradcheck_cli(capsys, default_cfg):
     assert len(report["groups"]) == 8
     for group in report["groups"].values():
         assert group["max_rel_err"] <= 1e-5
+
+
+@pytest.mark.parametrize("overrides, skipped", [
+    ({"attention_fusion_enabled": False}, ["bra-projections", "lce"]),
+    ({"cfe_enabled": False},
+     ["cfe-kernels", "cfe-biases", "offsets", "offset-predictor", "relu-path"]),
+])
+def test_gradcheck_ablation_reports_present_groups(capsys, tmp_path, overrides, skipped):
+    cfg = tmp_path / "ablate.json"
+    cfg.write_text(json.dumps(overrides))
+    rc = main(["gradcheck", "--config", str(cfg), "--seed", "7"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert report["skipped"] == skipped
+    assert "fusion-weights" in report["groups"]
+    assert len(report["groups"]) + len(skipped) == 8
+    assert not set(skipped) & set(report["groups"])
+
+
+@pytest.mark.parametrize("overrides", [{}, {"attention_fusion_enabled": False}])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_rejects_non_finite_input_exit_2(capsys, tmp_path, fixture_dir, overrides, bad):
+    maps = tmp_path / "maps"
+    shutil.copytree(fixture_dir, maps)
+    c3 = IO.tensor_read(maps / "backbone_c3.tnsr").array.copy()
+    c3[5, 7, 11] = bad
+    IO.tensor_write(maps / "backbone_c3.tnsr", T.tensor(c3))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    rc = main(["forward", "--config", str(cfg), "--input", str(maps),
+               "--output", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "backbone_c3.tnsr (level 3)" in captured.err
+    assert "non-finite" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_forward_non_finite_report_exits_1_without_writing(capsys, tmp_path, default_cfg,
+                                                           fixture_dir, monkeypatch):
+    def poisoned(backbone, params):
+        return {lvl: T.full([2, 2, 2], np.nan) for lvl in (2, 3, 4, 5)}
+
+    monkeypatch.setattr(cli, "c_afbifpn_forward", poisoned)
+    rc = main(["forward", "--config", default_cfg, "--input", str(fixture_dir),
+               "--output", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_forward_bytes_do_not_depend_on_blas_threads(tmp_path, fixture_dir):
+    """Two cold `forward` runs, one BLAS thread against the default count,
+    at S=8, k=4 with 4 heads: report and maps byte-identical."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"regions_s": 8, "topk_k": 4, "heads": 4}))
+    src = str(Path(cafbifpn.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
+    runs = []
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-m", "cafbifpn.cli", "forward",
+                               "--config", str(cfg), "--input", str(fixture_dir),
+                               "--output", str(out)],
+                              env={**base, **extra}, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        runs.append((done.stdout, [(out / f"out_p{lvl}.tnsr").read_bytes()
+                                   for lvl in (2, 3, 4, 5)]))
+    assert json.loads(runs[0][0])["ba_invocations"] == 2
+    assert runs[0] == runs[1]
 
 
 def test_bench_sweep(capsys, default_cfg):

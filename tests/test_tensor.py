@@ -69,6 +69,22 @@ def test_rng_determinism_and_bounds():
     assert s.min() > -1.0 and s.max() < 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_rng_floats_equal_stepwise_draws(n, seed):
+    stepwise = T.Rng(seed)
+    want = [stepwise.next_float() for _ in range(n)]
+    vectorised = T.Rng(seed)
+    got = vectorised.floats(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tolist() == want
+    assert vectorised.state == stepwise.state
+    if n:
+        lo, hi = -0.3, 0.7
+        assert arr(T.Rng(seed).tensor([n], lo, hi)).tolist() == [lo + (hi - lo) * u for u in want]
+        assert arr(T.Rng(seed).symmetric_unit([n])).tolist() == [2.0 * u - 1.0 for u in want]
+
+
 def test_rng_randint_range():
     rng = T.Rng(12)
     draws = [rng.randint(7) for _ in range(200)]
@@ -116,10 +132,50 @@ def test_concat_slice_expand_values():
     assert arr(e).tolist() == [[2.0, 2.0, 2.0], [4.0, 4.0, 4.0]]
 
 
-def test_gather_flat_values():
-    x = T.tensor([10.0, 11.0, 12.0, 13.0])
-    g = T.gather_flat(x, np.array([[3, 0], [1, 1]]), [2, 2])
-    assert arr(g).tolist() == [[13.0, 10.0], [11.0, 11.0]]
+def test_gather_rows_values():
+    x = T.tensor([[10.0, 11.0], [12.0, 13.0], [14.0, 15.0]])
+    g = T.gather_rows(x, np.array([[2, 0], [1, 1]]), [2, 4])
+    assert arr(g).tolist() == [[14.0, 15.0, 10.0, 11.0], [12.0, 13.0, 12.0, 13.0]]
+    with pytest.raises(IndexError):
+        T.gather_rows(x, np.array([3]), [1, 2])
+    with pytest.raises(ShapeError):
+        T.gather_rows(x, np.array([0, 1]), [3, 2])
+
+
+def test_gather_rows_scatter_adds_repeated_rows():
+    tape = T.Tape()
+    leaf = tape.leaf(T.tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    g = T.gather_rows(leaf, np.array([[2, 2], [0, 2]]), [4, 2])
+    loss = T.sum_all(T.mul(g, T.tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])))
+    grad = arr(tape.backward(loss, T.tensor([1.0]))[leaf])
+    assert grad.tolist() == [[5.0, 6.0], [0.0, 0.0], [11.0, 14.0]]
+
+
+def test_scalar_operand_broadcasts_with_summed_gradient():
+    tape = T.Tape()
+    w = tape.leaf(T.tensor([2.0]))
+    x = tape.leaf(T.tensor([[1.0, 2.0], [3.0, 4.0]]))
+    prod = T.mul(w, x)
+    quot = T.div(x, w)
+    assert arr(prod).tolist() == [[2.0, 4.0], [6.0, 8.0]]
+    assert arr(quot).tolist() == [[0.5, 1.0], [1.5, 2.0]]
+    grads = tape.backward(T.sum_all(T.add(prod, quot)), T.tensor([1.0]))
+    assert arr(grads[w]).tolist() == [10.0 - 10.0 / 4.0]  # sum(x) - sum(x) / w^2
+    assert np.array_equal(arr(grads[x]), np.full((2, 2), 2.5))
+    with pytest.raises(ShapeError):
+        T.mul(T.zeros([2]), T.zeros([3]))
+    with pytest.raises(ShapeError):
+        T.div(T.zeros([2, 2]), T.zeros([1, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_rejects_each_non_finite_value(bad):
+    rows = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    rows[1, 2] = bad
+    with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+        T.softmax_inplace(rows.copy())
+    with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+        T.softmax_lastdim(T.tensor(rows))
 
 
 def test_sum_all_is_scalar():
@@ -128,13 +184,13 @@ def test_sum_all_is_scalar():
     assert arr(s)[0] == 10.0
 
 
-def _composite(xt, w, gather_idx):
+def _composite(xt, w, gather_rows):
     m = T.matmul(xt, w)
     r = T.relu(m)
     s = T.softmax_lastdim(m)
     d = T.div(T.sub(r, s), T.add(s, T.full([2, 3], 2.0)))
     c = T.concat_axis([d, s], axis=0)
-    g = T.gather_flat(c, gather_idx, [2, 2])
+    g = T.gather_rows(c, gather_rows, [2, 2, 3])
     p = T.permute(T.reshape(c, [2, 2, 3]), (1, 0, 2))
     e = T.expand(T.slice_axes(p, (slice(0, 2), slice(0, 1), slice(1, 3))), [2, 2, 2])
     rm = T.reduce_mean_axis(e, 2)
@@ -143,15 +199,15 @@ def _composite(xt, w, gather_idx):
 
 def test_composite_gradient_matches_finite_difference():
     w = T.Rng(15).tensor([3, 3], -1.0, 1.0)
-    gather_idx = np.array([[1, 5], [7, 10]])
+    gather_rows = np.array([[1, 3], [3, 0]])
     for attempt in range(10):
         x0 = T.Rng(150 + attempt).tensor([2, 3], -1.0, 1.0)
         if np.min(np.abs(arr(x0) @ arr(w))) > 1e-3:  # relu margin
             break
     tape = T.Tape()
     leaf = tape.leaf(x0)
-    grads = tape.backward(_composite(leaf, w, gather_idx), T.tensor([1.0]))
-    fd = finite_diff_grad(lambda xt: float(arr(_composite(xt, w, gather_idx))[0]), x0)
+    grads = tape.backward(_composite(leaf, w, gather_rows), T.tensor([1.0]))
+    fd = finite_diff_grad(lambda xt: float(arr(_composite(xt, w, gather_rows))[0]), x0)
     assert float(rel_err(grads[leaf], fd).max()) <= 1e-5
 
 
