@@ -1,7 +1,7 @@
 """Bi-level routing attention: partition a feature map into a region grid,
 route each region to its top-k most affine peers via pooled queries/keys,
-run token-level attention against the gathered keys/values only, then add
-a depthwise local-context term.
+run token-level attention against the routed regions' keys/values only,
+then add a depthwise local-context term.
 
 Region index and in-region token index both follow row-major order, so
 partition followed by merge is the identity.
@@ -127,94 +127,114 @@ def topk_routing(q_pooled, k_pooled, topk_k: int) -> RoutingResult:
     return RoutingResult(affinity, indices)
 
 
-def gather_kv(k_tokens: RegionTokens, v_tokens: RegionTokens, routing: RoutingResult):
-    """Stack the tokens of each routed region, highest affinity first."""
-    kv = T._val(k_tokens.data)
-    n_regions, n_tokens, c = kv.shape
+def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: RegionTokens,
+                    routing: RoutingResult, heads: int) -> RegionTokens:
+    """Per region and head: softmax(q . k_g^T / sqrt(d_k)) applied to v_g,
+    where k_g and v_g stack the tokens of the region's routed regions,
+    highest affinity first; heads are contiguous channel groups
+    re-concatenated afterwards.
+
+    One tape node.  Each region copies its routed regions' keys and values
+    once, shared by its heads, so the gathered stack is never built whole.
+    Each (region, head) block is one [n, G] logits matmul, scaled,
+    normalised in place by T.softmax_inplace and multiplied into the
+    values; on a tape the normalised blocks are kept for the backward.
+    Large calls run their regions on T._run_rows's worker threads.
+    """
+    qv = T._val(q_tokens.data)
+    n_regions, n_tokens, c = qv.shape
+    kv, vv = T._val(k_tokens.data), T._val(v_tokens.data)
+    if kv.shape[0] != n_regions or kv.shape[2] != c:
+        raise ShapeError(f"key tokens {list(kv.shape)} disagree with queries {list(qv.shape)}")
+    if vv.shape != kv.shape:
+        raise ShapeError(f"value tokens {list(vv.shape)} disagree with keys {list(kv.shape)}")
     idx = np.asarray(routing.indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[0] != n_regions:
         raise ShapeError(f"index matrix dims {list(idx.shape)} disagree with {n_regions} regions")
     if idx.size and (idx.min() < 0 or idx.max() >= n_regions):
         raise IndexError(f"routed region id out of range [0, {n_regions})")
-    k = idx.shape[1]
-    counter = active_mac_counter()
-    if counter is not None:
-        counter.gather += 2 * n_regions * k * n_tokens * c
-    dims = [n_regions, k * n_tokens, c]
-    return (T.gather_rows(k_tokens.data, idx, dims),
-            T.gather_rows(v_tokens.data, idx, dims))
-
-
-def token_attention(q_tokens: RegionTokens, gathered_k, gathered_v, heads: int) -> RegionTokens:
-    """Per region and head: softmax(q . k_g^T / sqrt(d_k)) applied to v_g;
-    heads are contiguous channel groups re-concatenated afterwards.
-
-    One tape node.  Each (region, head) block is one [n, G] logits matmul,
-    scaled, normalised in place by T.softmax_inplace and multiplied into
-    the values; on a tape the normalised blocks are kept for the backward,
-    otherwise one block buffer is reused.
-    """
-    qv = T._val(q_tokens.data)
-    n_regions, n_tokens, c = qv.shape
-    kv, vv = T._val(gathered_k), T._val(gathered_v)
-    if kv.shape[0] != n_regions or kv.shape[2] != c:
-        raise ShapeError(f"gathered keys {list(kv.shape)} disagree with queries {list(qv.shape)}")
-    if vv.shape != kv.shape:
-        raise ShapeError(f"gathered values {list(vv.shape)} disagree with keys {list(kv.shape)}")
     if c % heads:
         raise ConfigError(f"head count {heads} does not divide channel width {c}")
     d = c // heads
-    n_gathered = kv.shape[1]
+    n_gathered = idx.shape[1] * kv.shape[1]
     inv_scale = 1.0 / np.sqrt(d)
     counter = active_mac_counter()
     if counter is not None:
+        counter.gather += 2 * n_regions * n_gathered * c
         counter.qk += n_regions * heads * n_tokens * d * n_gathered
         counter.av += n_regions * heads * n_tokens * n_gathered * d
+    work = n_regions * heads * n_tokens * n_gathered
 
-    def blocks(r, cols):
+    def gathered(r):
+        """Region r's routed keys and values, [G, C] each."""
+        return kv[idx[r]].reshape(n_gathered, c), vv[idx[r]].reshape(n_gathered, c)
+
+    def blocks(r, cols, k_r, v_r):
         """Contiguous operands of one block: q [n, d], k^T [d, G], v [G, d]."""
-        return (np.ascontiguousarray(qv[r, :, cols]), np.ascontiguousarray(kv[r, :, cols].T),
-                np.ascontiguousarray(vv[r, :, cols]))
+        return (np.ascontiguousarray(qv[r, :, cols]), np.ascontiguousarray(k_r[:, cols].T),
+                np.ascontiguousarray(v_r[:, cols]))
 
-    need_q, need_k, need_v = T._on_tape(q_tokens.data, gathered_k, gathered_v)
+    need_q, need_k, need_v = T._on_tape(q_tokens.data, k_tokens.data, v_tokens.data)
     taped = need_q or need_k or need_v
-    weights = np.empty((n_regions, heads, n_tokens, n_gathered) if taped else (n_tokens, n_gathered))
+    weights = np.empty((n_regions, heads, n_tokens, n_gathered)) if taped else None
     out = np.empty((n_regions, n_tokens, c))
-    for r in range(n_regions):
-        for h in range(heads):
-            cols = slice(h * d, (h + 1) * d)
-            q, kt, v = blocks(r, cols)
-            s = weights[r, h] if taped else weights
-            np.matmul(q, kt, out=s)
-            s *= inv_scale
-            T.softmax_inplace(s)
-            out[r, :, cols] = s @ v
+
+    def forward(rows):
+        block = None if taped else np.empty((n_tokens, n_gathered))
+        for r in rows:
+            k_r, v_r = gathered(r)
+            for h in range(heads):
+                cols = slice(h * d, (h + 1) * d)
+                q, kt, v = blocks(r, cols, k_r, v_r)
+                s = weights[r, h] if taped else block
+                np.matmul(q, kt, out=s)
+                s *= inv_scale
+                T.softmax_inplace(s)
+                out[r, :, cols] = s @ v
+
+    T._run_rows(n_regions, forward, work)
 
     def grads(g):
         gq = np.zeros_like(qv) if need_q else None
-        gk = np.zeros_like(kv) if need_k else None
-        gv = np.zeros_like(vv) if need_v else None
-        for r in range(n_regions):
-            for h in range(heads):
-                cols = slice(h * d, (h + 1) * d)
-                s = weights[r, h]
-                go = np.ascontiguousarray(g[r, :, cols])
-                if need_v:
-                    gv[r, :, cols] += s.T @ go
-                if not (need_q or need_k):
-                    continue
-                q, kt, v = blocks(r, cols)
-                gs = go @ v.T
-                gs -= (gs * s).sum(axis=-1, keepdims=True)
-                gs *= s
-                gs *= inv_scale
-                if need_q:
-                    gq[r, :, cols] += gs @ kt.T
-                if need_k:
-                    gk[r, :, cols] += (q.T @ gs).T
-        return gq, gk, gv
+        gk = np.zeros((n_regions, n_gathered, c)) if need_k else None
+        gv = np.zeros((n_regions, n_gathered, c)) if need_v else None
 
-    data = T._emit((q_tokens.data, gathered_k, gathered_v), out, grads)
+        def backward(rows):
+            for r in rows:
+                if need_q or need_k:
+                    k_r, v_r = gathered(r)
+                for h in range(heads):
+                    cols = slice(h * d, (h + 1) * d)
+                    s = weights[r, h]
+                    go = np.ascontiguousarray(g[r, :, cols])
+                    if need_v:
+                        gv[r, :, cols] += s.T @ go
+                    if not (need_q or need_k):
+                        continue
+                    q, kt, v = blocks(r, cols, k_r, v_r)
+                    gs = go @ v.T
+                    gs -= (gs * s).sum(axis=-1, keepdims=True)
+                    gs *= s
+                    gs *= inv_scale
+                    if need_q:
+                        gq[r, :, cols] += gs @ kt.T
+                    if need_k:
+                        gk[r, :, cols] += (q.T @ gs).T
+
+        T._run_rows(n_regions, backward, work)
+
+        def scatter(gathered_grad, like):
+            """Sum each routed copy's gradient into its source region, in
+            routing order, so a region routed to twice sums in that order."""
+            if gathered_grad is None:
+                return None
+            buf = np.zeros_like(like)
+            np.add.at(buf, idx.reshape(-1), gathered_grad.reshape((idx.size,) + like.shape[1:]))
+            return buf
+
+        return gq, scatter(gk, kv), scatter(gv, vv)
+
+    data = T._emit((q_tokens.data, k_tokens.data, v_tokens.data), out, grads)
     return RegionTokens(data, q_tokens.height, q_tokens.width, q_tokens.regions_s)
 
 
@@ -278,6 +298,5 @@ def ba_forward(f, p: BraParams, routing: RoutingResult | None = None):
         if counter is not None:
             counter.routing += v.shape[1] * v.shape[2] * c  # pooling overhead
         routing = topk_routing(q_pooled, k_pooled, p.topk_k)
-    gathered_k, gathered_v = gather_kv(k, vv, routing)
-    attended = token_attention(q, gathered_k, gathered_v, p.heads)
+    attended = token_attention(q, k, vv, routing, p.heads)
     return T.add(region_merge(attended), lce(vv, p.lce_kernel))

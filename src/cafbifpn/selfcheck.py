@@ -14,8 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from . import tensorio as IO
-from .attention import (RegionTokens, ba_forward, compute_routing, make_bra_params,
-                        token_attention)
+from .attention import (RegionTokens, RoutingResult, ba_forward, compute_routing,
+                        make_bra_params, token_attention)
 from .cfe import cfe_forward, cfe_receptive_probe, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
                       deformable_conv2d, deformable_conv2d_with_offsets,
@@ -74,7 +74,6 @@ def _weighted_sum(out):
 
 def check_op_gradients():
     w = T._val(T.Rng(5).tensor([3, 3], -1.0, 1.0))
-    gather_idx = np.array([[1, 3], [3, 0]])
 
     def draw(seed):
         x0 = T.Rng(seed).tensor([2, 3], -1.0, 1.0)
@@ -86,15 +85,11 @@ def check_op_gradients():
     def graph(xt):
         m = T.matmul(xt, T.tensor(w))
         r = T.relu(m)
-        s = T.softmax_lastdim(m)
-        d = T.div(T.sub(r, s), T.add(s, T.full([2, 3], 2.0)))
-        c = T.concat_axis([d, s], axis=0)
-        g = T.gather_rows(c, gather_idx, [2, 2, 3])
+        d = T.div(r, T.add(T.mul(m, m), T.full([2, 3], 2.0)))
+        c = T.concat_axis([d, m], axis=0)
         p = T.permute(T.reshape(c, [2, 2, 3]), (1, 0, 2))
-        sl = T.slice_axes(p, (slice(0, 2), slice(0, 1), slice(1, 3)))
-        e = T.expand(sl, [2, 2, 2])
-        rm = T.reduce_mean_axis(e, 2)
-        return T.add(T.sum_all(g), T.add(T.sum_all(rm), T.scale(T.sum_all(c), 0.3)))
+        e = T.expand(T.reshape(T.reduce_mean_axis(p, 2), [2, 2, 1]), [2, 2, 3])
+        return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(c), T.tensor([0.3])))
 
     err = _fd_rel_err(graph, x0)
     if err > TOL_GRAD:
@@ -114,14 +109,16 @@ def check_op_gradients():
     # of up to 2 put some samples partly or wholly outside the map
     shift = np.floor(_arr(rng.tensor([18, 4, 4], -2.0, 3.0)))
     offsets = T.tensor(_arr(rng.tensor([18, 4, 4], -0.2, 0.2)) + 0.35 + shift)
-    # attention over 4 regions of 2 tokens, 3 gathered tokens each, 2 heads
+    # attention over 4 regions of 2 tokens, 2 routed regions each, 2
+    # heads; region 3 is routed to three times, so its key and value
+    # gradients sum over copies
     queries = rng.tensor([4, 2, 4], -1.0, 1.0)
-    keys, values = rng.tensor([4, 3, 4], -1.0, 1.0), rng.tensor([4, 3, 4], -1.0, 1.0)
+    keys, values = rng.tensor([4, 2, 4], -1.0, 1.0), rng.tensor([4, 2, 4], -1.0, 1.0)
+    routing = RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
 
     def attend(q, k, v):
-        return token_attention(RegionTokens(q, 2, 4, 2), k, v, 2).data
+        return token_attention(*(RegionTokens(t, 2, 4, 2) for t in (q, k, v)), routing, 2).data
 
-    rows = rng.tensor([3, 2, 2], -1.0, 1.0)
     weight, denom = T.tensor([0.7]), T.tensor([1.3])
     cases = [case for c in convs for case in (
         (f"conv2d stride {c.stride} input", lambda v, c=c: conv2d(v, c), x),
@@ -139,10 +136,8 @@ def check_op_gradients():
         ("deformable bias",
          lambda v: deformable_conv2d_with_offsets(xd, replace(base, bias=v), offsets), base.bias),
         ("attention queries", lambda v: attend(v, keys, values), queries),
-        ("attention gathered keys", lambda v: attend(queries, v, values), keys),
-        ("attention gathered values", lambda v: attend(queries, keys, v), values),
-        ("row gather with a repeated row",
-         lambda v: T.gather_rows(v, np.array([[0, 2], [2, 2]]), [2, 4, 2]), rows),
+        ("attention routed keys", lambda v: attend(queries, v, values), keys),
+        ("attention routed values", lambda v: attend(queries, keys, v), values),
         ("scalar-mul weight", lambda v: T.mul(v, x), weight),
         ("scalar-mul map", lambda v: T.mul(weight, v), x),
         ("scalar-div numerator", lambda v: T.div(v, denom), x),
@@ -158,7 +153,7 @@ def check_softmax_rows():
     rows = [T.Rng(6).tensor([4, 7], -5.0, 5.0),
             T.tensor([[1e3, -1e3, 0.0], [2.0, 2.0, 2.0]])]
     for r in rows:
-        s = _arr(T.softmax_lastdim(r))
+        s = T.softmax_inplace(_arr(r).copy())
         if np.min(s) < 0.0:
             raise AssertionError("negative probability")
         _close(s.sum(axis=-1), np.ones(s.shape[:-1]), TOL_TIGHT, "row sums")

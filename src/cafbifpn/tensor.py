@@ -5,13 +5,27 @@ Tensors are immutable after construction and every operation is a pure
 function, so values may be shared freely between threads.  A Tape is
 single-writer: recording and backward must be serialized per tape.
 
+One primitive, routed token attention, runs its large block loops on a
+small pool of worker threads (`_run_rows`), one per CPU this process may
+use.  The pool is private: a caller never sees its threads, the call
+returns only after every worker has stopped, and counters and monitors
+are only touched on the calling thread.  While the workers run, OpenBLAS
+is held to one thread and restored afterwards; one caller at a time
+holds the pool, and any other runs its loop inline, so concurrent
+forwards give the same bits and leave the BLAS thread count as they
+found it.
+
 Verification arithmetic is float64; float32 exists as a storage dtype and
 is rejected on tapes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -242,12 +256,6 @@ def add(a, b):
     return _emit((a, b), _val(a) + _val(b), lambda g: (g, g))
 
 
-def sub(a, b):
-    _same_layout(a, b, "sub")
-    _, need_b = _on_tape(a, b)
-    return _emit((a, b), _val(a) - _val(b), lambda g: (g, -g if need_b else None))
-
-
 def _scalar_layout(a, b, op: str) -> tuple:
     """Like _same_layout, except that either operand may be a scalar
     (dims (1,)) broadcast over the other.  Returns, per operand, a function
@@ -284,12 +292,6 @@ def div(a, b):
     need_a, need_b = _on_tape(a, b)
     return _emit((a, b), av / bv, lambda g: (to_a(g / bv) if need_a else None,
                                              to_b(-g * av / (bv * bv)) if need_b else None))
-
-
-def scale(a, c: float):
-    """Multiply by a python constant (no gradient for the constant)."""
-    c = float(c)
-    return _emit((a,), _val(a) * c, lambda g: (g * c,))
 
 
 def relu(a):
@@ -332,16 +334,6 @@ def softmax_inplace(x: np.ndarray) -> np.ndarray:
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
-
-
-def softmax_lastdim(a):
-    s = softmax_inplace(np.array(_val(a)))
-
-    def grads(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return ((g - inner) * s,)
-
-    return _emit((a,), s, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +383,6 @@ def concat_axis(parts: Sequence, axis: int):
     return _emit(tuple(parts), np.concatenate(vals, axis=axis), grads)
 
 
-def slice_axes(a, slices: Sequence[slice]):
-    """Strided view of the leading axes; missing trailing axes are full."""
-    av = _val(a)
-    if len(slices) > av.ndim:
-        raise ShapeError(f"{len(slices)} slices for rank {av.ndim}")
-    for s in slices:
-        if s.step is not None and s.step < 1:
-            raise ShapeError("slice step must be >= 1")
-    key = tuple(slices)
-    out = np.ascontiguousarray(av[key])
-    if out.size == 0:
-        raise ShapeError(f"slice {key} selects nothing from dims {list(av.shape)}")
-    shape = av.shape
-
-    def grads(g):
-        buf = np.zeros(shape, dtype=g.dtype)
-        buf[key] += g
-        return (buf,)
-
-    return _emit((a,), out, grads)
-
-
 def expand(a, dims: Sequence[int]):
     """Broadcast to dims (numpy rules); backward sums over broadcast axes."""
     av = _val(a)
@@ -435,7 +405,7 @@ def expand(a, dims: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# Reductions and gather
+# Reductions
 
 
 def reduce_mean_axis(a, axis: int):
@@ -462,27 +432,103 @@ def sum_all(a):
                  lambda g: (np.full(shape, g[0], dtype=np.float64),))
 
 
-def gather_rows(a, rows: np.ndarray, out_dims: Sequence[int]):
-    """Rows of a along axis 0, in the order of rows.flat, reshaped to
-    out_dims; backward scatter-adds each row's gradient, so a repeated
-    row id sums its gradients in that order."""
-    av = _val(a)
-    idx = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
-        raise IndexError(f"row index out of range for {av.shape[0]} rows")
-    out_dims = tuple(int(d) for d in out_dims)
-    if math.prod(out_dims) != idx.size * math.prod(av.shape[1:]):
-        raise ShapeError(f"gather output dims {list(out_dims)} disagree with "
-                         f"{idx.size} rows of {list(av.shape[1:])}")
-    out = av[idx].reshape(out_dims)
-    shape = av.shape
+# ---------------------------------------------------------------------------
+# Worker pool for large row loops
 
-    def grads(g):
-        buf = np.zeros(shape, dtype=np.float64)
-        np.add.at(buf, idx, g.reshape((idx.size,) + shape[1:]))
-        return (buf,)
+# A loop with less work than this runs inline: handing it to the pool
+# costs more than a second core returns.  For token attention the work is
+# the logits count, regions * heads * queries * gathered keys; the value
+# comes from a sweep of pooled against inline calls (CHANGES.md).
+_POOL_MIN_WORK = 1 << 23
 
-    return _emit((a,), out, grads)
+_pool_lock = threading.Lock()
+_pool = None  # (creating pid, workers, executor), made on first use
+
+
+def _allowed_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    OpenBLAS is mapped into this process.  Looked up on first use."""
+    try:
+        with open("/proc/self/maps") as fh:
+            path = next((ln.split()[-1] for ln in fh if "openblas" in ln.lower()), None)
+        if path is None:
+            return None
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes = (ctypes.c_int,)
+            put.restype = None
+            return get, put
+    return None
+
+
+def _executor(workers: int):
+    """The workers - 1 pool threads that join a calling thread.  A forked
+    child has none of its parent's threads, so a new pid gets a new pool."""
+    # imported on first use, so that importing the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[:2] != (pid, workers):
+        if _pool is not None and _pool[0] == pid:
+            _pool[2].shutdown(wait=False)
+        _pool = (pid, workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="cafbifpn-rows"))
+    return _pool[2]
+
+
+def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
+    """Run body over rows 0..n_rows-1 in interleaved shares
+    range(i, n_rows, shares), one share per allowed CPU, at once: the
+    calling thread takes share 0 and pool threads the rest, with OpenBLAS
+    held to one thread meanwhile.  Shares must write disjoint outputs and
+    must not touch counters or monitors.
+
+    body(range(n_rows)) runs inline instead when work is below
+    _POOL_MIN_WORK, one CPU is allowed, no OpenBLAS is loaded, or another
+    thread holds the pool.  Returns only once every share has stopped; the
+    first failed share's exception, in share order, is then re-raised.
+    """
+    workers = _allowed_cpus() if work >= _POOL_MIN_WORK else 1
+    shares = min(workers, n_rows)
+    blas = _openblas_threads() if shares > 1 else None
+    if blas is None or not _pool_lock.acquire(blocking=False):
+        body(range(n_rows))
+        return
+    from concurrent.futures import wait
+    get, put = blas
+    try:
+        pool = _executor(workers)
+        old = get()
+        put(1)
+        try:
+            futures = []
+            try:
+                for i in range(1, shares):
+                    futures.append(pool.submit(body, range(i, n_rows, shares)))
+                body(range(0, n_rows, shares))
+            finally:
+                wait(futures)
+            errors = [e for e in (f.exception() for f in futures) if e is not None]
+            if errors:
+                raise errors[0]
+        finally:
+            put(old)
+    finally:
+        _pool_lock.release()
 
 
 # ---------------------------------------------------------------------------

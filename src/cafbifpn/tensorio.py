@@ -163,7 +163,8 @@ def gen_fixture(seed: int, out_dir) -> dict:
 
 def load_backbone(in_dir) -> dict:
     """Read the four per-level input maps by their conventional names; no
-    manifest needed, so any directory holding the files works.  A map
+    manifest needed, so any directory holding the files works.  A float32
+    map is upcast to float64, the compute dtype, which is exact.  A map
     holding a NaN or an infinity is rejected, naming its file and level."""
     maps = {}
     for lvl, name in _FIXTURE_NAMES.items():
@@ -171,6 +172,8 @@ def load_backbone(in_dir) -> dict:
         if not path.exists():
             raise FormatError(f"missing input map {name} in {in_dir}")
         maps[lvl] = tensor_read(path)
+        if maps[lvl].dtype != "float64":
+            maps[lvl] = maps[lvl].astype("float64")
         if not np.isfinite(maps[lvl].array).all():
             raise FormatError(f"input map {name} (level {lvl}) in {in_dir} "
                               "holds non-finite values")

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from cafbifpn import attention as A
 from cafbifpn import tensor as T
-from cafbifpn.errors import ConfigError, NumericError, PartitionError
+from cafbifpn.errors import ConfigError, NumericError, PartitionError, ShapeError
 from cafbifpn.instrumentation import count_macs, watch_kinks
-from cafbifpn.oracles import attention_flops, dense_attention_reference, topk_reference
+from cafbifpn.oracles import (attention_flops, dense_attention_reference, finite_diff_grad,
+                              topk_reference)
 from cafbifpn.reference import ref_ba
 
 from conftest import arr, max_abs_diff, rel_err, topk_ties_descending
@@ -166,21 +167,71 @@ def test_frozen_routing_reused():
     assert np.array_equal(arr(a), arr(b))
 
 
+def _tokens(*tensors):
+    return [A.RegionTokens(t, 2, 4, 2) for t in tensors]
+
+
 def test_token_attention_records_one_tape_node():
     rng = T.Rng(53)
     tape = T.Tape()
     q = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
-    k = tape.leaf(rng.tensor([4, 3, 4], -1.0, 1.0))
-    v = tape.leaf(rng.tensor([4, 3, 4], -1.0, 1.0))
+    k = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
+    v = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
+    routing = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
     before = len(tape.nodes)
-    out = A.token_attention(A.RegionTokens(q, 2, 4, 2), k, v, heads=2)
+    out = A.token_attention(*_tokens(q, k, v), routing, heads=2)
     assert len(tape.nodes) == before + 1
     assert out.data is tape.nodes[-1]
     assert set(tape.backward(T.sum_all(out.data), T.tensor([1.0]))) == {q, k, v}
+
+
+def test_token_attention_equals_attention_over_stacked_routed_regions():
+    rng = T.Rng(54)
+    q, k, v = (rng.tensor([4, 3, 4], -1.0, 1.0) for _ in range(3))
+    idx = np.array([[2, 0], [2, 3], [1, 2], [0, 3]])
+    out = arr(A.token_attention(*_tokens(q, k, v), A.RoutingResult(None, idx), heads=2).data)
+    for r in range(4):
+        kg, vg = arr(k)[idx[r]].reshape(6, 4), arr(v)[idx[r]].reshape(6, 4)
+        for cols in (slice(0, 2), slice(2, 4)):
+            logits = arr(q)[r][:, cols] @ kg[:, cols].T / np.sqrt(2.0)
+            w = np.exp(logits - logits.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            assert max_abs_diff(out[r][:, cols], w @ vg[:, cols]) <= 1e-14
+
+
+@pytest.mark.parametrize("operand", [1, 2])
+def test_token_attention_gradient_sums_over_routed_copies(operand):
+    """Region 3 is routed to by three regions; its key and value
+    gradients must sum the three copies."""
+    rng = T.Rng(55)
+    ops = [rng.tensor([4, 2, 4], -1.0, 1.0) for _ in range(3)]
+    routing = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
+    mix = rng.tensor([4, 2, 4], -1.0, 1.0)
+
+    def loss(x):
+        args = list(ops)
+        args[operand] = x
+        return T.sum_all(T.mul(A.token_attention(*_tokens(*args), routing, 2).data, mix))
+
+    tape = T.Tape()
+    leaf = tape.leaf(ops[operand])
+    analytic = tape.backward(loss(leaf), T.tensor([1.0]))[leaf]
+    fd = finite_diff_grad(lambda x: float(arr(loss(x))[0]), ops[operand])
+    assert float(rel_err(analytic, fd).max()) <= 1e-5
+
+
+def test_token_attention_rejects_bad_routing():
+    q = T.zeros([4, 2, 4])
+    with pytest.raises(IndexError):
+        A.token_attention(*_tokens(q, q, q), A.RoutingResult(None, np.array([[4]] * 4)), 1)
+    with pytest.raises(ShapeError):
+        A.token_attention(*_tokens(q, q, q), A.RoutingResult(None, np.array([[0]] * 3)), 1)
 
 
 def test_token_attention_rejects_non_finite_logits():
     q = T.full([1, 2, 2], 1.0)
     k = T.tensor(np.full((1, 3, 2), np.nan))
     with pytest.raises(NumericError, match="non-finite"):
-        A.token_attention(A.RegionTokens(q, 1, 2, 1), k, k, heads=1)
+        A.token_attention(A.RegionTokens(q, 1, 2, 1), A.RegionTokens(k, 1, 3, 1),
+                          A.RegionTokens(k, 1, 3, 1), A.RoutingResult(None, np.array([[0]])),
+                          heads=1)

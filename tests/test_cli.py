@@ -154,6 +154,29 @@ def test_forward_rejects_non_finite_input_exit_2(capsys, tmp_path, fixture_dir, 
     assert not (tmp_path / "out").exists()
 
 
+def test_forward_upcasts_float32_input_maps(capsys, tmp_path, default_cfg, fixture_dir):
+    """float32 maps run as their exact float64 values: the report and maps
+    equal those of float64 files holding the same numbers."""
+    reports = []
+    for dtype in ("float32", "float64"):
+        maps = tmp_path / dtype
+        maps.mkdir()
+        for lvl in (2, 3, 4, 5):
+            name = f"backbone_c{lvl}.tnsr"
+            narrow = IO.tensor_read(fixture_dir / name).astype("float32")
+            IO.tensor_write(maps / name, narrow.astype(dtype))
+        assert IO.tensor_read(maps / "backbone_c2.tnsr").dtype == dtype
+        rc = main(["forward", "--config", default_cfg, "--input", str(maps),
+                   "--output", str(tmp_path / f"out-{dtype}")])
+        assert rc == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    for lvl in (2, 3, 4, 5):
+        name = f"out_p{lvl}.tnsr"
+        assert (tmp_path / "out-float32" / name).read_bytes() == \
+            (tmp_path / "out-float64" / name).read_bytes()
+
+
 def test_forward_non_finite_report_exits_1_without_writing(capsys, tmp_path, default_cfg,
                                                            fixture_dir, monkeypatch):
     def poisoned(backbone, params):

@@ -1,0 +1,188 @@
+"""The worker pool behind large token-attention calls: pooled and inline
+runs give the same bits, a failing share stops the call only after every
+share has stopped, concurrent callers and forked children are safe, and
+the OpenBLAS thread count is always restored.
+
+The pool threshold is lowered so desk-scale calls reach the pool.
+Assertions that the pool actually ran skip when only one CPU is allowed
+(for example under `taskset -c 0`) or no OpenBLAS is loaded; the rest
+then check the inline path."""
+
+import multiprocessing
+import sys
+import threading
+import time
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cafbifpn import attention as A
+from cafbifpn import tensor as T
+from cafbifpn.errors import NumericError
+from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward
+from cafbifpn.tensorio import RunConfig
+
+POOL_NAME = "cafbifpn-rows"
+
+
+def _pool_available() -> bool:
+    return T._allowed_cpus() > 1 and T._openblas_threads() is not None
+
+
+def _blas_count():
+    blas = T._openblas_threads()
+    return None if blas is None else blas[0]()
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    """Every call reaches the pool; the names of the threads that ran a
+    softmax block are collected."""
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    names = set()
+    real = T.softmax_inplace
+
+    def recording(x):
+        names.add(threading.current_thread().name)
+        return real(x)
+
+    monkeypatch.setattr(T, "softmax_inplace", recording)
+    return names
+
+
+def _bra_case(seed=60):
+    rng = T.Rng(seed)
+    x = rng.tensor([8, 8, 8], -1.0, 1.0)
+    p = A.make_bra_params(T.Rng(seed + 1), 8, 4, 3, heads=2)
+    return x, p
+
+
+def _taped_run(x, p):
+    tape = T.Tape()
+    leaf = tape.leaf(x)
+    wq = tape.leaf(p.w_q)
+    out = A.ba_forward(leaf, replace(p, w_q=wq))
+    mix = T.Rng(7).tensor(list(out.dims), -1.0, 1.0)
+    grads = tape.backward(T.sum_all(T.mul(out, mix)), T.tensor([1.0]))
+    return out.value.copy(), grads[leaf].array, grads[wq].array
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_pool_and_inline_give_the_same_bits(monkeypatch, pooled):
+    x, p = _bra_case()
+    before = _blas_count()
+    pool_out = [np.asarray(T._val(A.ba_forward(x, p)))] + list(_taped_run(x, p))
+    assert _blas_count() == before
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", float("inf"))
+    inline_out = [np.asarray(T._val(A.ba_forward(x, p)))] + list(_taped_run(x, p))
+    for a, b in zip(pool_out, inline_out):
+        assert _same_bits(a, b)
+    if _pool_available():
+        assert any(n.startswith(POOL_NAME) for n in pooled)
+
+
+def test_failing_share_raises_after_every_share_stopped(monkeypatch):
+    """Region 0 (the caller's share) holds a NaN and fails at once; the
+    other share is slowed down, and must have finished when the call
+    raises."""
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    real = T.softmax_inplace
+    finished = []
+
+    def slow_in_pool(x):
+        if threading.current_thread().name.startswith(POOL_NAME):
+            time.sleep(0.05)
+            finished.append(threading.current_thread().name)
+        return real(x)
+
+    monkeypatch.setattr(T, "softmax_inplace", slow_in_pool)
+    q = np.ones((4, 2, 2))
+    k = np.ones((4, 3, 2))
+    k[0] = np.nan
+    tokens = [A.RegionTokens(T.tensor(a), 2, 4, 2) for a in (q, k, k)]
+    routing = A.RoutingResult(None, np.array([[0], [1], [2], [3]]))
+    before = _blas_count()
+    with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+        A.token_attention(*tokens, routing, heads=1)
+    assert _blas_count() == before
+    if _pool_available():
+        assert len(finished) == 2  # regions 1 and 3, both done before the raise
+
+
+def _pyramid():
+    cfg = RunConfig(regions_s=2, topk_k=2, heads=2, fusion_width=12, cfe_enabled=False, seed=3)
+    channels = {2: 4, 3: 4, 4: 6, 5: 6}
+    rng = T.Rng(31)
+    backbone = {lvl: rng.tensor([channels[lvl], 32 >> (lvl - 2), 32 >> (lvl - 2)], -1.0, 1.0)
+                for lvl in (2, 3, 4, 5)}
+    return backbone, build_pipeline_params(cfg, channels)
+
+
+def test_concurrent_forwards_match_a_lone_one(pooled):
+    """More callers than CPUs, switching threads often: each gets a lone
+    run's bits and the BLAS thread count ends as it began."""
+    backbone, params = _pyramid()
+    before = _blas_count()
+    lone = {lvl: t.array for lvl, t in c_afbifpn_forward(backbone, params).items()}
+    callers = T._allowed_cpus() + 2
+    results, errors = [None] * callers, []
+
+    def run(i):
+        try:
+            results[i] = {lvl: t.array for lvl, t in
+                          c_afbifpn_forward(backbone, params).items()}
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for res in results:
+        assert all(_same_bits(res[lvl], lone[lvl]) for lvl in lone)
+    assert _blas_count() == before
+
+
+def _child_forward(conn):
+    backbone, params = _pyramid()
+    out = c_afbifpn_forward(backbone, params)
+    pooled = any(t.name.startswith(POOL_NAME) for t in threading.enumerate())
+    conn.send(({lvl: t.array for lvl, t in out.items()}, pooled))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_forked_child_runs_pooled_calls(pooled):
+    backbone, params = _pyramid()
+    parent = {lvl: t.array for lvl, t in c_afbifpn_forward(backbone, params).items()}
+    if _pool_available():
+        assert any(n.startswith(POOL_NAME) for n in pooled)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_forward, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "forked child did not answer"
+        got, child_pooled = recv.recv()
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert all(_same_bits(got[lvl], parent[lvl]) for lvl in parent)
+    if _pool_available():
+        assert child_pooled
