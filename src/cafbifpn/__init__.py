@@ -13,7 +13,7 @@ from .convops import (Conv2dParams, DeformableParams, conv2d,
 from .errors import (ConfigError, FormatError, GraphError, KernelError,
                      NumericError, PartitionError, PipelineError, ShapeError)
 from .gradcheck import run_gradcheck
-from .instrumentation import (KinkMonitor, MacCounter, count_macs, watch_kinks)
+from .instrumentation import count_macs
 from .oracles import (attention_flops, conv2d_reference,
                       dense_attention_reference, finite_diff_grad,
                       topk_reference)
@@ -37,7 +37,7 @@ __all__ = [
     "ConfigError", "FormatError", "GraphError", "KernelError",
     "NumericError", "PartitionError", "PipelineError", "ShapeError",
     "run_gradcheck",
-    "KinkMonitor", "MacCounter", "count_macs", "watch_kinks",
+    "count_macs",
     "attention_flops", "conv2d_reference", "dense_attention_reference",
     "finite_diff_grad", "topk_reference",
     "FusionWeights", "PipelineParams", "afbifpn_forward",

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .convops import depthwise_conv2d
 from .errors import ConfigError, PartitionError, ShapeError
-from .instrumentation import active_kink_monitor, active_mac_counter
+from .instrumentation import active_record
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,14 @@ def topk_routing(q_pooled, k_pooled, topk_k: int) -> RoutingResult:
     if k < 1 or k > n_regions:
         raise ConfigError(f"routed-region count {k} outside [1, {n_regions}]")
     affinity = T.matmul(q_pooled, T.permute(k_pooled, (1, 0)))
-    counter = active_mac_counter()
-    if counter is not None:
-        counter.routing += n_regions * n_regions * qv.shape[1]
     av = T._val(affinity)
     indices = np.stack([_topk_indices_row(av[r], k) for r in range(n_regions)])
-
-    monitor = active_kink_monitor()
-    if monitor is not None and k < n_regions:
-        for r in range(n_regions):
-            ranked = np.sort(av[r])[::-1]
-            monitor.record_routing_margin(ranked[k - 1] - ranked[k])
+    record = active_record()
+    if record is not None:
+        record.routing += n_regions * n_regions * qv.shape[1]
+        if k < n_regions:  # gap between each row's k-th and (k+1)-th affinity
+            ranked = np.sort(av, axis=1)
+            record.margin("routing", ranked[:, -k] - ranked[:, -k - 1])
     return RoutingResult(affinity, indices)
 
 
@@ -158,11 +155,11 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
     d = c // heads
     n_gathered = idx.shape[1] * kv.shape[1]
     inv_scale = 1.0 / np.sqrt(d)
-    counter = active_mac_counter()
-    if counter is not None:
-        counter.gather += 2 * n_regions * n_gathered * c
-        counter.qk += n_regions * heads * n_tokens * d * n_gathered
-        counter.av += n_regions * heads * n_tokens * n_gathered * d
+    record = active_record()
+    if record is not None:
+        record.gather += 2 * n_regions * n_gathered * c
+        record.qk += n_regions * heads * n_tokens * d * n_gathered
+        record.av += n_regions * heads * n_tokens * n_gathered * d
     work = n_regions * heads * n_tokens * n_gathered
 
     def gathered(r):
@@ -244,9 +241,9 @@ def lce(v_tokens: RegionTokens, kernel):
     if kv.ndim != 3 or kv.shape[1] != kv.shape[2]:
         raise ShapeError(f"local-context kernel must be [C,k,k], got {list(kv.shape)}")
     spatial = region_merge(v_tokens)
-    counter = active_mac_counter()
-    if counter is not None:
-        counter.lce += kv.shape[0] * v_tokens.height * v_tokens.width * kv.shape[1] * kv.shape[2]
+    record = active_record()
+    if record is not None:
+        record.lce += kv.shape[0] * v_tokens.height * v_tokens.width * kv.shape[1] * kv.shape[2]
     return depthwise_conv2d(spatial, kernel)
 
 
@@ -286,17 +283,17 @@ def ba_forward(f, p: BraParams, routing: RoutingResult | None = None):
     c = v.shape[0]
     if c % p.heads:
         raise ConfigError(f"head count {p.heads} does not divide channel width {c}")
-    counter = active_mac_counter()
-    if counter is not None:
-        counter.ba_invocations += 1
+    record = active_record()
+    if record is not None:
+        record.ba_invocations += 1
 
     rt = region_partition(f, p.regions_s)
     q, k, vv = qkv_project(rt, p)
     if routing is None:
         q_pooled = region_pool(q)
         k_pooled = region_pool(k)
-        if counter is not None:
-            counter.routing += v.shape[1] * v.shape[2] * c  # pooling overhead
+        if record is not None:
+            record.routing += v.shape[1] * v.shape[2] * c  # pooling overhead
         routing = topk_routing(q_pooled, k_pooled, p.topk_k)
     attended = token_attention(q, k, vv, routing, p.heads)
     return T.add(region_merge(attended), lce(vv, p.lce_kernel))

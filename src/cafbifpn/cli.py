@@ -3,7 +3,7 @@
 Reports go to standard output as JSON (selfcheck prints its PASS/FAIL
 lines instead); diagnostics go to standard error.  Exit codes: 0 on
 success, 1 when a computation or check fails, 2 for usage, configuration,
-or input-format problems.
+or input problems (ConfigError, FormatError, or an unreadable file).
 """
 
 from __future__ import annotations
@@ -173,10 +173,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KernelError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .instrumentation import active_kink_monitor
+from .instrumentation import active_record
 
 
 @dataclass(frozen=True)
@@ -288,13 +288,13 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets):
     def tap_weights(t):
         return np.ascontiguousarray(wv[:, :, t // kw, t % kw])
 
-    monitor = active_kink_monitor()
+    record = active_record()
     out = None
     for t in range(kh * kw):
         pos_y, pos_x = _tap_positions(ov, t, kh, kw)
-        if monitor is not None:
-            monitor.record_lattice(pos_y)
-            monitor.record_lattice(pos_x)
+        if record is not None:
+            for pos in (pos_y, pos_x):
+                record.margin("lattice", np.abs(pos - np.round(pos)))
         bil = _Bilinear(pos_y, pos_x, h, w)
         term = tap_weights(t) @ bil.sample(x2)
         out = term if out is None else out + term

@@ -9,16 +9,16 @@ class ShapeError(KernelError):
     """Operand extents or ranks are incompatible with the operation."""
 
 
-class PartitionError(ShapeError):
-    """A feature map cannot be tiled into the requested region grid."""
-
-
 class PipelineError(KernelError):
     """A fusion-graph node received inconsistent or missing inputs."""
 
 
 class ConfigError(KernelError):
     """A configuration value violates a documented constraint."""
+
+
+class PartitionError(ConfigError):
+    """A feature map cannot be tiled into the configured region grid."""
 
 
 class NumericError(KernelError):
@@ -30,5 +30,6 @@ class GraphError(KernelError):
 
 
 class FormatError(KernelError):
-    """A serialized tensor file is malformed, or an input map holds values
-    the computation cannot take (NaN or infinity)."""
+    """A serialized tensor file is malformed, or the input maps hold values
+    or extents the computation cannot take (NaN or infinity, a missing
+    level, extents that do not halve per level)."""

@@ -26,7 +26,7 @@ from .convops import (Conv2dParams, DeformableParams, deformable_conv2d,
                       deformable_conv2d_with_offsets)
 from .errors import NumericError
 from .cfe import cfe_forward, make_cfe_params
-from .instrumentation import watch_kinks
+from .instrumentation import count_macs
 from .oracles import finite_diff_grad
 from .pipeline import _WEIGHT_ARITY, build_pipeline_params, c_afbifpn_forward
 
@@ -59,22 +59,23 @@ GROUPS = {
 
 
 def watched(run, lattice: bool = False):
-    """run() under a kink monitor: (its result, the first margin it broke
+    """run() under a run record: (its result, the first margin it broke
     or None).  A margin is demanded only for kinks whose argument can move
     under the perturbations the case applies.  Sampling positions move only
     when offset-making parameters are differenced, so the lattice margin
     is enforced just in the dedicated offset cases; positions exactly on
     the lattice (identically zero offsets) stay put and are exempt."""
-    with watch_kinks() as km:
+    with count_macs() as record:
         out = run()
-    if km.min_relu_gap < RELU_MARGIN:
-        return out, f"relu pre-activation gap {km.min_relu_gap:.2e}"
-    if lattice and 0.0 < km.min_lattice_gap < LATTICE_MARGIN:
-        return out, f"sampling position {km.min_lattice_gap:.2e} from the lattice"
-    if km.min_clamp_gap < CLAMP_MARGIN:
-        return out, f"fusion weight {km.min_clamp_gap:.2e} from the clamp"
-    if km.min_routing_margin < ROUTING_MARGIN:
-        return out, f"routing margin {km.min_routing_margin:.2e}"
+    m = record.margins
+    if m["relu"] < RELU_MARGIN:
+        return out, f"relu pre-activation gap {m['relu']:.2e}"
+    if lattice and 0.0 < m["lattice"] < LATTICE_MARGIN:
+        return out, f"sampling position {m['lattice']:.2e} from the lattice"
+    if m["clamp"] < CLAMP_MARGIN:
+        return out, f"fusion weight {m['clamp']:.2e} from the clamp"
+    if m["routing"] < ROUTING_MARGIN:
+        return out, f"routing margin {m['routing']:.2e}"
     return out, None
 
 

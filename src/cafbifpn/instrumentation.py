@@ -1,6 +1,8 @@
-"""Runtime counters: exact multiply-accumulate tallies per attention stage,
-attention invocation counts, and smoothness-margin probes used by the
-gradient checks to decide when an instance must be resampled.
+"""The run record: exact multiply-accumulate tallies per attention stage,
+the attention invocation count, and how close a forward came to each
+non-smooth point, which the gradient checks use to decide when an
+instance must be resampled.  count_macs() makes a record active for its
+context; code that finds none active records nothing.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_MAC_COUNTER: ContextVar["MacCounter | None"] = ContextVar("mac_counter", default=None)
-_KINK_MONITOR: ContextVar["KinkMonitor | None"] = ContextVar("kink_monitor", default=None)
+_RECORD: ContextVar["RunRecord | None"] = ContextVar("run_record", default=None)
 
 
 @dataclass
-class MacCounter:
-    """Exact integer tallies; gather counts copied elements, not MACs."""
+class RunRecord:
+    """Exact integer tallies (gather counts copied elements, not MACs) and,
+    per kink (relu zero, sampling lattice, weight clamp, routing tie), the
+    smallest distance seen to it."""
 
     routing: int = 0
     gather: int = 0
@@ -25,61 +28,29 @@ class MacCounter:
     av: int = 0
     lce: int = 0
     ba_invocations: int = 0
+    margins: dict = field(default_factory=lambda: dict.fromkeys(
+        ("relu", "lattice", "clamp", "routing"), np.inf))
 
     def as_dict(self) -> dict:
         return {"routing": self.routing, "gather": self.gather, "qk": self.qk,
                 "av": self.av, "lce": self.lce}
 
-
-@dataclass
-class KinkMonitor:
-    """Tracks how close a forward pass came to non-smooth points."""
-
-    min_relu_gap: float = field(default=np.inf)
-    min_lattice_gap: float = field(default=np.inf)
-    min_clamp_gap: float = field(default=np.inf)
-    min_routing_margin: float = field(default=np.inf)
-
-    def record_relu(self, pre: np.ndarray) -> None:
-        if pre.size:
-            self.min_relu_gap = min(self.min_relu_gap, float(np.abs(pre).min()))
-
-    def record_lattice(self, pos: np.ndarray) -> None:
-        if pos.size:
-            gap = float(np.abs(pos - np.round(pos)).min())
-            self.min_lattice_gap = min(self.min_lattice_gap, gap)
-
-    def record_clamp(self, raw: np.ndarray) -> None:
-        if raw.size:
-            self.min_clamp_gap = min(self.min_clamp_gap, float(np.abs(raw).min()))
-
-    def record_routing_margin(self, margin: float) -> None:
-        self.min_routing_margin = min(self.min_routing_margin, float(margin))
+    def margin(self, kink: str, distances: np.ndarray) -> None:
+        """Keep the smallest of these non-negative distances to the kink."""
+        if distances.size:
+            self.margins[kink] = min(self.margins[kink], float(distances.min()))
 
 
-def active_mac_counter() -> MacCounter | None:
-    return _MAC_COUNTER.get()
-
-
-def active_kink_monitor() -> KinkMonitor | None:
-    return _KINK_MONITOR.get()
+def active_record() -> RunRecord | None:
+    return _RECORD.get()
 
 
 @contextlib.contextmanager
-def count_macs(counter: MacCounter | None = None):
-    counter = counter if counter is not None else MacCounter()
-    token = _MAC_COUNTER.set(counter)
+def count_macs():
+    """A fresh RunRecord, active until the block exits."""
+    record = RunRecord()
+    token = _RECORD.set(record)
     try:
-        yield counter
+        yield record
     finally:
-        _MAC_COUNTER.reset(token)
-
-
-@contextlib.contextmanager
-def watch_kinks(monitor: KinkMonitor | None = None):
-    monitor = monitor if monitor is not None else KinkMonitor()
-    token = _KINK_MONITOR.set(monitor)
-    try:
-        yield monitor
-    finally:
-        _KINK_MONITOR.reset(token)
+        _RECORD.reset(token)

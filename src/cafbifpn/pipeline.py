@@ -18,8 +18,9 @@ from . import tensor as T
 from .attention import BraParams, ba_forward, compute_routing, make_bra_params
 from .cfe import CfeParams, cfe_forward, make_cfe_params
 from .convops import Conv2dParams, conv2d
-from .errors import ConfigError, NumericError, PipelineError, ShapeError
-from .instrumentation import active_kink_monitor
+from .errors import (ConfigError, FormatError, NumericError, PartitionError,
+                     PipelineError, ShapeError)
+from .instrumentation import active_record
 
 LEVELS = (2, 3, 4, 5)
 
@@ -117,12 +118,12 @@ def fuse(inputs, raw_weights, epsilon: float):
     for x in xs + [T._val(w) for w in scalars]:
         if x.dtype != np.float64:
             raise ShapeError(f"fuse: dtype {x.dtype} vs float64")
-    monitor = active_kink_monitor()
+    record = active_record()
     masks, us = [], []
     for w in scalars:
         v = T._val(w)
-        if monitor is not None:
-            monitor.record_clamp(v)
+        if record is not None:
+            record.margin("clamp", np.abs(v))
         masks.append((v > 0.0).astype(np.float64))
         us.append(v * masks[-1])
     denom = us[0]
@@ -187,25 +188,26 @@ def _validate_params(p: PipelineParams) -> None:
             raise ConfigError("attention fusion enabled but params for levels 3 and 4 missing")
 
 
-def _check_pyramid(maps: dict, stage: str) -> None:
+def _check_pyramid(maps: dict, stage: str, error: type) -> None:
+    """Levels 2..5 as [C,H,W] maps whose extents halve; else raise error."""
     for lvl in LEVELS:
         if lvl not in maps:
-            raise PipelineError(f"{stage} level {lvl} missing")
+            raise error(f"{stage} level {lvl} missing")
     prev = None
     width = None
     for lvl in LEVELS:
         v = T._val(maps[lvl])
         if v.ndim != 3:
-            raise PipelineError(f"{stage} level {lvl} must be [C,H,W], got {list(v.shape)}")
+            raise error(f"{stage} level {lvl} must be [C,H,W], got {list(v.shape)}")
         if stage == "stage-I":
             if width is None:
                 width = v.shape[0]
             elif v.shape[0] != width:
-                raise PipelineError(f"{stage} level {lvl} width {v.shape[0]} != level 2 width {width}")
+                raise error(f"{stage} level {lvl} width {v.shape[0]} != level 2 width {width}")
         if prev is not None:
             ph, pw = prev
             if ph % 2 or pw % 2 or v.shape[1] != ph // 2 or v.shape[2] != pw // 2:
-                raise PipelineError(
+                raise error(
                     f"{stage} level {lvl} extents {v.shape[1]}x{v.shape[2]} do not halve "
                     f"the previous level's {ph}x{pw}")
         prev = (v.shape[1], v.shape[2])
@@ -238,7 +240,7 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     mutable dict, receives the selections this pass made.
     """
     _validate_params(p)
-    _check_pyramid(inputs, "stage-I")
+    _check_pyramid(inputs, "stage-I", PipelineError)
     fw = p.fusion
     eps = fw.epsilon
 
@@ -247,6 +249,8 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
             return fn()
         except ShapeError as exc:
             raise PipelineError(f"node {name}: {exc}") from exc
+        except PartitionError as exc:
+            raise PartitionError(f"node {name}: {exc}") from exc
 
     p4f = node("level-4 intermediate",
                lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
@@ -272,7 +276,7 @@ def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
                       capture_routing: dict | None = None) -> dict:
     """Backbone maps {2..5} (any per-level widths) -> stage-O maps."""
     _validate_params(p)
-    _check_pyramid(backbone, "backbone")
+    _check_pyramid(backbone, "backbone", FormatError)
     stage_i = {}
     for lvl in LEVELS:
         if p.cfe_enabled:

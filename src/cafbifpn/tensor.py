@@ -8,8 +8,8 @@ single-writer: recording and backward must be serialized per tape.
 One primitive, routed token attention, runs its large block loops on a
 small pool of worker threads (`_run_rows`), one per CPU this process may
 use.  The pool is private: a caller never sees its threads, the call
-returns only after every worker has stopped, and counters and monitors
-are only touched on the calling thread.  While the workers run, OpenBLAS
+returns only after every worker has stopped, and the run record
+(instrumentation.py) is only touched on the calling thread.  While the workers run, OpenBLAS
 is held to one thread and restored afterwards; one caller at a time
 holds the pool, and any other runs its loop inline, so concurrent
 forwards give the same bits and leave the BLAS thread count as they
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import GraphError, NumericError, ShapeError
-from .instrumentation import active_kink_monitor
+from .instrumentation import active_record
 
 _DTYPES = {"float32": np.dtype(np.float32), "float64": np.dtype(np.float64)}
 
@@ -141,9 +141,6 @@ class Node:
     def dims(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def tensor(self) -> Tensor:
-        return Tensor(self.value, copy=True)
-
     def __repr__(self) -> str:
         return f"Node(index={self.index}, dims={self.dims})"
 
@@ -205,9 +202,6 @@ class Tape:
 # ---------------------------------------------------------------------------
 # Primitive dispatch
 
-TensorLike = "Tensor | Node"
-
-
 def _val(a) -> np.ndarray:
     if isinstance(a, Node):
         return a.value
@@ -256,49 +250,19 @@ def add(a, b):
     return _emit((a, b), _val(a) + _val(b), lambda g: (g, g))
 
 
-def _scalar_layout(a, b, op: str) -> tuple:
-    """Like _same_layout, except that either operand may be a scalar
-    (dims (1,)) broadcast over the other.  Returns, per operand, a function
-    that turns an elementwise gradient into that operand's gradient: the
-    sum over every axis for a broadcast scalar, else the identity."""
-    av, bv = _val(a), _val(b)
-    if av.shape != bv.shape and (1,) not in (av.shape, bv.shape):
-        raise ShapeError(f"{op}: dims {list(av.shape)} vs {list(bv.shape)}")
-    if av.dtype != bv.dtype:
-        raise ShapeError(f"{op}: dtype {av.dtype} vs {bv.dtype}")
-    full = np.broadcast_shapes(av.shape, bv.shape)
-
-    def reducer(shape):
-        if shape == full:
-            return lambda g: g
-        return lambda g: g.sum(axis=tuple(range(g.ndim))).reshape(shape)
-
-    return reducer(av.shape), reducer(bv.shape)
-
-
 def mul(a, b):
-    """Elementwise product; either operand may be a scalar (dims (1,))."""
-    to_a, to_b = _scalar_layout(a, b, "mul")
+    _same_layout(a, b, "mul")
     av, bv = _val(a), _val(b)
     need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), av * bv, lambda g: (to_a(g * bv) if need_a else None,
-                                             to_b(g * av) if need_b else None))
-
-
-def div(a, b):
-    """Elementwise quotient; either operand may be a scalar (dims (1,))."""
-    to_a, to_b = _scalar_layout(a, b, "div")
-    av, bv = _val(a), _val(b)
-    need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), av / bv, lambda g: (to_a(g / bv) if need_a else None,
-                                             to_b(-g * av / (bv * bv)) if need_b else None))
+    return _emit((a, b), av * bv, lambda g: (g * bv if need_a else None,
+                                             g * av if need_b else None))
 
 
 def relu(a):
     av = _val(a)
-    monitor = active_kink_monitor()
-    if monitor is not None:
-        monitor.record_relu(av)
+    record = active_record()
+    if record is not None:
+        record.margin("relu", np.abs(av))
     mask = av > 0
     return _emit((a,), np.where(mask, av, 0.0), lambda g: (g * mask,))
 
@@ -495,7 +459,7 @@ def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
     range(i, n_rows, shares), one share per allowed CPU, at once: the
     calling thread takes share 0 and pool threads the rest, with OpenBLAS
     held to one thread meanwhile.  Shares must write disjoint outputs and
-    must not touch counters or monitors.
+    must not touch the run record.
 
     body(range(n_rows)) runs inline instead when work is below
     _POOL_MIN_WORK, one CPU is allowed, no OpenBLAS is loaded, or another

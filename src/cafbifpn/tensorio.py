@@ -2,14 +2,15 @@
 fixture generation.
 
 File layout: magic "TNSR", version byte 1, dtype byte (1 float32,
-2 float64), rank byte, reserved zero byte, then rank u64 little-endian
-extents, then the row-major payload little-endian.  Every malformed input
-is a FormatError naming the byte offset.
+2 float64), rank byte (at least 1), reserved zero byte, then rank u64
+little-endian extents, then the row-major payload little-endian.  Every
+malformed input is a FormatError naming the byte offset.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -47,6 +48,8 @@ def tensor_read(path) -> T.Tensor:
         raise FormatError(f"offset 4: unsupported version {version}")
     if code not in _CODE_DTYPE:
         raise FormatError(f"offset 5: unknown dtype code {code}")
+    if rank == 0:
+        raise FormatError("offset 6: rank 0, want at least 1 (a scalar has dims [1])")
     if reserved != 0:
         raise FormatError(f"offset 7: reserved byte is {reserved}, want 0")
     dims_end = 8 + 8 * rank
@@ -65,7 +68,7 @@ def tensor_read(path) -> T.Tensor:
     if actual != expected:
         raise FormatError(f"offset {dims_end}: payload is {actual} bytes, want {expected}")
     arr = np.frombuffer(blob, dtype=dt, count=count, offset=dims_end)
-    return T.Tensor(arr.reshape(dims if rank else (1,)).astype(arr.dtype.newbyteorder("=")))
+    return T.Tensor(arr.reshape(dims).astype(arr.dtype.newbyteorder("=")))
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,7 @@ def config_validate(cfg: RunConfig) -> RunConfig:
     want(cfg.fusion_width % 3 == 0, "fusion_width % 3 == 0")
     want(cfg.fusion_width % cfg.heads == 0, "heads divides fusion_width")
     want(cfg.epsilon >= 0.0, "epsilon >= 0")
+    want(math.isfinite(cfg.epsilon), "epsilon finite")
     want(cfg.dilation >= 1, "dilation >= 1")
     want(cfg.lce_kernel >= 1 and cfg.lce_kernel % 2 == 1, "lce_kernel odd and >= 1")
     want(cfg.activation in ("none", "relu"), "activation in {none, relu}")
@@ -111,7 +115,7 @@ def config_validate(cfg: RunConfig) -> RunConfig:
 def config_parse(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep or too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a flat JSON object, got {type(raw).__name__}")
@@ -133,7 +137,10 @@ def config_parse(text: str) -> RunConfig:
         else:  # epsilon
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key} must be a number, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
         vals[key] = value
     return config_validate(RunConfig(**vals))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cafbifpn import attention as A
 from cafbifpn import tensor as T
 from cafbifpn.errors import ConfigError, NumericError, PartitionError, ShapeError
-from cafbifpn.instrumentation import count_macs, watch_kinks
+from cafbifpn.instrumentation import count_macs
 from cafbifpn.oracles import (attention_flops, dense_attention_reference, finite_diff_grad,
                               topk_reference)
 from cafbifpn.reference import ref_ba
@@ -152,10 +152,13 @@ def test_mac_counters_match_closed_form():
 def test_routing_margin_recorded():
     x = T.Rng(51).tensor([4, 8, 8], -1.0, 1.0)
     p = A.make_bra_params(T.Rng(510), 4, 2, 2)
-    with watch_kinks() as km:
-        A.compute_routing(x, p)
-    assert np.isfinite(km.min_routing_margin)
-    assert km.min_routing_margin >= 0.0
+    with count_macs() as record:
+        routing = A.compute_routing(x, p)
+    assert np.isfinite(record.margins["routing"])
+    assert record.margins["routing"] >= 0.0
+    # the per-row loop the recorded margin replaced: k-th minus (k+1)-th affinity
+    ranked = [sorted(row, reverse=True) for row in arr(routing.affinity)]
+    assert record.margins["routing"] == min(r[1] - r[2] for r in ranked)
 
 
 def test_frozen_routing_reused():

@@ -99,6 +99,49 @@ def test_forward_invalid_config_exit_2(capsys, tmp_path, fixture_dir):
     assert "fusion_width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, rule", [
+    ("[" * 100000, "not valid JSON"),
+    ('{"seed": ' + "1" * 5000 + "}", "not valid JSON"),
+    ('{"epsilon": Infinity}', "epsilon finite"),
+    ('{"epsilon": 1e400}', "epsilon finite"),
+    ('{"epsilon": 1' + "0" * 400 + "}", "epsilon finite"),
+], ids=["nested-past-parser-depth", "integer-past-digit-limit", "epsilon-infinity",
+        "epsilon-overflowing-float", "epsilon-integer-beyond-float-range"])
+def test_forward_config_boundary_exit_2(capsys, tmp_path, fixture_dir, text, rule):
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(text)
+    rc = main(["forward", "--config", str(cfg),
+               "--input", str(fixture_dir), "--output", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert rule in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_forward_extent_problems_exit_2(capsys, tmp_path, default_cfg, fixture_dir):
+    """Level extents that do not halve are an input problem; a region grid
+    that does not tile a refined level is a config problem.  Both exit 2."""
+    maps = tmp_path / "maps"
+    shutil.copytree(fixture_dir, maps)
+    c2 = IO.tensor_read(maps / "backbone_c2.tnsr").array
+    IO.tensor_write(maps / "backbone_c2.tnsr", T.tensor(c2[:, :62, :62]))
+    rc = main(["forward", "--config", default_cfg, "--input", str(maps),
+               "--output", str(tmp_path / "a")])
+    assert rc == 2
+    assert ("level 3 extents 32x32 do not halve the previous level's 62x62"
+            in capsys.readouterr().err)
+
+    cfg = tmp_path / "s3.json"
+    cfg.write_text(json.dumps({"regions_s": 3, "topk_k": 2}))
+    rc = main(["forward", "--config", str(cfg), "--input", str(fixture_dir),
+               "--output", str(tmp_path / "b")])
+    assert rc == 2
+    assert ("level-4 refinement: region grid 3x3 does not tile H=16, W=16"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_missing_config_file_exit_2(capsys, tmp_path):
     rc = main(["bench", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

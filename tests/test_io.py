@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -68,6 +70,30 @@ def test_errors_name_byte_offsets(tmp_path):
         tensor_read(path)
 
 
+def test_rank_zero_rejected(tmp_path):
+    path = tmp_path / "r0.tnsr"
+    path.write_bytes(b"TNSR" + bytes([1, 2, 0, 0]) + np.float64(3.0).tobytes())
+    with pytest.raises(FormatError, match="offset 6: rank 0"):
+        tensor_read(path)
+
+
+_HEADED = st.builds(lambda code, rank, tail: b"TNSR\x01" + bytes([code, rank, 0]) + tail,
+                    st.integers(0, 3), st.integers(0, 3), st.binary(max_size=48))
+
+
+@given(st.binary(max_size=64) | _HEADED)
+@settings(max_examples=300, deadline=None)
+def test_any_bytes_read_or_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "t.tnsr"
+    path.write_bytes(blob)
+    try:
+        t = tensor_read(path)
+    except FormatError:
+        return
+    tensor_write(path, t)  # whatever reads back must round-trip exactly
+    assert path.read_bytes() == blob
+
+
 # -- run configuration ---------------------------------------------------
 
 def test_empty_config_is_defaults():
@@ -132,6 +158,23 @@ def test_config_type_guards():
 def test_config_invariants_enforced(overrides, rule):
     with pytest.raises(ConfigError, match=rule):
         config_parse(json.dumps(overrides))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=8)
+_CONFIG_VALUES = st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]),
+                                 _JSON, max_size=4)
+
+
+@given(st.text(max_size=64) | _CONFIG_VALUES.map(json.dumps) | _JSON.map(json.dumps))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_config_error(text):
+    try:
+        cfg = config_parse(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig) and math.isfinite(cfg.epsilon)
 
 
 def test_validate_accepts_defaults():

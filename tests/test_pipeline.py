@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cafbifpn import tensor as T
-from cafbifpn.errors import ConfigError, NumericError, PipelineError, ShapeError
-from cafbifpn.instrumentation import count_macs, watch_kinks
+from cafbifpn.errors import (ConfigError, FormatError, NumericError, PipelineError,
+                             ShapeError)
+from cafbifpn.instrumentation import count_macs
 from cafbifpn.pipeline import (FusionWeights, build_pipeline_params,
                                c_afbifpn_forward, afbifpn_forward, fuse, resize)
 from cafbifpn.reference import plain_bifpn_reference, ref_afbifpn, ref_c_afbifpn
-from cafbifpn.tensorio import RunConfig
+from cafbifpn.tensorio import RunConfig, load_backbone
 
 from conftest import arr, max_abs_diff
 
@@ -97,9 +98,9 @@ def test_fuse_epsilon_convergence_monotone():
 
 
 def test_fuse_clamp_recorded():
-    with watch_kinks() as km:
+    with count_macs() as record:
         fuse([T.tensor([[1.0]]), T.tensor([[2.0]])], [0.5, -0.2], 1e-4)
-    assert km.min_clamp_gap <= 0.2 + 1e-15
+    assert record.margins["clamp"] <= 0.2 + 1e-15
 
 
 def test_fuse_zero_denominator_rejected():
@@ -126,6 +127,29 @@ def test_forward_deterministic():
     b = c_afbifpn_forward(backbone, params)
     for lvl in (2, 3, 4, 5):
         assert np.array_equal(arr(a[lvl]), arr(b[lvl]))
+
+
+@pytest.mark.parametrize("overrides", [{}, {"regions_s": 8, "topk_k": 4, "heads": 4}])
+def test_run_record_leaves_outputs_bit_identical(fixture_dir, overrides):
+    backbone = load_backbone(fixture_dir)
+    channels = {lvl: t.dims[0] for lvl, t in backbone.items()}
+    params = build_pipeline_params(replace(RunConfig(), **overrides), channels)
+    bare = c_afbifpn_forward(backbone, params)
+    with count_macs() as record:
+        recorded = c_afbifpn_forward(backbone, params)
+    assert record.ba_invocations == 2
+    for lvl in (2, 3, 4, 5):
+        assert arr(bare[lvl]).tobytes() == arr(recorded[lvl]).tobytes()
+
+
+def test_default_forward_records_every_margin(fixture_dir):
+    backbone = load_backbone(fixture_dir)
+    channels = {lvl: t.dims[0] for lvl, t in backbone.items()}
+    with count_macs() as record:
+        c_afbifpn_forward(backbone, build_pipeline_params(RunConfig(), channels))
+    assert sorted(record.margins) == ["clamp", "lattice", "relu", "routing"]
+    for kink, gap in record.margins.items():
+        assert np.isfinite(gap) and gap >= 0.0, kink
 
 
 def test_frozen_routing_substitution_is_identity():
@@ -209,7 +233,7 @@ def test_missing_level_named_in_error():
     channels, backbone = _backbone(91)
     params = build_pipeline_params(_cfg(), channels)
     del backbone[4]
-    with pytest.raises(PipelineError, match="4"):
+    with pytest.raises(FormatError, match="4"):
         c_afbifpn_forward(backbone, params)
 
 
@@ -217,8 +241,12 @@ def test_bad_halving_rejected():
     channels, backbone = _backbone(92)
     params = build_pipeline_params(_cfg(), channels)
     backbone[3] = T.Rng(920).tensor([3, 7, 7], -1.0, 1.0)
-    with pytest.raises(PipelineError):
+    with pytest.raises(FormatError):  # an input problem
         c_afbifpn_forward(backbone, params)
+    stage_i = {lvl: T.zeros([6, 16 >> (lvl - 2), 16 >> (lvl - 2)]) for lvl in (2, 3, 4, 5)}
+    stage_i[3] = T.zeros([6, 7, 7])
+    with pytest.raises(PipelineError, match="stage-I level 3"):  # an internal one
+        afbifpn_forward(stage_i, params)
 
 
 def test_fusion_weight_arity_enforced():
