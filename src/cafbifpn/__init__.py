@@ -12,14 +12,9 @@ from .convops import (Conv2dParams, DeformableParams, conv2d,
                       depthwise_conv2d)
 from .errors import (ConfigError, FormatError, GraphError, KernelError,
                      NumericError, PartitionError, PipelineError, ShapeError)
-from .gradcheck import run_gradcheck
 from .instrumentation import count_macs
-from .oracles import (attention_flops, conv2d_reference,
-                      dense_attention_reference, finite_diff_grad,
-                      topk_reference)
 from .pipeline import (FusionWeights, PipelineParams, afbifpn_forward,
                        build_pipeline_params, c_afbifpn_forward, fuse, resize)
-from .selfcheck import run_selfcheck
 # the tensor() factory stays in its submodule: re-exporting it here would
 # shadow the cafbifpn.tensor module attribute with a function
 from .tensor import Node, Rng, Tape, Tensor, from_flat, full, zeros
@@ -27,6 +22,22 @@ from .tensorio import (RunConfig, config_parse, gen_fixture, load_backbone,
                        tensor_read, tensor_write)
 
 __version__ = "0.1.0"
+
+# The check routes are loaded on first use, so that importing the package
+# (and running a forward) does not compile them.
+_LAZY = {"run_gradcheck": "gradcheck", "run_selfcheck": "selfcheck",
+         "attention_flops": "oracles", "conv2d_reference": "oracles",
+         "dense_attention_reference": "oracles", "finite_diff_grad": "oracles",
+         "topk_reference": "oracles"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "BraParams", "RegionTokens", "RoutingResult", "ba_forward",

@@ -133,10 +133,12 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
 
     One tape node.  Each region copies its routed regions' keys and values
     once, shared by its heads, so the gathered stack is never built whole.
-    Each (region, head) block is one [n, G] logits matmul, scaled,
-    normalised in place by T.softmax_inplace and multiplied into the
-    values; on a tape the normalised blocks are kept for the backward.
-    Large calls run their regions on T._run_rows's worker threads.
+    Each (region, head) block is one [n, G] logits matmul into a reused
+    buffer, scaled and normalised in place by T.softmax_inplace, then
+    multiplied into the values.  The tape keeps no attention weights: the
+    backward recomputes each block with the same calls, so it sees the
+    forward's bits.  Large calls run their regions on T._run_rows's
+    worker threads.
     """
     qv = T._val(q_tokens.data)
     n_regions, n_tokens, c = qv.shape
@@ -162,34 +164,31 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
         record.av += n_regions * heads * n_tokens * n_gathered * d
     work = n_regions * heads * n_tokens * n_gathered
 
-    def gathered(r):
-        """Region r's routed keys and values, [G, C] each."""
-        return kv[idx[r]].reshape(n_gathered, c), vv[idx[r]].reshape(n_gathered, c)
-
-    def blocks(r, cols, k_r, v_r):
-        """Contiguous operands of one block: q [n, d], k^T [d, G], v [G, d]."""
-        return (np.ascontiguousarray(qv[r, :, cols]), np.ascontiguousarray(k_r[:, cols].T),
-                np.ascontiguousarray(v_r[:, cols]))
-
-    need_q, need_k, need_v = T._on_tape(q_tokens.data, k_tokens.data, v_tokens.data)
-    taped = need_q or need_k or need_v
-    weights = np.empty((n_regions, heads, n_tokens, n_gathered)) if taped else None
-    out = np.empty((n_regions, n_tokens, c))
-
-    def forward(rows):
-        block = None if taped else np.empty((n_tokens, n_gathered))
+    def blocks(rows):
+        """(r, cols, q [n, d], v [G, d], weights [n, G]) for every block
+        of the regions in rows; the weights share one buffer, overwritten
+        by the next block."""
+        s = np.empty((n_tokens, n_gathered))
         for r in rows:
-            k_r, v_r = gathered(r)
+            k_r = kv[idx[r]].reshape(n_gathered, c)
+            v_r = vv[idx[r]].reshape(n_gathered, c)
             for h in range(heads):
                 cols = slice(h * d, (h + 1) * d)
-                q, kt, v = blocks(r, cols, k_r, v_r)
-                s = weights[r, h] if taped else block
+                q = np.ascontiguousarray(qv[r, :, cols])
+                kt = np.ascontiguousarray(k_r[:, cols].T)
                 np.matmul(q, kt, out=s)
                 s *= inv_scale
                 T.softmax_inplace(s)
-                out[r, :, cols] = s @ v
+                yield r, cols, q, kt, np.ascontiguousarray(v_r[:, cols]), s
+
+    out = np.empty((n_regions, n_tokens, c))
+
+    def forward(rows):
+        for r, cols, _, _, v, s in blocks(rows):
+            out[r, :, cols] = s @ v
 
     T._run_rows(n_regions, forward, work)
+    need_q, need_k, need_v = T._on_tape(q_tokens.data, k_tokens.data, v_tokens.data)
 
     def grads(g):
         gq = np.zeros_like(qv) if need_q else None
@@ -197,26 +196,20 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
         gv = np.zeros((n_regions, n_gathered, c)) if need_v else None
 
         def backward(rows):
-            for r in rows:
-                if need_q or need_k:
-                    k_r, v_r = gathered(r)
-                for h in range(heads):
-                    cols = slice(h * d, (h + 1) * d)
-                    s = weights[r, h]
-                    go = np.ascontiguousarray(g[r, :, cols])
-                    if need_v:
-                        gv[r, :, cols] += s.T @ go
-                    if not (need_q or need_k):
-                        continue
-                    q, kt, v = blocks(r, cols, k_r, v_r)
-                    gs = go @ v.T
-                    gs -= (gs * s).sum(axis=-1, keepdims=True)
-                    gs *= s
-                    gs *= inv_scale
-                    if need_q:
-                        gq[r, :, cols] += gs @ kt.T
-                    if need_k:
-                        gk[r, :, cols] += (q.T @ gs).T
+            for r, cols, q, kt, v, s in blocks(rows):
+                go = np.ascontiguousarray(g[r, :, cols])
+                if need_v:
+                    gv[r, :, cols] += s.T @ go
+                if not (need_q or need_k):
+                    continue
+                gs = go @ v.T
+                gs -= (gs * s).sum(axis=-1, keepdims=True)
+                gs *= s
+                gs *= inv_scale
+                if need_q:
+                    gq[r, :, cols] += gs @ kt.T
+                if need_k:
+                    gk[r, :, cols] += (q.T @ gs).T
 
         T._run_rows(n_regions, backward, work)
 

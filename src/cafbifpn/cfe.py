@@ -34,23 +34,37 @@ class CfeParams:
     activation: str = "relu"
 
 
-def _activate(x, activation: str):
-    if activation == "relu":
-        return T.relu(x)
-    if activation == "none":
-        return x
-    raise ConfigError(f"unknown activation {activation!r}")
-
-
 def _run_branch(f, stages: tuple, activation: str):
     x = f
     for stage in stages:
         if isinstance(stage, DeformableParams):
-            x = deformable_conv2d(x, stage)
+            x = deformable_conv2d(x, stage, activation)
         else:
-            x = conv2d(x, stage)
-        x = _activate(x, activation)
+            x = conv2d(x, stage, activation)
     return x
+
+
+def join_branches(branches: list, residual, width: int):
+    """Channel concatenation of the branches plus the residual, one tape
+    node.  Its VJP hands each branch its contiguous channel slice of the
+    output gradient and the residual the gradient itself."""
+    vals = [T._val(b) for b in branches]
+    rv = T._val(residual)
+    for v in vals:
+        if v.ndim != 3 or v.shape[1:] != rv.shape[1:]:
+            raise ShapeError(f"branch dims {list(v.shape)} disagree with residual {list(rv.shape)}")
+    bounds = np.cumsum([0] + [v.shape[0] for v in vals])
+    if bounds[-1] != width:
+        raise ShapeError(f"branch concat width {bounds[-1]} != configured width {width}")
+    if rv.shape[0] != width:
+        raise ShapeError(f"residual width {rv.shape[0]} != configured width {width}")
+    out = np.concatenate(vals, axis=0)
+    out += rv
+
+    def grads(g):
+        return tuple(g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])) + (g,)
+
+    return T._emit(tuple(branches) + (residual,), out, grads)
 
 
 def cfe_forward(f, p: CfeParams):
@@ -59,10 +73,7 @@ def cfe_forward(f, p: CfeParams):
         raise ConfigError(f"fusion width {p.width} not divisible by 3")
     branches = [_run_branch(f, stages, p.activation)
                 for stages in (p.branch1, p.branch2, p.branch3)]
-    stacked = T.concat_axis(branches, axis=0)
-    if T._val(stacked).shape[0] != p.width:
-        raise ShapeError(f"branch concat width {T._val(stacked).shape[0]} != configured width {p.width}")
-    return T.add(stacked, conv2d(f, p.residual))
+    return join_branches(branches, conv2d(f, p.residual), p.width)
 
 
 def _surrogate_stage(stage):

@@ -20,11 +20,11 @@ from . import tensor as T
 from . import tensorio as IO
 from .attention import ba_forward, make_bra_params
 from .errors import ConfigError, FormatError, KernelError, NumericError
-from .gradcheck import run_gradcheck
 from .instrumentation import count_macs
-from .oracles import attention_flops
 from .pipeline import build_pipeline_params, c_afbifpn_forward
-from .selfcheck import run_selfcheck
+
+# gradcheck, selfcheck and oracles are imported by the commands that use
+# them, so a cold `forward` does not compile them
 
 
 def _load_config(path: str) -> IO.RunConfig:
@@ -55,6 +55,7 @@ def _level_stats(t: T.Tensor) -> dict:
 def cmd_forward(args) -> int:
     cfg = _load_config(args.config)
     backbone = IO.load_backbone(args.input)
+    IO.config_check_extents(cfg, backbone)
     channels = {lvl: T._val(t).shape[0] for lvl, t in backbone.items()}
     params = build_pipeline_params(cfg, channels)
     with count_macs() as mc:
@@ -71,6 +72,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import run_gradcheck
     cfg = _load_config(args.config)
     report = run_gradcheck(cfg, args.seed)
     sys.stdout.write(_json_text(report))
@@ -82,6 +84,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def _bench_case(cfg: IO.RunConfig, h: int, w: int, s: int, k: int) -> dict:
+    from .oracles import attention_flops
     c = cfg.fusion_width
     rng = T.Rng(cfg.seed)
     x = rng.tensor([c, h, w], -1.0, 1.0)
@@ -137,6 +140,7 @@ def cmd_gen_fixture(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck
     return run_selfcheck()
 
 

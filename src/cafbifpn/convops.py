@@ -7,6 +7,11 @@ function accepts plain tensors or tape nodes.  Each convolution records
 one tape node whose hand-written vector-Jacobian product returns the
 gradients of every operand on the tape; gradients flow through values
 and sampling weights, never through integer sample indices.
+
+conv2d and deformable convolution take an activation, "none" or "relu",
+applied inside the same node: the tape keeps only the activated output,
+whose positive entries are exactly the pre-activation's, so the VJP
+takes its mask from the output.
 """
 
 from __future__ import annotations
@@ -46,6 +51,25 @@ class DeformableParams:
     offset_predictor: Conv2dParams
 
 
+def _activate(out: np.ndarray, activation: str) -> np.ndarray:
+    """relu in place on a fresh pre-activation, recording its distance to
+    the kink; "none" returns it unchanged."""
+    if activation == "relu":
+        record = active_record()
+        if record is not None:
+            record.margin("relu", np.abs(out))
+        np.copyto(out, 0.0, where=~(out > 0))
+    elif activation != "none":
+        raise ConfigError(f"unknown activation {activation!r}")
+    return out
+
+
+def _deactivate(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
+    """The output gradient g carried back through the activation; out is
+    the activated output, positive exactly where the pre-activation is."""
+    return g * (out > 0) if activation == "relu" else g
+
+
 def conv_output_extent(extent: int, pad: int, kernel: int, stride: int, dilation: int) -> int:
     return (extent + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
 
@@ -78,8 +102,8 @@ def _columns(padded: np.ndarray, kh: int, kw: int, s: int, d: int,
     return windows.reshape(kh * kw * c, h_out * w_out)
 
 
-def conv2d(x, p: Conv2dParams):
-    """out[o,y,x] = bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y*s + d*i, x*s + d*j]."""
+def conv2d(x, p: Conv2dParams, activation: str = "none"):
+    """out[o,y,x] = act(bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y*s + d*i, x*s + d*j])."""
     xv = T._val(x)
     wv = T._val(p.weights)
     bv = T._val(p.bias)
@@ -108,10 +132,11 @@ def conv2d(x, p: Conv2dParams):
     wmat = np.ascontiguousarray(wv.transpose(0, 2, 3, 1)).reshape(c_out, kh * kw * c_in)
     out = wmat @ _columns(padded, kh, kw, s, d, h_out, w_out)
     out += bv.reshape(c_out, 1)
+    out = _activate(out, activation).reshape(c_out, h_out, w_out)
     need_x, need_w, need_b = T._on_tape(x, p.weights, p.bias)
 
     def grads(g):
-        g2 = g.reshape(c_out, h_out * w_out)
+        g2 = _deactivate(g, out, activation).reshape(c_out, h_out * w_out)
         gx = gw = gb = None
         if need_x:
             # col2im; taps are summed in reverse, the order backward sums
@@ -129,7 +154,7 @@ def conv2d(x, p: Conv2dParams):
             gb = g2.sum(axis=1)
         return gx, gw, gb
 
-    return T._emit((x, p.weights, p.bias), out.reshape(c_out, h_out, w_out), grads)
+    return T._emit((x, p.weights, p.bias), out, grads)
 
 
 # Channels per depthwise block: about this many bytes of padded input, so
@@ -266,8 +291,9 @@ class _Bilinear:
         return gy, gx
 
 
-def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets):
-    """Deformable 3x3 with an explicit offset field [2*kh*kw, H, W].
+def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: str = "none"):
+    """Deformable 3x3 with an explicit offset field [2*kh*kw, H, W],
+    followed by the activation.
 
     Taps are sampled and multiplied one at a time, summed in tap order.
     Backward keeps nothing per tap: it recomputes the sampling positions
@@ -299,10 +325,11 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets):
         term = tap_weights(t) @ bil.sample(x2)
         out = term if out is None else out + term
     out += bv.reshape(c_out, 1)
+    out = _activate(out, activation).reshape(c_out, h, w)
     need_x, need_w, need_b, need_o = T._on_tape(x, base.weights, base.bias, offsets)
 
     def grads(g):
-        g2 = g.reshape(c_out, h * w)
+        g2 = _deactivate(g, out, activation).reshape(c_out, h * w)
         gx = None
         gw = np.zeros(wv.shape) if need_w else None
         go = np.zeros(ov.shape) if need_o else None
@@ -322,16 +349,17 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets):
         return (gx.reshape(c_in, h, w) if need_x else None, gw,
                 g2.sum(axis=1) if need_b else None, go)
 
-    return T._emit((x, base.weights, base.bias, offsets), out.reshape(c_out, h, w), grads)
+    return T._emit((x, base.weights, base.bias, offsets), out, grads)
 
 
-def deformable_conv2d(x, p: DeformableParams):
-    """Predict per-tap offsets from the input, then sample and accumulate;
-    a zero-initialized predictor makes this identical to conv2d(x, p.base)."""
+def deformable_conv2d(x, p: DeformableParams, activation: str = "none"):
+    """Predict per-tap offsets from the input (never activated), then
+    sample, accumulate and activate; a zero-initialized predictor makes
+    this identical to conv2d(x, p.base, activation)."""
     wv = T._val(p.base.weights)
     kh, kw = wv.shape[2], wv.shape[3]
     opv = T._val(p.offset_predictor.weights)
     if opv.shape[0] != 2 * kh * kw:
         raise ShapeError(f"offset predictor emits {opv.shape[0]} channels, base needs {2 * kh * kw}")
     offsets = conv2d(x, p.offset_predictor)
-    return deformable_conv2d_with_offsets(x, p.base, offsets)
+    return deformable_conv2d_with_offsets(x, p.base, offsets, activation)

@@ -29,6 +29,7 @@ from .cfe import cfe_forward, make_cfe_params
 from .instrumentation import count_macs
 from .oracles import finite_diff_grad
 from .pipeline import _WEIGHT_ARITY, build_pipeline_params, c_afbifpn_forward
+from .tensorio import config_check_extents
 
 RELU_MARGIN = 1e-4
 LATTICE_MARGIN = 1e-3
@@ -182,6 +183,10 @@ def _pipeline_case(cfg, case_seed: int):
     level: level 4 is S x S, level 3 is 2S x 2S."""
     h2 = 8 * cfg.regions_s
     channels = {2: 3, 3: 3, 4: 4, 5: 4}
+    rng = T.Rng(case_seed ^ 0x5DEECE66D)
+    backbone = {lvl: rng.tensor([channels[lvl], h2 >> (lvl - 2), h2 >> (lvl - 2)], -1.0, 1.0)
+                for lvl in (2, 3, 4, 5)}
+    config_check_extents(cfg, backbone)
     params = build_pipeline_params(replace(cfg, activation="none", seed=case_seed), channels)
     # The production draw keeps projections small, which squeezes the
     # affinity gaps below the absolute resampling margin.  Boost them
@@ -193,9 +198,6 @@ def _pipeline_case(cfg, case_seed: int):
                                 w_v=T.tensor(T._val(bp.w_v) * 10.0))
                    for lvl, bp in params.bra.items()}
         params = replace(params, bra=boosted)
-    rng = T.Rng(case_seed ^ 0x5DEECE66D)
-    backbone = {lvl: rng.tensor([channels[lvl], h2 >> (lvl - 2), h2 >> (lvl - 2)], -1.0, 1.0)
-                for lvl in (2, 3, 4, 5)}
     capture = {}
     _, reason = watched(lambda: c_afbifpn_forward(backbone, params, capture_routing=capture))
     return (params, backbone, capture), reason

@@ -16,7 +16,7 @@ from . import tensor as T
 from . import tensorio as IO
 from .attention import (RegionTokens, RoutingResult, ba_forward, compute_routing,
                         make_bra_params, token_attention)
-from .cfe import cfe_forward, cfe_receptive_probe, make_cfe_params
+from .cfe import cfe_forward, cfe_receptive_probe, join_branches, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
                       deformable_conv2d, deformable_conv2d_with_offsets,
                       depthwise_conv2d)
@@ -74,22 +74,15 @@ def _weighted_sum(out):
 
 def check_op_gradients():
     w = T._val(T.Rng(5).tensor([3, 3], -1.0, 1.0))
-
-    def draw(seed):
-        x0 = T.Rng(seed).tensor([2, 3], -1.0, 1.0)
-        gap = float(np.min(np.abs(_arr(x0) @ w)))
-        return x0, None if gap > 1e-3 else f"relu pre-activation gap {gap:.2e}"
-
-    x0, _ = first_smooth(draw, range(40, 50))
+    x0 = T.Rng(40).tensor([2, 3], -1.0, 1.0)
 
     def graph(xt):
         m = T.matmul(xt, T.tensor(w))
-        r = T.relu(m)
-        d = T.mul(r, T.add(T.mul(m, m), T.full([2, 3], 2.0)))
-        c = T.concat_axis([d, m], axis=0)
-        p = T.permute(T.reshape(c, [2, 2, 3]), (1, 0, 2))
-        e = T.expand(T.reshape(T.reduce_mean_axis(p, 2), [2, 2, 1]), [2, 2, 3])
-        return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(c), T.tensor([0.3])))
+        d = T.mul(m, T.add(T.mul(m, m), T.full([2, 3], 2.0)))
+        p = T.permute(T.reshape(d, [1, 2, 3]), (2, 0, 1))
+        # the row means broadcast back over the rows by an outer product
+        e = T.reshape(T.matmul(T.reduce_mean_axis(p, 2), T.full([1, 2], 1.0)), [3, 1, 2])
+        return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(m), T.tensor([0.3])))
 
     err = _fd_rel_err(graph, x0)
     if err > TOL_GRAD:
@@ -137,11 +130,62 @@ def check_op_gradients():
         ("attention queries", lambda v: attend(v, keys, values), queries),
         ("attention routed keys", lambda v: attend(queries, v, values), keys),
         ("attention routed values", lambda v: attend(queries, keys, v), values),
-    ]
+    ] + _fused_cases()
     for what, op, x0 in cases:
         err = _fd_rel_err(lambda v: _weighted_sum(op(v)), x0)
         if err > TOL_GRAD:
             raise AssertionError(f"{what} gradient rel err {err:.3e}")
+
+
+def _fused_cases() -> list:
+    """(name, op, operand) for the relu-activated convolutions, the
+    enhancement block's branch join and both resize directions.  The
+    activated cases come from the first seed whose pre-activations keep
+    the relu margin (and, for deformable sampling, the lattice margin)."""
+    def draw(seed):
+        rng = T.Rng(seed)
+        x = rng.tensor([2, 3, 3], -1.0, 1.0)
+        conv = Conv2dParams(weights=rng.tensor([3, 2, 3, 3], -0.5, 0.5),
+                            bias=rng.tensor([3], -0.2, 0.2), padding=1)
+        base = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
+                            bias=rng.tensor([2], -0.2, 0.2), padding=1)
+        offsets = T.tensor(_arr(rng.tensor([18, 3, 3], -0.2, 0.2)) + 0.35)
+
+        def run():
+            conv2d(x, conv, "relu")
+            deformable_conv2d_with_offsets(x, base, offsets, "relu")
+            return x, conv, base, offsets
+
+        return watched(run, lattice=True)
+
+    (x, conv, base, offsets), _ = first_smooth(draw, range(80, 90))
+    rng = T.Rng(27)
+    # three branches of widths 1, 2, 3 and the residual
+    joined = [rng.tensor([c, 3, 4], -1.0, 1.0) for c in (1, 2, 3, 6)]
+    fine = rng.tensor([2, 4, 6], -1.0, 1.0)
+
+    def join_with(i):
+        def op(v):
+            args = joined[:i] + [v] + joined[i + 1:]
+            return join_branches(args[:3], args[3], 6)
+        return op
+
+    return [
+        ("relu conv2d input", lambda v: conv2d(v, conv, "relu"), x),
+        ("relu conv2d weights", lambda v: conv2d(x, replace(conv, weights=v), "relu"),
+         conv.weights),
+        ("relu conv2d bias", lambda v: conv2d(x, replace(conv, bias=v), "relu"), conv.bias),
+        ("relu deformable input",
+         lambda v: deformable_conv2d_with_offsets(v, base, offsets, "relu"), x),
+        ("relu deformable offsets",
+         lambda v: deformable_conv2d_with_offsets(x, base, v, "relu"), offsets),
+        ("relu deformable weights",
+         lambda v: deformable_conv2d_with_offsets(x, replace(base, weights=v), offsets, "relu"),
+         base.weights),
+    ] + [(f"join operand {i}", join_with(i), t) for i, t in enumerate(joined)] + [
+        ("resize up2", lambda v: resize(v, "up2"), fine),
+        ("resize down2", lambda v: resize(v, "down2"), fine),
+    ]
 
 
 def check_softmax_rows():

@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import GraphError, NumericError, ShapeError
-from .instrumentation import active_record
 
 _DTYPES = {"float32": np.dtype(np.float32), "float64": np.dtype(np.float64)}
 
@@ -258,15 +257,6 @@ def mul(a, b):
                                              g * av if need_b else None))
 
 
-def relu(a):
-    av = _val(a)
-    record = active_record()
-    if record is not None:
-        record.margin("relu", np.abs(av))
-    mask = av > 0
-    return _emit((a,), np.where(mask, av, 0.0), lambda g: (g * mask,))
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 
@@ -323,49 +313,6 @@ def permute(a, axes: Sequence[int]):
     inverse = np.argsort(axes)
     return _emit((a,), np.ascontiguousarray(av.transpose(axes)),
                  lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
-
-
-def concat_axis(parts: Sequence, axis: int):
-    if not parts:
-        raise ShapeError("concat_axis needs at least one input")
-    vals = [_val(p) for p in parts]
-    rank = vals[0].ndim
-    if axis < 0 or axis >= rank:
-        raise ShapeError(f"concat axis {axis} out of range for rank {rank}")
-    for v in vals[1:]:
-        if v.ndim != rank or any(v.shape[i] != vals[0].shape[i] for i in range(rank) if i != axis):
-            raise ShapeError(f"concat inputs disagree off-axis: {list(vals[0].shape)} vs {list(v.shape)}")
-    extents = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + extents)
-
-    def grads(g):
-        return tuple(
-            np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis))
-            for i in range(len(vals))
-        )
-
-    return _emit(tuple(parts), np.concatenate(vals, axis=axis), grads)
-
-
-def expand(a, dims: Sequence[int]):
-    """Broadcast to dims (numpy rules); backward sums over broadcast axes."""
-    av = _val(a)
-    dims = tuple(int(d) for d in dims)
-    try:
-        out = np.broadcast_to(av, dims)
-    except ValueError as exc:
-        raise ShapeError(f"cannot expand {list(av.shape)} to {list(dims)}") from exc
-    lead = len(dims) - av.ndim
-    summed_axes = tuple(range(lead)) + tuple(
-        lead + i for i, e in enumerate(av.shape) if e == 1 and dims[lead + i] != 1
-    )
-    shape = av.shape
-
-    def grads(g):
-        r = g.sum(axis=summed_axes) if summed_axes else g
-        return (r.reshape(shape),)
-
-    return _emit((a,), np.ascontiguousarray(out), grads)
 
 
 # ---------------------------------------------------------------------------

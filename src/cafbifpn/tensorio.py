@@ -86,6 +86,10 @@ class RunConfig:
     seed: int = 0
 
 
+# The most float64 values one numpy array can hold: its byte count must fit
+# in a signed pointer-sized integer.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
 _INT_FIELDS = {"regions_s", "topk_k", "heads", "fusion_width", "dilation", "lce_kernel", "seed"}
 _BOOL_FIELDS = {"cfe_enabled", "attention_fusion_enabled"}
 _STR_FIELDS = {"activation"}
@@ -107,9 +111,32 @@ def config_validate(cfg: RunConfig) -> RunConfig:
     want(math.isfinite(cfg.epsilon), "epsilon finite")
     want(cfg.dilation >= 1, "dilation >= 1")
     want(cfg.lce_kernel >= 1 and cfg.lce_kernel % 2 == 1, "lce_kernel odd and >= 1")
+    # the [width, width] attention projections and the [width, k, k]
+    # local-context kernel are the widest parameter arrays
+    want(cfg.fusion_width ** 2 <= _MAX_VALUES, "fusion_width^2 fits in one numpy array")
+    want(cfg.fusion_width * cfg.lce_kernel ** 2 <= _MAX_VALUES,
+         "fusion_width * lce_kernel^2 fits in one numpy array")
     want(cfg.activation in ("none", "relu"), "activation in {none, relu}")
     want(0 <= cfg.seed < 2 ** 64, "seed fits in u64")
     return cfg
+
+
+def config_check_extents(cfg: RunConfig, backbone: dict) -> None:
+    """Bounds that depend on the loaded maps {level: [C, H, W]}.  A
+    dilation or a local-context kernel radius of at least a map's largest
+    extent puts taps in the zero padding at every position of that map;
+    past the largest map that feeds each, the value is refused.  Maps
+    that are not [C, H, W] are left for the forward to reject."""
+    def extent(levels):
+        return max((max(backbone[lvl].dims[1:]) for lvl in levels
+                    if len(backbone[lvl].dims) == 3), default=math.inf)
+
+    if cfg.cfe_enabled and cfg.dilation >= extent((2, 3, 4, 5)):
+        raise ConfigError(f"config violates dilation < {extent((2, 3, 4, 5))}, the largest "
+                          f"loaded extent: got {cfg.dilation}")
+    if cfg.attention_fusion_enabled and (cfg.lce_kernel - 1) // 2 >= extent((3, 4)):
+        raise ConfigError(f"config violates (lce_kernel - 1) / 2 < {extent((3, 4))}, the largest "
+                          f"refined extent: got lce_kernel {cfg.lce_kernel}")
 
 
 def config_parse(text: str) -> RunConfig:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cafbifpn import tensor as T
 from cafbifpn.cfe import (CfeParams, cfe_forward, cfe_receptive_probe,
-                          make_cfe_params)
+                          join_branches, make_cfe_params)
 from cafbifpn.convops import Conv2dParams, DeformableParams, conv2d
 from cafbifpn.errors import ConfigError, ShapeError
 from cafbifpn.reference import ref_cfe
@@ -42,6 +42,18 @@ def test_concat_width_mismatch_rejected():
     with pytest.raises(ShapeError):
         cfe_forward(T.zeros([3, 4, 4]), replace(p, width=9,
                                                 residual=make_cfe_params(T.Rng(62), 3, 9).residual))
+
+
+def test_join_concatenates_branches_then_adds_residual():
+    a = T.tensor([[[1.0, 2.0]]])
+    b = T.tensor([[[3.0, 4.0]], [[5.0, 6.0]]])
+    residual = T.tensor([[[0.5, 0.5]], [[1.0, 1.0]], [[-1.0, 0.0]]])
+    out = join_branches([a, b], residual, 3)
+    assert arr(out).tolist() == [[[1.5, 2.5]], [[4.0, 5.0]], [[4.0, 6.0]]]
+    with pytest.raises(ShapeError):
+        join_branches([a, b], residual, 4)
+    with pytest.raises(ShapeError):
+        join_branches([a, T.tensor([[[3.0, 4.0, 5.0]]])], residual, 2)
 
 
 def test_zero_branches_collapse_to_residual():

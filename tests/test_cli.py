@@ -105,8 +105,12 @@ def test_forward_invalid_config_exit_2(capsys, tmp_path, fixture_dir):
     ('{"epsilon": Infinity}', "epsilon finite"),
     ('{"epsilon": 1e400}', "epsilon finite"),
     ('{"epsilon": 1' + "0" * 400 + "}", "epsilon finite"),
+    ('{"fusion_width": 3000000000000000000000000000000}', "fusion_width^2 fits in one numpy array"),
+    ('{"lce_kernel": 100000000001}', "fusion_width * lce_kernel^2 fits in one numpy array"),
+    ('{"dilation": 1000000000000}', "dilation < 64, the largest loaded extent"),
 ], ids=["nested-past-parser-depth", "integer-past-digit-limit", "epsilon-infinity",
-        "epsilon-overflowing-float", "epsilon-integer-beyond-float-range"])
+        "epsilon-overflowing-float", "epsilon-integer-beyond-float-range",
+        "fusion-width-past-array-size", "lce-kernel-past-array-size", "dilation-past-extents"])
 def test_forward_config_boundary_exit_2(capsys, tmp_path, fixture_dir, text, rule):
     cfg = tmp_path / "edge.json"
     cfg.write_text(text)
@@ -140,6 +144,21 @@ def test_forward_extent_problems_exit_2(capsys, tmp_path, default_cfg, fixture_d
     assert ("level-4 refinement: region grid 3x3 does not tile H=16, W=16"
             in capsys.readouterr().err)
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_cli_import_leaves_check_routes_unloaded():
+    """A cold `import cafbifpn.cli` (what `cafbifpn forward` pays for)
+    loads none of the check routes; the commands that use them import them."""
+    src = str(Path(cafbifpn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, cafbifpn.cli; print(sorted(m for m in sys.modules if m in "
+            "('cafbifpn.selfcheck', 'cafbifpn.gradcheck', 'cafbifpn.oracles', "
+            "'cafbifpn.reference')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert cafbifpn.run_selfcheck is cafbifpn.selfcheck.run_selfcheck
 
 
 def test_missing_config_file_exit_2(capsys, tmp_path):

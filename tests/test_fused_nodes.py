@@ -1,0 +1,232 @@
+"""The fused tape nodes against the composed chains they replace: the
+relu-activated convolutions, the enhancement block's branch join, both
+resize directions, and routed token attention, whose backward recomputes
+the attention weights instead of keeping them.  Each records one tape
+node, gives the composed chain's forward bits and input-gradient bits,
+and agrees with central finite differences."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cafbifpn import attention as A
+from cafbifpn import tensor as T
+from cafbifpn.cfe import join_branches
+from cafbifpn.convops import Conv2dParams, conv2d, deformable_conv2d_with_offsets
+from cafbifpn.gradcheck import max_rel_err
+from cafbifpn.instrumentation import count_macs
+from cafbifpn.pipeline import resize
+
+
+# -- the composed chains, rebuilt from the primitives they were made of --
+
+def _relu(a):
+    av = T._val(a)
+    mask = av > 0
+    return T._emit((a,), np.where(mask, av, 0.0), lambda g: (g * mask,))
+
+
+def _concat0(parts):
+    vals = [T._val(p) for p in parts]
+    offsets = np.cumsum([0] + [v.shape[0] for v in vals])
+
+    def grads(g):
+        return tuple(np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=0))
+                     for i in range(len(vals)))
+
+    return T._emit(tuple(parts), np.concatenate(vals, axis=0), grads)
+
+
+def _expand(a, dims):
+    av = T._val(a)
+    summed = tuple(i for i, e in enumerate(av.shape) if e == 1 and dims[i] != 1)
+    shape = av.shape
+    return T._emit((a,), np.ascontiguousarray(np.broadcast_to(av, dims)),
+                   lambda g: ((g.sum(axis=summed) if summed else g).reshape(shape),))
+
+
+def _composed_resize(f, direction):
+    c, h, w = T._val(f).shape
+    if direction == "up2":
+        x = _expand(T.reshape(f, [c, h, 1, w, 1]), (c, h, 2, w, 2))
+        return T.reshape(x, [c, 2 * h, 2 * w])
+    x = T.reduce_mean_axis(T.reshape(f, [c, h // 2, 2, w]), axis=2)
+    return T.reduce_mean_axis(T.reshape(x, [c, h // 2, w // 2, 2]), axis=3)
+
+
+def _stored_weights_attention(q_tokens, k_tokens, v_tokens, routing, heads):
+    """Token attention that keeps its [S^2, heads, n, G] weights for the
+    backward, inline, as the node was before it recomputed them."""
+    qv, kv, vv = (T._val(t.data) for t in (q_tokens, k_tokens, v_tokens))
+    n_regions, n_tokens, c = qv.shape
+    idx = np.asarray(routing.indices, dtype=np.int64)
+    d = c // heads
+    n_gathered = idx.shape[1] * kv.shape[1]
+    inv_scale = 1.0 / np.sqrt(d)
+    weights = np.empty((n_regions, heads, n_tokens, n_gathered))
+    out = np.empty((n_regions, n_tokens, c))
+
+    def blocks(r, cols):
+        k_r, v_r = kv[idx[r]].reshape(n_gathered, c), vv[idx[r]].reshape(n_gathered, c)
+        return (np.ascontiguousarray(qv[r, :, cols]), np.ascontiguousarray(k_r[:, cols].T),
+                np.ascontiguousarray(v_r[:, cols]))
+
+    for r in range(n_regions):
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            q, kt, v = blocks(r, cols)
+            s = weights[r, h]
+            np.matmul(q, kt, out=s)
+            s *= inv_scale
+            T.softmax_inplace(s)
+            out[r, :, cols] = s @ v
+
+    def grads(g):
+        gq = np.zeros_like(qv)
+        gk = np.zeros((n_regions, n_gathered, c))
+        gv = np.zeros((n_regions, n_gathered, c))
+        for r in range(n_regions):
+            for h in range(heads):
+                cols = slice(h * d, (h + 1) * d)
+                s = weights[r, h]
+                go = np.ascontiguousarray(g[r, :, cols])
+                gv[r, :, cols] += s.T @ go
+                q, kt, v = blocks(r, cols)
+                gs = go @ v.T
+                gs -= (gs * s).sum(axis=-1, keepdims=True)
+                gs *= s
+                gs *= inv_scale
+                gq[r, :, cols] += gs @ kt.T
+                gk[r, :, cols] += (q.T @ gs).T
+
+        def scatter(gathered_grad, like):
+            buf = np.zeros_like(like)
+            np.add.at(buf, idx.reshape(-1), gathered_grad.reshape((idx.size,) + like.shape[1:]))
+            return buf
+
+        return gq, scatter(gk, kv), scatter(gv, vv)
+
+    data = T._emit(tuple(t.data for t in (q_tokens, k_tokens, v_tokens)), out, grads)
+    return A.RegionTokens(data, q_tokens.height, q_tokens.width, q_tokens.regions_s)
+
+
+# -- cases: (fused op, composed op, operands) -----------------------------
+
+_rng = T.Rng(91)
+_X = _rng.tensor([2, 5, 4], -1.0, 1.0)
+_CONV = (_rng.tensor([3, 2, 3, 2], -0.5, 0.5), _rng.tensor([3], -0.2, 0.2))
+_BASE = (_rng.tensor([2, 2, 3, 3], -0.5, 0.5), _rng.tensor([2], -0.2, 0.2))
+# fractions in [0.15, 0.55], off the lattice; whole-pixel shifts of up to 2
+# put some samples partly or wholly outside the map
+_OFFSETS = T.tensor(T._val(_rng.tensor([18, 5, 4], -0.2, 0.2)) + 0.35
+                    + np.floor(T._val(_rng.tensor([18, 5, 4], -2.0, 3.0))))
+_PARTS = [_rng.tensor([c, 3, 4], -1.0, 1.0) for c in (1, 2, 3)]
+_RESIDUAL = _rng.tensor([6, 3, 4], -1.0, 1.0)
+_FINE = _rng.tensor([3, 4, 6], -1.0, 1.0)
+_TOKENS = [_rng.tensor([4, 3, 4], -1.0, 1.0) for _ in range(3)]
+# region 3 is routed to three times, so its key and value gradients sum
+# over copies
+_ROUTING = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
+
+
+def _conv(w, b):
+    return Conv2dParams(weights=w, bias=b, padding=1)
+
+
+def _attend(fn):
+    def op(q, k, v):
+        return fn(*(A.RegionTokens(t, 6, 2, 2) for t in (q, k, v)), _ROUTING, 2).data
+    return op
+
+
+CASES = {
+    "relu-conv2d": (lambda x, w, b: conv2d(x, _conv(w, b), "relu"),
+                    lambda x, w, b: _relu(conv2d(x, _conv(w, b))),
+                    (_X,) + _CONV),
+    "relu-deformable": (
+        lambda x, w, b, o: deformable_conv2d_with_offsets(x, _conv(w, b), o, "relu"),
+        lambda x, w, b, o: _relu(deformable_conv2d_with_offsets(x, _conv(w, b), o)),
+        (_X,) + _BASE + (_OFFSETS,)),
+    "join": (lambda a, b, c, r: join_branches([a, b, c], r, 6),
+             lambda a, b, c, r: T.add(_concat0([a, b, c]), r),
+             tuple(_PARTS) + (_RESIDUAL,)),
+    "up2": (lambda f: resize(f, "up2"), lambda f: _composed_resize(f, "up2"), (_FINE,)),
+    "down2": (lambda f: resize(f, "down2"), lambda f: _composed_resize(f, "down2"), (_FINE,)),
+    "token-attention": (_attend(A.token_attention), _attend(_stored_weights_attention),
+                        tuple(_TOKENS)),
+}
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(T._val(a)).view(np.uint64)
+
+
+def _taped(op, operands, cotangent_seed=None):
+    """op on a fresh tape over leaves of operands: (tape, output node,
+    leaf gradients in operand order, or None when no cotangent is given)."""
+    tape = T.Tape()
+    leaves = [tape.leaf(t) for t in operands]
+    out = op(*leaves)
+    grads = None
+    if cotangent_seed is not None:
+        seed = T.Rng(cotangent_seed).tensor(list(out.dims), -1.0, 1.0)
+        got = tape.backward(out, seed)
+        grads = [got[leaf] for leaf in leaves]
+    return tape, out, grads
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fused_node_records_one_tape_node(name):
+    fused, _, operands = CASES[name]
+    tape, out, _ = _taped(fused, operands)
+    assert len(tape.nodes) == len(operands) + 1
+    assert out is tape.nodes[-1]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fused_node_matches_composed_chain_bit_for_bit(name):
+    fused, composed, operands = CASES[name]
+    _, out, grads = _taped(fused, operands, cotangent_seed=17)
+    _, want, want_grads = _taped(composed, operands, cotangent_seed=17)
+    assert np.array_equal(_bits(out), _bits(want))
+    for got, expect in zip(grads, want_grads):
+        assert np.array_equal(_bits(got), _bits(expect))
+    # the untaped forward gives the same bits
+    assert np.array_equal(_bits(fused(*operands)), _bits(want))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fused_node_gradients_match_finite_differences(name):
+    fused, _, operands = CASES[name]
+    with count_macs() as record:
+        fused(*operands)
+    # the activated cases really cross the relu, and keep a margin from it
+    assert record.margins["relu"] > 1e-4
+    if name.startswith("relu"):
+        out = T._val(fused(*operands))
+        assert (out > 0).any() and (out == 0).any()
+    weights = T.Rng(99).tensor(list(T._val(fused(*operands)).shape), -1.0, 1.0)
+    entries = [(str(i), t) for i, t in enumerate(operands)]
+    worst, count = max_rel_err(
+        entries, lambda v: T.sum_all(T.mul(fused(*(v[n] for n, _ in entries)), weights)))
+    assert count == sum(t.size for t in operands)
+    assert worst <= 1e-5
+
+
+def test_attention_tape_keeps_no_weights():
+    """After a taped forward, the memory still held is about the output,
+    not the [S^2, heads, n, G] weights the composed node kept."""
+    rng = T.Rng(92)
+    tokens = [rng.tensor([4, 64, 4], -1.0, 1.0) for _ in range(3)]
+    weight_bytes = 4 * 2 * 64 * 128 * 8
+
+    def held(fn):
+        tracemalloc.start()
+        try:
+            tape, out, _ = _taped(_attend(fn), tokens)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert held(_stored_weights_attention) - held(A.token_attention) >= 0.9 * weight_bytes

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cafbifpn import tensor as T
 from cafbifpn.errors import ConfigError, FormatError
-from cafbifpn.tensorio import (FIXTURE_DIMS, RunConfig, config_parse,
-                               config_validate, gen_fixture, load_backbone,
+from cafbifpn.tensorio import (FIXTURE_DIMS, RunConfig, config_check_extents,
+                               config_parse, config_validate, gen_fixture, load_backbone,
                                tensor_read, tensor_write)
 
 
@@ -175,6 +175,20 @@ def test_any_text_parses_or_config_error(text):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig) and math.isfinite(cfg.epsilon)
+
+
+def test_extent_bounds_accept_the_last_value_and_refuse_the_next():
+    backbone = {lvl: T.zeros([1, 64 >> (lvl - 2), 64 >> (lvl - 2)]) for lvl in (2, 3, 4, 5)}
+    cfg = RunConfig()
+    for key, last, refused in (("dilation", 63, 64), ("lce_kernel", 63, 65)):
+        config_check_extents(replace(cfg, **{key: last}), backbone)
+        with pytest.raises(ConfigError, match=key):
+            config_check_extents(replace(cfg, **{key: refused}), backbone)
+    # a stage that is off does not use its value, so it is not bounded
+    config_check_extents(replace(cfg, dilation=64, cfe_enabled=False), backbone)
+    config_check_extents(replace(cfg, lce_kernel=65, attention_fusion_enabled=False), backbone)
+    # a map that is not [C, H, W] bounds nothing; the forward rejects it
+    config_check_extents(cfg, {**backbone, 2: T.zeros([64, 64])})
 
 
 def test_validate_accepts_defaults():
