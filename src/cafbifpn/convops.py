@@ -58,7 +58,9 @@ def _activate(out: np.ndarray, activation: str) -> np.ndarray:
         record = active_record()
         if record is not None:
             record.margin("relu", np.abs(out))
-        np.copyto(out, 0.0, where=~(out > 0))
+        # fmax sends NaN to 0 as the mask out > 0 does; + 0.0 makes -0.0 +0.0
+        np.fmax(out, 0.0, out=out)
+        out += 0.0
     elif activation != "none":
         raise ConfigError(f"unknown activation {activation!r}")
     return out
@@ -221,83 +223,76 @@ def depthwise_conv2d(x, weights, padding: int | None = None):
     return T._emit((x, weights), out, grads)
 
 
-def _tap_positions(ov: np.ndarray, t: int, kh: int, kw: int) -> tuple:
-    """Sampling positions [H,W] of tap t: the tap's lattice point plus its
-    (dy, dx) offsets."""
-    h, w = ov.shape[1], ov.shape[2]
-    ry = t // kw - (kh - 1) // 2
-    rx = t % kw - (kw - 1) // 2
-    pos_y = ov[2 * t] + (np.arange(h, dtype=np.float64)[:, None] + ry)
-    pos_x = ov[2 * t + 1] + (np.arange(w, dtype=np.float64)[None, :] + rx)
-    return pos_y, pos_x
+def _corner_axis(offsets, lattice, extent: int, scale: int, record) -> tuple:
+    """One axis of sampling at positions offsets + lattice [taps, H, W]: the
+    lower and upper corners' weights, in-map masks and clipped coordinates
+    times scale, each [taps, H*W].  Lattice margins are recorded per tap."""
+    pos = offsets + lattice
+    if record is not None:
+        for row in np.abs(pos - np.round(pos)):
+            record.margin("lattice", row)
+    lo = np.floor(pos)
+    weights = [u.reshape(len(pos), -1) for u in ((lo + 1.0) - pos, pos - lo)]
+    i = lo.astype(np.int64).reshape(len(pos), -1)
+    del pos, lo
+    corners = (i, i + 1)
+    return (weights, [(j >= 0) & (j < extent) for j in corners],
+            [np.clip(j, 0, extent - 1) * scale for j in corners])
 
 
 class _Bilinear:
-    """The four corners of bilinear sampling at positions [H,W] on an
-    H x W map, in the order (y0,x0), (y0,x1), (y1,x0), (y1,x1).  A corner
-    outside the map reads a clipped in-range pixel with weight zero."""
+    """Bilinear sampling geometry of every tap at once, from an offset field
+    [2*kh*kw, H, W]: each position's four corners, in the order (y0,x0),
+    (y0,x1), (y1,x0), (y1,x1), as [taps, H*W] arrays.  A corner outside the
+    map reads a clipped in-range pixel with weight zero.  Temporaries are
+    freed or overwritten once used, to hold the peak near the result's size."""
 
-    def __init__(self, pos_y: np.ndarray, pos_x: np.ndarray, h: int, w: int):
-        y0 = np.floor(pos_y)
-        x0 = np.floor(pos_x)
-        self.wy = ((y0 + 1.0) - pos_y, pos_y - y0)
-        self.wx = ((x0 + 1.0) - pos_x, pos_x - x0)
-        yi = y0.astype(np.int64).reshape(-1)
-        xi = x0.astype(np.int64).reshape(-1)
-        ys, xs = (yi, yi + 1), (xi, xi + 1)
-        y_in = [(y >= 0) & (y < h) for y in ys]
-        x_in = [(x >= 0) & (x < w) for x in xs]
-        y_off = [np.clip(y, 0, h - 1) * w for y in ys]
-        x_off = [np.clip(x, 0, w - 1) for x in xs]
-        self.index = [y_off[a] + x_off[b] for a in (0, 1) for b in (0, 1)]
+    def __init__(self, ov: np.ndarray, kh: int, kw: int, record=None):
+        h, w = ov.shape[1], ov.shape[2]
+        ry, rx = np.divmod(np.arange(kh * kw), kw)
+        lattice_y = np.arange(h, dtype=np.float64)[:, None] + (ry - (kh - 1) // 2)[:, None, None]
+        lattice_x = np.arange(w, dtype=np.float64) + (rx - (kw - 1) // 2)[:, None, None]
+        self.wy, y_in, (y0, y1) = _corner_axis(ov[0::2], lattice_y, h, w, record)
+        self.wx, x_in, (x0, x1) = _corner_axis(ov[1::2], lattice_x, w, 1, record)
+        # left to right, each coordinate array is overwritten after its last read
+        self.index = [y0 + x0, np.add(y0, x1, out=y0), np.add(y1, x0, out=x0),
+                      np.add(y1, x1, out=x1)]
         self.inside = [y_in[a] & x_in[b] for a in (0, 1) for b in (0, 1)]
-        self.weights = [self.inside[2 * a + b] * (self.wy[a] * self.wx[b]).reshape(-1)
-                        for a in (0, 1) for b in (0, 1)]
+        self.weights = [self.wy[a] * self.wx[b] for a in (0, 1) for b in (0, 1)]
+        for wt, inside in zip(self.weights, self.inside):
+            wt *= inside
 
-    def sample(self, v2: np.ndarray) -> np.ndarray:
-        """Samples [C, H*W] of the flattened map v2 [C, H*W], gathering
-        one corner at a time."""
-        out = None
-        for idx, wt in zip(self.index, self.weights):
-            term = np.take(v2, idx, axis=1) * wt
-            if out is None:
-                out = term
-            else:
-                out += term
-        return out
-
-    def scatter_add(self, acc, gs: np.ndarray) -> np.ndarray:
-        """acc (None for zero) plus the value gradient: each corner's share
-        of gs [C, H*W] scattered back onto the flattened map, corners added
-        in reverse order."""
-        c, n = gs.shape
-        channel_base = (np.arange(c) * n)[:, None]
-        for idx, wt in reversed(list(zip(self.index, self.weights))):
-            part = np.bincount((channel_base + idx).reshape(-1), (gs * wt).reshape(-1),
-                               minlength=c * n)
-            acc = part if acc is None else acc + part
-        return acc
-
-    def position_grads(self, gs: np.ndarray, v2: np.ndarray) -> tuple:
-        """Gradients of sum(gs * samples of v2) with respect to pos_y and
-        pos_x."""
-        dots = [(gs * np.take(v2, idx, axis=1)).sum(axis=0) * inside
-                for idx, inside in zip(self.index, self.inside)]
-        wx0, wx1 = (u.reshape(-1) for u in self.wx)
-        wy0, wy1 = (u.reshape(-1) for u in self.wy)
+    def sample(self, v2: np.ndarray, t: int, out, buf: np.ndarray, gs=None, tmp=None):
+        """Writes tap t's samples of the flattened map v2 [C, H*W] into out
+        (unless None), gathering each corner once into buf (the indices are
+        in range; clip mode gathers in place, the default stages a copy).
+        Given gs, the samples' gradient, and scratch tmp, returns from the
+        same gathers the gradients [H*W] for tap t's pos_y and pos_x."""
+        dots = []
+        for k, (idx, wt, inside) in enumerate(zip(self.index, self.weights, self.inside)):
+            vals = np.take(v2, idx[t], axis=1, out=buf, mode="clip")
+            if gs is not None:
+                dots.append(np.multiply(gs, vals, out=tmp).sum(axis=0) * inside[t])
+            if out is not None and k == 0:
+                np.multiply(vals, wt[t], out=out)
+            elif out is not None:
+                out += np.multiply(vals, wt[t], out=vals)
+        if gs is None:
+            return None
+        (wy0, wy1), (wx0, wx1) = [u[t] for u in self.wy], [u[t] for u in self.wx]
         g00, g01, g10, g11 = dots
-        gy = (g11 * wx1 + g10 * wx0) - (g01 * wx1 + g00 * wx0)
-        gx = (g11 * wy1 + g01 * wy0) - (g10 * wy1 + g00 * wy0)
-        return gy, gx
+        return ((g11 * wx1 + g10 * wx0) - (g01 * wx1 + g00 * wx0),
+                (g11 * wy1 + g01 * wy0) - (g10 * wy1 + g00 * wy0))
 
 
 def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: str = "none"):
     """Deformable 3x3 with an explicit offset field [2*kh*kw, H, W],
     followed by the activation.
 
-    Taps are sampled and multiplied one at a time, summed in tap order.
-    Backward keeps nothing per tap: it recomputes the sampling positions
-    from the offsets and gathers the corners again.
+    The sampling geometry of all taps is built once, then taps are sampled
+    and multiplied one at a time, summed in tap order.  Backward rebuilds
+    the geometry and gathers each tap's corners once, for both the weight
+    and the offset gradients.
     """
     xv = T._val(x)
     wv = T._val(base.weights)
@@ -311,19 +306,14 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: s
     h, w = xv.shape[1], xv.shape[2]
     x2 = xv.reshape(c_in, h * w)
 
-    def tap_weights(t):
-        return np.ascontiguousarray(wv[:, :, t // kw, t % kw])
-
-    record = active_record()
-    out = None
+    tap_weights = np.ascontiguousarray(wv.transpose(2, 3, 0, 1)).reshape(kh * kw, c_out, c_in)
+    bil = _Bilinear(ov, kh, kw, active_record())
+    del bil.wy, bil.wx  # only the offset gradients read them
+    sample, buf = (np.empty((c_in, h * w)) for _ in range(2))
     for t in range(kh * kw):
-        pos_y, pos_x = _tap_positions(ov, t, kh, kw)
-        if record is not None:
-            for pos in (pos_y, pos_x):
-                record.margin("lattice", np.abs(pos - np.round(pos)))
-        bil = _Bilinear(pos_y, pos_x, h, w)
-        term = tap_weights(t) @ bil.sample(x2)
-        out = term if out is None else out + term
+        bil.sample(x2, t, sample, buf)
+        out = tap_weights[t] @ sample if t == 0 else np.add(out, tap_weights[t] @ sample, out=out)
+    del bil, sample, buf
     out += bv.reshape(c_out, 1)
     out = _activate(out, activation).reshape(c_out, h, w)
     need_x, need_w, need_b, need_o = T._on_tape(x, base.weights, base.bias, offsets)
@@ -333,19 +323,25 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: s
         gx = None
         gw = np.zeros(wv.shape) if need_w else None
         go = np.zeros(ov.shape) if need_o else None
+        bil = _Bilinear(ov, kh, kw)
+        sample, buf, tmp = (np.empty((c_in, h * w)) for _ in range(3))
+        channel_base = (np.arange(c_in) * (h * w))[:, None]
         # reverse tap and corner order, the order backward sums per-corner
         # gather nodes in, so the bits equal that composition's
         for t in reversed(range(kh * kw)):
-            bil = _Bilinear(*_tap_positions(ov, t, kh, kw), h, w)
-            if need_w:
-                gw[:, :, t // kw, t % kw] += g2 @ bil.sample(x2).T
-            gs = tap_weights(t).T @ g2 if (need_x or need_o) else None
+            gs = tap_weights[t].T @ g2 if (need_x or need_o) else None
             if need_x:
-                gx = bil.scatter_add(gx, gs)
+                for idx, wt in reversed(list(zip(bil.index, bil.weights))):
+                    part = np.bincount((channel_base + idx[t]).reshape(-1), (gs * wt[t]).reshape(-1),
+                                       minlength=c_in * h * w)
+                    gx = part if gx is None else np.add(gx, part, out=gx)
+            if need_w or need_o:
+                pos_grads = bil.sample(x2, t, sample if need_w else None, buf,
+                                       gs if need_o else None, tmp)
+            if need_w:
+                gw[:, :, t // kw, t % kw] += g2 @ sample.T
             if need_o:
-                gy, gxp = bil.position_grads(gs, x2)
-                go[2 * t] += gy.reshape(h, w)
-                go[2 * t + 1] += gxp.reshape(h, w)
+                go[2 * t:2 * t + 2] += np.reshape(pos_grads, (2, h, w))
         return (gx.reshape(c_in, h, w) if need_x else None, gw,
                 g2.sum(axis=1) if need_b else None, go)
 

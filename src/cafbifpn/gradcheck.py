@@ -24,12 +24,12 @@ import numpy as np
 from . import tensor as T
 from .convops import (Conv2dParams, DeformableParams, deformable_conv2d,
                       deformable_conv2d_with_offsets)
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .cfe import cfe_forward, make_cfe_params
 from .instrumentation import count_macs
 from .oracles import finite_diff_grad
 from .pipeline import _WEIGHT_ARITY, build_pipeline_params, c_afbifpn_forward
-from .tensorio import config_check_extents
+from .tensorio import _MAX_VALUES, config_check_extents
 
 RELU_MARGIN = 1e-4
 LATTICE_MARGIN = 1e-3
@@ -182,6 +182,9 @@ def _pipeline_case(cfg, case_seed: int):
     """Desk-scale backbone sized so the region grid tiles every refined
     level: level 4 is S x S, level 3 is 2S x 2S."""
     h2 = 8 * cfg.regions_s
+    if cfg.fusion_width * h2 ** 2 > _MAX_VALUES:  # checked before anything is drawn
+        raise ConfigError(f"config violates fusion_width * (8 * regions_s)^2 fits in one numpy "
+                          f"array (a level-2 map of the gradient check): got regions_s {cfg.regions_s}")
     channels = {2: 3, 3: 3, 4: 4, 5: 4}
     rng = T.Rng(case_seed ^ 0x5DEECE66D)
     backbone = {lvl: rng.tensor([channels[lvl], h2 >> (lvl - 2), h2 >> (lvl - 2)], -1.0, 1.0)

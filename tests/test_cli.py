@@ -2,6 +2,7 @@
 exit codes, report structure, and byte-level determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -194,6 +195,27 @@ def test_gradcheck_ablation_reports_present_groups(capsys, tmp_path, overrides, 
     assert "fusion-weights" in report["groups"]
     assert len(report["groups"]) + len(skipped) == 8
     assert not set(skipped) & set(report["groups"])
+
+
+# the smallest regions_s whose [fusion_width, 8S, 8S] map is past numpy's
+# array size at the default fusion_width; one less would be accepted
+_FIRST_REFUSED_S = math.isqrt(IO._MAX_VALUES // (IO.RunConfig().fusion_width * 64)) + 1
+
+
+@pytest.mark.parametrize("regions_s", [1000000000000, _FIRST_REFUSED_S],
+                         ids=["one-trillion", "first-past-array-size"])
+def test_gradcheck_refuses_unallocatable_regions_s_exit_2(capsys, tmp_path, regions_s):
+    """The gradient check's desk maps are 8*regions_s square; a value whose
+    level-2 map cannot be one numpy array is refused before anything is
+    drawn (values just inside the bound would allocate, so none is run)."""
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"regions_s": regions_s, "topk_k": 1}))
+    rc = main(["gradcheck", "--config", str(cfg), "--seed", "7"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"got regions_s {regions_s}" in captured.err
+    assert "fusion_width * (8 * regions_s)^2 fits in one numpy array" in captured.err
 
 
 @pytest.mark.parametrize("overrides", [{}, {"attention_fusion_enabled": False}])
