@@ -26,9 +26,7 @@ __version__ = "0.1.0"
 # The check routes are loaded on first use, so that importing the package
 # (and running a forward) does not compile them.
 _LAZY = {"run_gradcheck": "gradcheck", "run_selfcheck": "selfcheck",
-         "attention_flops": "oracles", "conv2d_reference": "oracles",
-         "dense_attention_reference": "oracles", "finite_diff_grad": "oracles",
-         "topk_reference": "oracles"}
+         "attention_flops": "oracles"}
 
 
 def __getattr__(name):
@@ -49,8 +47,7 @@ __all__ = [
     "NumericError", "PartitionError", "PipelineError", "ShapeError",
     "run_gradcheck",
     "count_macs",
-    "attention_flops", "conv2d_reference", "dense_attention_reference",
-    "finite_diff_grad", "topk_reference",
+    "attention_flops",
     "FusionWeights", "PipelineParams", "afbifpn_forward",
     "build_pipeline_params", "c_afbifpn_forward", "fuse", "resize",
     "run_selfcheck",

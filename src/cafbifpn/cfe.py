@@ -17,9 +17,6 @@ from . import tensor as T
 from .convops import Conv2dParams, DeformableParams, conv2d, deformable_conv2d
 from .errors import ConfigError, ShapeError
 
-Stage = "Conv2dParams | DeformableParams"
-
-
 @dataclass(frozen=True)
 class CfeParams:
     """Each branch is the tuple of its stage params in application order:

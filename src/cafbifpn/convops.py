@@ -165,7 +165,7 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
 _DEPTHWISE_BLOCK_BYTES = 1 << 18
 
 
-def depthwise_conv2d(x, weights, padding: int | None = None):
+def depthwise_conv2d(x, weights):
     """Per-channel k x k convolution, spatial dims preserved; k must be odd."""
     xv = T._val(x)
     wv = T._val(weights)
@@ -177,8 +177,6 @@ def depthwise_conv2d(x, weights, padding: int | None = None):
     if xv.shape[0] != c:
         raise ShapeError(f"depthwise channel mismatch: input {xv.shape[0]} vs weights {c}")
     pad = (k - 1) // 2
-    if padding is not None and padding != pad:
-        raise ConfigError(f"depthwise padding must be (k-1)/2 = {pad}, got {padding}")
     h, w = xv.shape[1], xv.shape[2]
     taps = [divmod(t, k) for t in range(k * k)]
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import BraParams, ba_forward, compute_routing, make_bra_params
-from .cfe import CfeParams, cfe_forward, make_cfe_params
+from .attention import ba_forward, compute_routing, make_bra_params
+from .cfe import cfe_forward, make_cfe_params
 from .convops import Conv2dParams, conv2d
 from .errors import (ConfigError, FormatError, NumericError, PartitionError,
                      PipelineError, ShapeError)
@@ -48,16 +48,15 @@ _WEIGHT_ARITY = {"p2_out": 2, "p3_mid": 2, "p3_out": 3,
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """cfe/projection are level-keyed dicts; which one runs is chosen by
-    cfe_enabled.  bra holds the two refined levels {4, 3} and is ignored
-    when attention_fusion_enabled is off."""
+    """cfe/projection are level-keyed dicts, exactly one of them present:
+    the enhancement block runs when cfe is, a 1x1 projection otherwise.
+    bra holds the two refined levels {4, 3}, or is None when the
+    intermediates are not refined."""
 
     cfe: dict | None
     projection: dict | None
     bra: dict | None
     fusion: FusionWeights
-    cfe_enabled: bool = True
-    attention_fusion_enabled: bool = True
 
 
 def resize(f, direction: str):
@@ -189,13 +188,10 @@ def _validate_params(p: PipelineParams) -> None:
         got = len(getattr(p.fusion, name))
         if got != arity:
             raise ConfigError(f"fusion node {name} wants {arity} weights, got {got}")
-    if p.cfe_enabled and p.cfe is None:
-        raise ConfigError("cfe_enabled but no per-level feature-enhancement params")
-    if not p.cfe_enabled and p.projection is None:
-        raise ConfigError("cfe disabled but no per-level projection params")
-    if p.attention_fusion_enabled:
-        if p.bra is None or any(l not in p.bra for l in (3, 4)):
-            raise ConfigError("attention fusion enabled but params for levels 3 and 4 missing")
+    if (p.cfe is None) == (p.projection is None):
+        raise ConfigError("want exactly one of feature-enhancement and projection params")
+    if p.bra is not None and any(l not in p.bra for l in (3, 4)):
+        raise ConfigError("attention params for levels 3 and 4 missing")
 
 
 def _check_pyramid(maps: dict, stage: str, error: type) -> None:
@@ -223,21 +219,18 @@ def _check_pyramid(maps: dict, stage: str, error: type) -> None:
         prev = (v.shape[1], v.shape[2])
 
 
-def _refine(x, p: PipelineParams, level: int, routing_override, capture_routing):
-    if not p.attention_fusion_enabled:
+def _refine(x, p: PipelineParams, level: int, routing: dict | None):
+    if p.bra is None:
         return x
-    routing = None
-    if routing_override is not None and level in routing_override:
-        routing = routing_override[level]
-    elif capture_routing is not None:
-        routing = compute_routing(x, p.bra[level])
-        capture_routing[level] = routing
-    return ba_forward(x, p.bra[level], routing=routing)
+    if routing is None:
+        return ba_forward(x, p.bra[level])
+    if level not in routing:
+        routing[level] = compute_routing(x, p.bra[level])
+    return ba_forward(x, p.bra[level], routing=routing[level])
 
 
 def afbifpn_forward(inputs: dict, p: PipelineParams, *,
-                    routing_override: dict | None = None,
-                    capture_routing: dict | None = None) -> dict:
+                    routing: dict | None = None) -> dict:
     """Stage-I maps {2..5} -> stage-O maps {2..5}.
 
     Node order: level-4 intermediate, its refinement, level-3 intermediate,
@@ -245,9 +238,9 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     once and reused by both consumers, so the routed-attention pass runs
     exactly twice.
 
-    routing_override pins the per-level region selection (gradient checks
-    perturb parameters without letting routing flip); capture_routing, a
-    mutable dict, receives the selections this pass made.
+    routing, a mutable level-keyed dict, pins the region selection of each
+    level it holds (gradient checks perturb parameters without letting
+    routing flip) and receives the selection of each level it lacks.
     """
     _validate_params(p)
     _check_pyramid(inputs, "stage-I", PipelineError)
@@ -265,11 +258,11 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     p4f = node("level-4 intermediate",
                lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
     a4 = node("level-4 refinement",
-              lambda: _refine(p4f, p, 4, routing_override, capture_routing))
+              lambda: _refine(p4f, p, 4, routing))
     p3f = node("level-3 intermediate",
                lambda: fuse([inputs[3], resize(a4, "up2")], fw.p3_mid, eps))
     a3 = node("level-3 refinement",
-              lambda: _refine(p3f, p, 3, routing_override, capture_routing))
+              lambda: _refine(p3f, p, 3, routing))
     p2o = node("level-2 output",
                lambda: fuse([inputs[2], resize(a3, "up2")], fw.p2_out, eps))
     p3o = node("level-3 output",
@@ -282,19 +275,17 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
 
 
 def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
-                      routing_override: dict | None = None,
-                      capture_routing: dict | None = None) -> dict:
+                      routing: dict | None = None) -> dict:
     """Backbone maps {2..5} (any per-level widths) -> stage-O maps."""
     _validate_params(p)
     _check_pyramid(backbone, "backbone", FormatError)
     stage_i = {}
     for lvl in LEVELS:
-        if p.cfe_enabled:
+        if p.cfe is not None:
             stage_i[lvl] = cfe_forward(backbone[lvl], p.cfe[lvl])
         else:
             stage_i[lvl] = conv2d(backbone[lvl], p.projection[lvl])
-    return afbifpn_forward(stage_i, p, routing_override=routing_override,
-                           capture_routing=capture_routing)
+    return afbifpn_forward(stage_i, p, routing=routing)
 
 
 def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
@@ -331,6 +322,4 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
                3: make_bra_params(rng, width, cfg.regions_s, cfg.topk_k, cfg.heads,
                                   cfg.lce_kernel)}
     return PipelineParams(cfe=cfe_params, projection=projections, bra=bra,
-                          fusion=FusionWeights(epsilon=cfg.epsilon),
-                          cfe_enabled=cfg.cfe_enabled,
-                          attention_fusion_enabled=cfg.attention_fusion_enabled)
+                          fusion=FusionWeights(epsilon=cfg.epsilon))

@@ -21,7 +21,7 @@ from .cfe import CfeParams
 from .convops import Conv2dParams, DeformableParams
 from .errors import ConfigError, ShapeError
 from .oracles import topk_reference
-from .pipeline import LEVELS, FusionWeights, PipelineParams
+from .pipeline import LEVELS, PipelineParams
 
 
 def _np(x) -> np.ndarray:
@@ -183,27 +183,16 @@ def ref_fuse(inputs, raw_weights, epsilon: float) -> np.ndarray:
     return num / (sum(clamped) + epsilon)
 
 
-def plain_bifpn_reference(stage_i: dict, fusion: FusionWeights) -> dict:
-    """The fusion graph with both intermediate refinements as identity."""
-    i = {lvl: _np(stage_i[lvl]) for lvl in LEVELS}
-    eps = fusion.epsilon
-    p4f = ref_fuse([i[4], ref_up2(i[5])], fusion.p4_mid, eps)
-    p3f = ref_fuse([i[3], ref_up2(p4f)], fusion.p3_mid, eps)
-    p2o = ref_fuse([i[2], ref_up2(p3f)], fusion.p2_out, eps)
-    p3o = ref_fuse([i[3], p3f, ref_down2(p2o)], fusion.p3_out, eps)
-    p4o = ref_fuse([i[4], p4f, ref_down2(p3o)], fusion.p4_out, eps)
-    p5o = ref_fuse([i[5], ref_down2(p4o)], fusion.p5_out, eps)
-    return {2: p2o, 3: p3o, 4: p4o, 5: p5o}
-
-
 def ref_afbifpn(stage_i: dict, p: PipelineParams) -> dict:
+    """The fusion graph; each intermediate refinement is the identity when
+    p.bra is None."""
     i = {lvl: _np(stage_i[lvl]) for lvl in LEVELS}
     fw = p.fusion
     eps = fw.epsilon
     p4f = ref_fuse([i[4], ref_up2(i[5])], fw.p4_mid, eps)
-    a4 = ref_ba(p4f, p.bra[4]) if p.attention_fusion_enabled else p4f
+    a4 = p4f if p.bra is None else ref_ba(p4f, p.bra[4])
     p3f = ref_fuse([i[3], ref_up2(a4)], fw.p3_mid, eps)
-    a3 = ref_ba(p3f, p.bra[3]) if p.attention_fusion_enabled else p3f
+    a3 = p3f if p.bra is None else ref_ba(p3f, p.bra[3])
     p2o = ref_fuse([i[2], ref_up2(a3)], fw.p2_out, eps)
     p3o = ref_fuse([i[3], a3, ref_down2(p2o)], fw.p3_out, eps)
     p4o = ref_fuse([i[4], a4, ref_down2(p3o)], fw.p4_out, eps)
@@ -214,7 +203,7 @@ def ref_afbifpn(stage_i: dict, p: PipelineParams) -> dict:
 def ref_c_afbifpn(backbone: dict, p: PipelineParams) -> dict:
     stage_i = {}
     for lvl in LEVELS:
-        if p.cfe_enabled:
+        if p.cfe is not None:
             stage_i[lvl] = ref_cfe(backbone[lvl], p.cfe[lvl])
         else:
             stage_i[lvl] = ref_conv2d(backbone[lvl], p.projection[lvl])

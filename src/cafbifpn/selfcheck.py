@@ -42,8 +42,11 @@ def _arr(x) -> np.ndarray:
 
 
 def _close(a, b, tol, what: str) -> None:
-    diff = float(np.max(np.abs(_arr(a) - _arr(b)))) if _arr(a).size else 0.0
-    if diff > tol:
+    a, b = _arr(a), _arr(b)
+    if a.shape != b.shape:
+        raise AssertionError(f"{what}: dims {list(a.shape)} vs {list(b.shape)}")
+    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+    if not diff <= tol:
         raise AssertionError(f"{what}: max abs diff {diff:.3e} > {tol:.1e}")
 
 
@@ -85,7 +88,7 @@ def check_op_gradients():
         return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(m), T.tensor([0.3])))
 
     err = _fd_rel_err(graph, x0)
-    if err > TOL_GRAD:
+    if not err <= TOL_GRAD:
         raise AssertionError(f"composite-op gradient rel err {err:.3e}")
 
     # the convolution primitives, each operand on its own
@@ -133,7 +136,7 @@ def check_op_gradients():
     ] + _fused_cases()
     for what, op, x0 in cases:
         err = _fd_rel_err(lambda v: _weighted_sum(op(v)), x0)
-        if err > TOL_GRAD:
+        if not err <= TOL_GRAD:
             raise AssertionError(f"{what} gradient rel err {err:.3e}")
 
 
@@ -221,10 +224,10 @@ def check_rng_reference_stream():
 def check_rng_uniform_bounds():
     rng = T.Rng(11)
     vals = [rng.next_float() for _ in range(1000)]
-    if min(vals) < 0.0 or max(vals) >= 1.0:
+    if not (min(vals) >= 0.0 and max(vals) < 1.0):
         raise AssertionError("unit draw outside [0, 1)")
     sym = _arr(T.Rng(12).symmetric_unit([64]))
-    if sym.min() <= -1.0 or sym.max() >= 1.0:
+    if not (sym.min() > -1.0 and sym.max() < 1.0):
         raise AssertionError("symmetric draw outside (-1, 1)")
 
 
@@ -232,12 +235,15 @@ def check_rng_uniform_bounds():
 
 def check_conv_vs_loop_oracle():
     rng = T.Rng(21)
-    for kh, kw, dil, pad in ((3, 3, 1, 1), (1, 5, 1, (0, 2)), (3, 3, 2, (2, 2))):
-        x = rng.tensor([3, 8, 8], -1.0, 1.0)
+    for kh, kw, dil, pad, stride in ((1, 1, 1, 0, 1), (3, 3, 1, 1, 1), (1, 5, 1, (0, 2), 1),
+                                     (5, 1, 1, (2, 0), 1), (3, 1, 1, (1, 0), 1),
+                                     (3, 3, 2, (2, 2), 1), (3, 3, 1, 1, 2)):
+        x = rng.tensor([3, 7, 9], -1.0, 1.0)
         p = Conv2dParams(weights=rng.tensor([4, 3, kh, kw], -1.0, 1.0),
-                         bias=rng.tensor([4], -0.5, 0.5), padding=pad, dilation=dil)
+                         bias=rng.tensor([4], -0.5, 0.5), stride=stride, padding=pad,
+                         dilation=dil)
         _close(conv2d(x, p), conv2d_reference(x, p), TOL_TIGHT,
-               f"kernel {kh}x{kw} dilation {dil}")
+               f"kernel {kh}x{kw} dilation {dil} stride {stride}")
 
 
 def check_conv_receptive_field():
@@ -271,11 +277,13 @@ def check_conv_gradients():
     p = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
                      bias=rng.tensor([2], -0.2, 0.2), padding=1)
 
-    for field in ("weights", "bias"):
-        err = _fd_rel_err(lambda v: T.sum_all(conv2d(x, replace(p, **{field: v}))),
-                          getattr(p, field))
-        if err > TOL_GRAD:
-            raise AssertionError(f"{field} gradient rel err {err:.3e}")
+    cases = [("input", lambda v: conv2d(v, p), x)] + [
+        (field, lambda v, field=field: conv2d(x, replace(p, **{field: v})), getattr(p, field))
+        for field in ("weights", "bias")]
+    for what, op, x0 in cases:
+        err = _fd_rel_err(lambda v: T.sum_all(op(v)), x0)
+        if not err <= TOL_GRAD:
+            raise AssertionError(f"{what} gradient rel err {err:.3e}")
 
 
 def check_offset_gradients():
@@ -286,7 +294,7 @@ def check_offset_gradients():
     offsets = T.tensor(T._val(rng.tensor([18, 5, 5], -0.2, 0.2)) + 0.35)
     err = _fd_rel_err(lambda v: T.sum_all(deformable_conv2d_with_offsets(x, base, v)),
                       offsets, (0, 117, 333, 449))
-    if err > TOL_GRAD:
+    if not err <= TOL_GRAD:
         raise AssertionError(f"offset gradient rel err {err:.3e}")
 
 
@@ -345,7 +353,7 @@ def check_convex_combination():
             lo = gathered[:, cols].min(axis=0) - TOL_TIGHT
             hi = gathered[:, cols].max(axis=0) + TOL_TIGHT
             got = out_tok[r][:, cols]
-            if np.any(got < lo) or np.any(got > hi):
+            if not (np.all(got >= lo) and np.all(got <= hi)):
                 raise AssertionError(f"region {r} head {h} escapes the value hull")
 
 
@@ -395,7 +403,7 @@ def check_attention_gradients():
     (x, p, routing), _ = first_smooth(draw, range(360, 370))
     err = _fd_rel_err(lambda v: T.sum_all(ba_forward(x, replace(p, w_q=v), routing=routing)),
                       p.w_q, (0, 7, 15))
-    if err > TOL_GRAD:
+    if not err <= TOL_GRAD:
         raise AssertionError(f"query-projection rel err {err:.3e}")
 
 
@@ -447,7 +455,7 @@ def check_enh_gradients():
         return T.sum_all(cfe_forward(x, replace(p, branch2=tuple(b2))))
 
     err = _fd_rel_err(loss_for, p.branch2[1].weights)
-    if err > TOL_GRAD:
+    if not err <= TOL_GRAD:
         raise AssertionError(f"branch kernel rel err {err:.3e}")
 
 
@@ -456,7 +464,7 @@ def check_enh_channel_accounting():
     widths = [_arr(b[-1].base.weights).shape[0] if isinstance(b[-1], DeformableParams)
               else _arr(b[-1].weights).shape[0]
               for b in (p.branch1, p.branch2, p.branch3)]
-    if sum(widths) != 9 or _arr(p.residual.weights).shape[0] != 9:
+    if widths != [3, 3, 3] or _arr(p.residual.weights).shape[0] != 9:
         raise AssertionError(f"branch widths {widths} vs residual "
                              f"{_arr(p.residual.weights).shape[0]}")
     out = cfe_forward(T.Rng(45).tensor([5, 6, 6], -1.0, 1.0), p)
@@ -472,8 +480,11 @@ def check_enh_receptive_radii():
     full = cfe_receptive_probe(p)
     only1 = cfe_receptive_probe(replace(p, **zero2, **zero3))
     only2 = cfe_receptive_probe(replace(p, **zero1, **zero3))
-    if (full, only1, only2) != (4, 3, 4):
-        raise AssertionError(f"radii (full, b1, b2) = {(full, only1, only2)}, want (4, 3, 4)")
+    # with every branch zeroed only the 1x1 residual is left
+    none = cfe_receptive_probe(replace(p, **zero1, **zero2, **zero3))
+    if (full, only1, only2, none) != (4, 3, 4, 0):
+        raise AssertionError(f"radii (full, b1, b2, none) = {(full, only1, only2, none)}, "
+                             f"want (4, 3, 4, 0)")
 
 
 # -- fusion pyramid ------------------------------------------------------
@@ -498,7 +509,7 @@ def check_fuse_bounded():
         weights = [rng.uniform(0.1, 2.0) for _ in range(3)]
         out = _arr(fuse(inputs, weights, 1e-4))
         bound = max(float(np.abs(_arr(x)).max()) for x in inputs)
-        if float(np.abs(out).max()) > bound + 1e-15:
+        if not float(np.abs(out).max()) <= bound + 1e-15:
             raise AssertionError(f"|out| {float(np.abs(out).max()):.6f} exceeds {bound:.6f}")
 
 
@@ -519,9 +530,12 @@ def check_two_attention_invocations():
     channels, backbone = _tiny_backbone(53)
     params = build_pipeline_params(_tiny_cfg(), channels)
     with count_macs() as mc:
-        c_afbifpn_forward(backbone, params)
+        out = c_afbifpn_forward(backbone, params)
     if mc.ba_invocations != 2:
         raise AssertionError(f"{mc.ba_invocations} attention invocations, want 2")
+    for lvl in (2, 3, 4, 5):
+        if _arr(out[lvl]).shape != (6, 16 >> (lvl - 2), 16 >> (lvl - 2)):
+            raise AssertionError(f"level {lvl} dims {_arr(out[lvl]).shape}")
 
 
 def check_ablation_grid():
@@ -556,7 +570,7 @@ def check_fusion_weight_gradients():
     fd = _arr(finite_diff_grad(
         lambda v: float(_arr(T.sum_all(fuse([x1, x2], [v, w2], eps))).reshape(-1)[0]),
         T.tensor([w1]))).reshape(-1)[0]
-    if abs(analytic - hand) > 1e-10 or abs(analytic - fd) / max(abs(fd), 1e-3) > TOL_GRAD:
+    if not (abs(analytic - hand) <= 1e-10 and abs(analytic - fd) / max(abs(fd), 1e-3) <= TOL_GRAD):
         raise AssertionError(f"analytic {analytic}, hand {hand}, fd {fd}")
 
 
@@ -665,6 +679,10 @@ def check_fixture_determinism():
             b = open(os.path.join(d2, name), "rb").read()
             if a != b:
                 raise AssertionError(f"{name} differs between runs")
+        IO.gen_fixture(4, d2)
+        c2 = [open(os.path.join(d, "backbone_c2.tnsr"), "rb").read() for d in (d1, d2)]
+        if c2[0] == c2[1]:
+            raise AssertionError("seeds 3 and 4 give the same backbone_c2.tnsr")
 
 
 CHECKS = [

@@ -20,7 +20,7 @@ from cafbifpn.instrumentation import count_macs
 from cafbifpn.oracles import (attention_flops, conv2d_reference,
                               dense_attention_reference)
 from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward, fuse
-from cafbifpn.reference import plain_bifpn_reference, ref_c_afbifpn
+from cafbifpn.reference import ref_afbifpn, ref_c_afbifpn
 from cafbifpn.tensorio import (RunConfig, config_validate, load_backbone,
                                tensor_read, tensor_write)
 
@@ -132,7 +132,7 @@ def test_criterion_05_disabled_stages_reduce_to_plain_pyramid(capfd):
         out = c_afbifpn_forward(backbone, params)
         stage_i = {lvl: conv2d(backbone[lvl], params.projection[lvl])
                    for lvl in (2, 3, 4, 5)}
-        ref = plain_bifpn_reference(stage_i, params.fusion)
+        ref = ref_afbifpn(stage_i, params)
         worst = max(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5))
         assert worst <= 1e-12
         info["detail"] = f" (max abs diff {worst:.2e})"

@@ -17,6 +17,7 @@ from cafbifpn import attention, cli
 from cafbifpn import tensor as T
 from cafbifpn import tensorio as IO
 from cafbifpn.cli import main
+from cafbifpn.selfcheck import CHECKS
 
 from conftest import topk_ties_descending
 
@@ -30,9 +31,7 @@ def default_cfg(tmp_path):
 
 def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS ") >= 30
+    assert capsys.readouterr().out == "".join(f"PASS {name}\n" for name, _ in CHECKS)
 
 
 def test_selfcheck_reports_injected_fault(capsys, monkeypatch):

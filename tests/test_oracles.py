@@ -2,8 +2,6 @@
 and against closed forms, so the faster references they anchor inherit a
 checked foundation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from cafbifpn import tensor as T
 from cafbifpn.errors import GraphError, NumericError, ShapeError
-from cafbifpn.oracles import finite_diff_grad
 
-from conftest import arr, rel_err
+from conftest import arr
 
 
 def test_tensor_basics():
@@ -48,27 +47,6 @@ def test_float32_dtype():
     assert t.astype("float64").dtype == "float64"
 
 
-def test_rng_reference_stream():
-    # published SplitMix64 outputs for seed 0
-    state = 0
-    state, z = T.rng_next_raw(state)
-    assert z == 0xE220A8397B1DCDAF
-    state, z = T.rng_next_raw(state)
-    assert z == 0x6E789E6AA1B965F4
-    state, z = T.rng_next_raw(state)
-    assert z == 0x06C45D188009454F
-
-
-def test_rng_determinism_and_bounds():
-    a = arr(T.Rng(9).tensor([50], -1.0, 1.0))
-    b = arr(T.Rng(9).tensor([50], -1.0, 1.0))
-    assert np.array_equal(a, b)
-    u = [T.Rng(10).next_float() for _ in range(200)]
-    assert min(u) >= 0.0 and max(u) < 1.0
-    s = arr(T.Rng(11).symmetric_unit([200]))
-    assert s.min() > -1.0 and s.max() < 1.0
-
-
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
 def test_rng_floats_equal_stepwise_draws(n, seed):
@@ -101,21 +79,6 @@ def test_reshape_roundtrip(dims, seed):
     assert np.array_equal(arr(back), arr(x))
 
 
-def test_permute_roundtrip():
-    x = T.Rng(13).tensor([2, 3, 4], -1.0, 1.0)
-    back = T.permute(T.permute(x, (2, 0, 1)), (1, 2, 0))
-    assert np.array_equal(arr(back), arr(x))
-
-
-def test_softmax_rows():
-    for data in (T.Rng(14).tensor([5, 6], -4.0, 4.0),
-                 T.tensor([[1e3, -1e3, 0.0]]),
-                 T.tensor([[2.0, 2.0, 2.0]])):
-        s = T.softmax_inplace(arr(data).copy())
-        assert s.min() >= 0.0
-        assert np.max(np.abs(s.sum(axis=-1) - 1.0)) <= 1e-12
-
-
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         T.matmul(T.zeros([2, 3]), T.zeros([4, 2]))
@@ -146,24 +109,6 @@ def test_sum_all_is_scalar():
     s = T.sum_all(T.tensor([[1.0, 2.0], [3.0, 4.0]]))
     assert arr(s).shape == (1,)
     assert arr(s)[0] == 10.0
-
-
-def _composite(xt, w):
-    m = T.matmul(xt, w)
-    d = T.mul(m, T.add(T.mul(m, m), T.full([2, 3], 2.0)))
-    p = T.permute(T.reshape(d, [1, 2, 3]), (2, 0, 1))
-    e = T.reshape(T.matmul(T.reduce_mean_axis(p, 2), T.full([1, 2], 1.0)), [3, 1, 2])
-    return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(m), T.tensor([0.3])))
-
-
-def test_composite_gradient_matches_finite_difference():
-    w = T.Rng(15).tensor([3, 3], -1.0, 1.0)
-    x0 = T.Rng(150).tensor([2, 3], -1.0, 1.0)
-    tape = T.Tape()
-    leaf = tape.leaf(x0)
-    grads = tape.backward(_composite(leaf, w), T.tensor([1.0]))
-    fd = finite_diff_grad(lambda xt: float(arr(_composite(xt, w))[0]), x0)
-    assert float(rel_err(grads[leaf], fd).max()) <= 1e-5
 
 
 def test_gradient_accumulates_over_reuse():
