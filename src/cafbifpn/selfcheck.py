@@ -302,7 +302,7 @@ def check_offset_gradients():
 
 def check_sparse_equals_dense():
     rng = T.Rng(31)
-    for s, heads in ((2, 1), (2, 2)):
+    for s, heads in ((2, 1), (2, 2), (1, 1), (4, 1)):
         c = 6
         x = rng.tensor([c, 8, 8], -1.0, 1.0)
         p = make_bra_params(T.Rng(310 + s + heads), c, s, s * s, heads=heads, zero_lce=True)
@@ -609,11 +609,12 @@ def check_oracle_determinism():
                      bias=rng.tensor([2], -0.5, 0.5), padding=1)
     if not np.array_equal(_arr(conv2d_reference(x, p)), _arr(conv2d_reference(x, p))):
         raise AssertionError("loop convolution oracle not deterministic")
-    bp = make_bra_params(T.Rng(610), 4, 2, 4, zero_lce=True)
     y = rng.tensor([4, 4, 4], -1.0, 1.0)
-    if not np.array_equal(_arr(dense_attention_reference(y, bp)),
-                          _arr(dense_attention_reference(y, bp))):
-        raise AssertionError("dense attention oracle not deterministic")
+    for heads in (1, 2):
+        bp = make_bra_params(T.Rng(610), 4, 2, 4, heads=heads, zero_lce=True)
+        if not np.array_equal(_arr(dense_attention_reference(y, bp)),
+                              _arr(dense_attention_reference(y, bp))):
+            raise AssertionError(f"dense attention oracle not deterministic at {heads} heads")
     row = [float(v) for v in _arr(rng.tensor([9], -1.0, 1.0))]
     if topk_reference(row, 4) != topk_reference(row, 4):
         raise AssertionError("selection oracle not deterministic")

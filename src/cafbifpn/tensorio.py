@@ -117,8 +117,15 @@ def config_validate(cfg: RunConfig) -> RunConfig:
     want(cfg.fusion_width * cfg.lce_kernel ** 2 <= _MAX_VALUES,
          "fusion_width * lce_kernel^2 fits in one numpy array")
     want(cfg.activation in ("none", "relu"), "activation in {none, relu}")
-    want(0 <= cfg.seed < 2 ** 64, "seed fits in u64")
+    check_seed(cfg.seed, "config")
     return cfg
+
+
+def check_seed(seed: int, source: str) -> int:
+    """The one seed rule, for the config key and the --seed flags alike."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{source} violates seed fits in u64 (0 <= seed < 2^64): got {seed}")
+    return seed
 
 
 def config_check_extents(cfg: RunConfig, backbone: dict) -> None:

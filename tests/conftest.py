@@ -17,11 +17,6 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(da - db))) if da.size else 0.0
 
 
-def rel_err(analytic, fd, floor: float = 1e-3) -> np.ndarray:
-    a, f = arr(analytic), arr(fd)
-    return np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
-
-
 def topk_ties_descending(row, k: int) -> np.ndarray:
     """A deliberately wrong routing selection: ties broken by descending
     region id instead of ascending.  Tests patch it over

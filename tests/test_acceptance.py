@@ -175,22 +175,29 @@ def test_criterion_07_wiring_contracts(capfd, fixture_dir, tmp_path):
 def test_criterion_08_routed_cost_ratio_exact(capfd):
     with _criterion(capfd, 8, "routed over dense attention cost is exactly "
                     "k/S^2, counters agree with the closed form") as info:
+        cfg = RunConfig()
         checked = 0
-        for s in (1, 2, 4):
-            for k in range(1, s * s + 1):
-                routed = attention_flops(8, 8, 4, s, k, lce_kernel=3)
-                dense = attention_flops(8, 8, 4, s, k, mode="dense")
-                assert routed.qk_logits * s * s == dense.qk_logits * k
-                assert routed.av_aggregation * s * s == dense.av_aggregation * k
-                p = make_bra_params(T.Rng(800 + 10 * s + k), 4, s, k, 1, 3)
-                x = T.Rng(880 + 10 * s + k).tensor([4, 8, 8], -1.0, 1.0)
-                with count_macs() as mc:
-                    ba_forward(x, p)
-                counted = {{"qk": "qk_logits", "av": "av_aggregation"}.get(key, key): v
-                           for key, v in mc.as_dict().items()}
-                assert counted == routed.as_dict()
-                checked += 1
-        info["detail"] = f" ({checked} grid/count pairs)"
+        for h in (8, 16):
+            for s in (1, 2, 4):
+                # every k at width 4, and one k per grid at the default
+                # config's width, heads and local-context kernel
+                cases = [(4, 1, 3, k) for k in range(1, s * s + 1)]
+                cases.append((cfg.fusion_width, cfg.heads, cfg.lce_kernel, max(1, s * s // 2)))
+                for c, heads, lce, k in cases:
+                    routed = attention_flops(h, h, c, s, k, heads, lce_kernel=lce)
+                    dense = attention_flops(h, h, c, s, k, heads, mode="dense")
+                    seed = 800 + 100 * h + 10 * s + k
+                    p = make_bra_params(T.Rng(seed), c, s, k, heads, lce)
+                    x = T.Rng(seed + 80).tensor([c, h, h], -1.0, 1.0)
+                    with count_macs() as mc:
+                        ba_forward(x, p)
+                    counted = {{"qk": "qk_logits", "av": "av_aggregation"}.get(key, key): v
+                               for key, v in mc.as_dict().items()}
+                    assert counted == routed.as_dict()
+                    assert counted["qk_logits"] * s * s == dense.qk_logits * k
+                    assert counted["av_aggregation"] * s * s == dense.av_aggregation * k
+                    checked += 1
+        info["detail"] = f" ({checked} extent/grid/count cases)"
 
 
 def test_criterion_09_fusion_properties(capfd):

@@ -8,10 +8,10 @@ from cafbifpn import attention as A
 from cafbifpn import tensor as T
 from cafbifpn.errors import ConfigError, NumericError, PartitionError, ShapeError
 from cafbifpn.instrumentation import count_macs
-from cafbifpn.oracles import attention_flops, dense_attention_reference, finite_diff_grad
+from cafbifpn.oracles import attention_flops
 from cafbifpn.reference import ref_ba
 
-from conftest import arr, max_abs_diff, rel_err, topk_ties_descending
+from conftest import arr, max_abs_diff, topk_ties_descending
 
 
 def _tiles(x: np.ndarray, s: int) -> np.ndarray:
@@ -38,14 +38,6 @@ def test_partition_matches_numpy_tiles():
     x = T.Rng(41).tensor([3, 6, 6], -1.0, 1.0)
     rt = A.region_partition(x, 2)
     assert np.array_equal(arr(rt.data), _tiles(arr(x), 2))
-
-
-@pytest.mark.parametrize("s,heads", [(1, 1), (2, 1), (2, 2), (4, 1)])
-def test_sparse_equals_dense_at_full_routing(s, heads):
-    c = 8
-    x = T.Rng(42 + s + heads).tensor([c, 8, 8], -1.0, 1.0)
-    p = A.make_bra_params(T.Rng(420 + s), c, s, s * s, heads=heads, zero_lce=True)
-    assert max_abs_diff(A.ba_forward(x, p), dense_attention_reference(x, p)) <= 1e-10
 
 
 def test_routed_agrees_with_reference():
@@ -148,27 +140,6 @@ def test_token_attention_equals_attention_over_stacked_routed_regions():
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             assert max_abs_diff(out[r][:, cols], w @ vg[:, cols]) <= 1e-14
-
-
-@pytest.mark.parametrize("operand", [1, 2])
-def test_token_attention_gradient_sums_over_routed_copies(operand):
-    """Region 3 is routed to by three regions; its key and value
-    gradients must sum the three copies."""
-    rng = T.Rng(55)
-    ops = [rng.tensor([4, 2, 4], -1.0, 1.0) for _ in range(3)]
-    routing = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
-    mix = rng.tensor([4, 2, 4], -1.0, 1.0)
-
-    def loss(x):
-        args = list(ops)
-        args[operand] = x
-        return T.sum_all(T.mul(A.token_attention(*_tokens(*args), routing, 2).data, mix))
-
-    tape = T.Tape()
-    leaf = tape.leaf(ops[operand])
-    analytic = tape.backward(loss(leaf), T.tensor([1.0]))[leaf]
-    fd = finite_diff_grad(lambda x: float(arr(loss(x))[0]), ops[operand])
-    assert float(rel_err(analytic, fd).max()) <= 1e-5
 
 
 def test_token_attention_rejects_bad_routing():
