@@ -29,7 +29,6 @@ from .pipeline import (FusionWeights, build_pipeline_params, c_afbifpn_forward,
                        fuse, resize)
 from .reference import ref_conv2d
 
-TOL_EXACT = 0.0
 TOL_TIGHT = 1e-12
 TOL_ORACLE = 1e-10
 TOL_GRAD = 1e-5
@@ -63,11 +62,9 @@ def _untiles(t: np.ndarray, c: int, h: int, w: int, s: int) -> np.ndarray:
 
 # -- tensor core ---------------------------------------------------------
 
-def _fd_rel_err(loss_of, x0, coords=None) -> float:
-    """Largest relative error of the tape gradient of loss_of at x0
-    against central finite differences, at coords (default: all)."""
-    return max_rel_err([("x", x0)], lambda v: loss_of(v["x"]),
-                       None if coords is None else lambda t: coords)[0]
+def _swapped(items: list, i: int, v) -> list:
+    """A copy of items with the i-th replaced by v."""
+    return items[:i] + [v] + items[i + 1:]
 
 
 def _weighted_sum(out):
@@ -77,7 +74,6 @@ def _weighted_sum(out):
 
 def check_op_gradients():
     w = T._val(T.Rng(5).tensor([3, 3], -1.0, 1.0))
-    x0 = T.Rng(40).tensor([2, 3], -1.0, 1.0)
 
     def graph(xt):
         m = T.matmul(xt, T.tensor(w))
@@ -87,11 +83,7 @@ def check_op_gradients():
         e = T.reshape(T.matmul(T.reduce_mean_axis(p, 2), T.full([1, 2], 1.0)), [3, 1, 2])
         return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(m), T.tensor([0.3])))
 
-    err = _fd_rel_err(graph, x0)
-    if not err <= TOL_GRAD:
-        raise AssertionError(f"composite-op gradient rel err {err:.3e}")
-
-    # the convolution primitives, each operand on its own
+    # the convolution, attention and fusion primitives, each operand on its own
     rng = T.Rng(26)
     x = rng.tensor([2, 7, 6], -1.0, 1.0)
     convs = [Conv2dParams(weights=rng.tensor([3, 2, 3, 2], -0.5, 0.5),
@@ -115,12 +107,19 @@ def check_op_gradients():
     def attend(q, k, v):
         return token_attention(*(RegionTokens(t, 2, 4, 2) for t in (q, k, v)), routing, 2).data
 
-    cases = [case for c in convs for case in (
-        (f"conv2d stride {c.stride} input", lambda v, c=c: conv2d(v, c), x),
-        (f"conv2d stride {c.stride} weights",
-         lambda v, c=c: conv2d(x, replace(c, weights=v)), c.weights),
-        (f"conv2d stride {c.stride} bias", lambda v, c=c: conv2d(x, replace(c, bias=v)), c.bias),
-    )] + [
+    # a three-input fusion node; the negative weight is clamped to zero,
+    # so its gradient goes through the clamp mask
+    fused = [rng.tensor([2, 3, 2], -1.0, 1.0) for _ in range(3)]
+    raw = [T.tensor([u]) for u in (0.9, 0.4, -0.3)]
+
+    cases = [("composite-op", graph, T.Rng(40).tensor([2, 3], -1.0, 1.0))] + [
+        case for c in convs for case in (
+            (f"conv2d stride {c.stride} input", lambda v, c=c: conv2d(v, c), x),
+            (f"conv2d stride {c.stride} weights",
+             lambda v, c=c: conv2d(x, replace(c, weights=v)), c.weights),
+            (f"conv2d stride {c.stride} bias",
+             lambda v, c=c: conv2d(x, replace(c, bias=v)), c.bias),
+        )] + [
         ("depthwise input", lambda v: depthwise_conv2d(v, kernel), x),
         ("depthwise kernel", lambda v: depthwise_conv2d(x, v), kernel),
         ("deformable input", lambda v: deformable_conv2d_with_offsets(v, base, offsets), xd),
@@ -133,9 +132,12 @@ def check_op_gradients():
         ("attention queries", lambda v: attend(v, keys, values), queries),
         ("attention routed keys", lambda v: attend(queries, v, values), keys),
         ("attention routed values", lambda v: attend(queries, keys, v), values),
-    ] + _fused_cases()
+    ] + [(f"fuse input {i}", lambda v, i=i: fuse(_swapped(fused, i, v), raw, 1e-4), t)
+         for i, t in enumerate(fused)] + [
+        (f"fuse weight {i}", lambda v, i=i: fuse(fused, _swapped(raw, i, v), 1e-4), u)
+        for i, u in enumerate(raw)] + _fused_cases()
     for what, op, x0 in cases:
-        err = _fd_rel_err(lambda v: _weighted_sum(op(v)), x0)
+        err = max_rel_err([("x", x0)], lambda v: _weighted_sum(op(v["x"])))[0]
         if not err <= TOL_GRAD:
             raise AssertionError(f"{what} gradient rel err {err:.3e}")
 
@@ -144,24 +146,30 @@ def _fused_cases() -> list:
     """(name, op, operand) for the relu-activated convolutions, the
     enhancement block's branch join and both resize directions.  The
     activated cases come from the first seed whose pre-activations keep
-    the relu margin (and, for deformable sampling, the lattice margin)."""
+    the relu margin (and, for deformable sampling, the lattice margin);
+    each must cross the relu, with some outputs clamped and some not."""
     def draw(seed):
         rng = T.Rng(seed)
-        x = rng.tensor([2, 3, 3], -1.0, 1.0)
+        x = rng.tensor([2, 5, 4], -1.0, 1.0)
         conv = Conv2dParams(weights=rng.tensor([3, 2, 3, 3], -0.5, 0.5),
                             bias=rng.tensor([3], -0.2, 0.2), padding=1)
         base = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
                             bias=rng.tensor([2], -0.2, 0.2), padding=1)
-        offsets = T.tensor(_arr(rng.tensor([18, 3, 3], -0.2, 0.2)) + 0.35)
+        # off the lattice, with whole-pixel shifts that put some samples
+        # partly or wholly outside the map
+        offsets = T.tensor(_arr(rng.tensor([18, 5, 4], -0.2, 0.2)) + 0.35
+                           + np.floor(_arr(rng.tensor([18, 5, 4], -2.0, 3.0))))
 
         def run():
-            conv2d(x, conv, "relu")
-            deformable_conv2d_with_offsets(x, base, offsets, "relu")
-            return x, conv, base, offsets
+            outs = [_arr(conv2d(x, conv, "relu")),
+                    _arr(deformable_conv2d_with_offsets(x, base, offsets, "relu"))]
+            return x, conv, base, offsets, outs
 
         return watched(run, lattice=True)
 
-    (x, conv, base, offsets), _ = first_smooth(draw, range(80, 90))
+    (x, conv, base, offsets, outs), _ = first_smooth(draw, range(80, 90))
+    if not all((o > 0).any() and (o == 0).any() for o in outs):
+        raise AssertionError("an activated case does not cross the relu")
     rng = T.Rng(27)
     # three branches of widths 1, 2, 3 and the residual
     joined = [rng.tensor([c, 3, 4], -1.0, 1.0) for c in (1, 2, 3, 6)]
@@ -169,7 +177,7 @@ def _fused_cases() -> list:
 
     def join_with(i):
         def op(v):
-            args = joined[:i] + [v] + joined[i + 1:]
+            args = _swapped(joined, i, v)
             return join_branches(args[:3], args[3], 6)
         return op
 
@@ -185,6 +193,9 @@ def _fused_cases() -> list:
         ("relu deformable weights",
          lambda v: deformable_conv2d_with_offsets(x, replace(base, weights=v), offsets, "relu"),
          base.weights),
+        ("relu deformable bias",
+         lambda v: deformable_conv2d_with_offsets(x, replace(base, bias=v), offsets, "relu"),
+         base.bias),
     ] + [(f"join operand {i}", join_with(i), t) for i, t in enumerate(joined)] + [
         ("resize up2", lambda v: resize(v, "up2"), fine),
         ("resize down2", lambda v: resize(v, "down2"), fine),
@@ -269,33 +280,6 @@ def check_deformable_zero_offsets():
     pred = Conv2dParams(weights=T.zeros([18, 3, 3, 3]), bias=T.zeros([18]), padding=1)
     _close(deformable_conv2d(x, DeformableParams(base, pred)), conv2d(x, base),
            TOL_TIGHT, "zero-offset collapse")
-
-
-def check_conv_gradients():
-    rng = T.Rng(24)
-    x = rng.tensor([2, 5, 5], -1.0, 1.0)
-    p = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
-                     bias=rng.tensor([2], -0.2, 0.2), padding=1)
-
-    cases = [("input", lambda v: conv2d(v, p), x)] + [
-        (field, lambda v, field=field: conv2d(x, replace(p, **{field: v})), getattr(p, field))
-        for field in ("weights", "bias")]
-    for what, op, x0 in cases:
-        err = _fd_rel_err(lambda v: T.sum_all(op(v)), x0)
-        if not err <= TOL_GRAD:
-            raise AssertionError(f"{what} gradient rel err {err:.3e}")
-
-
-def check_offset_gradients():
-    rng = T.Rng(25)
-    x = rng.tensor([2, 5, 5], -1.0, 1.0)
-    base = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
-                        bias=rng.tensor([2], -0.1, 0.1), padding=1)
-    offsets = T.tensor(T._val(rng.tensor([18, 5, 5], -0.2, 0.2)) + 0.35)
-    err = _fd_rel_err(lambda v: T.sum_all(deformable_conv2d_with_offsets(x, base, v)),
-                      offsets, (0, 117, 333, 449))
-    if not err <= TOL_GRAD:
-        raise AssertionError(f"offset gradient rel err {err:.3e}")
 
 
 # -- routed attention ----------------------------------------------------
@@ -393,20 +377,6 @@ def check_routing_permutation_equivariance():
     _close(o1, o0[sigma], TOL_TIGHT, "output tiles")
 
 
-def check_attention_gradients():
-    def draw(seed):
-        rng = T.Rng(seed)
-        x = rng.tensor([4, 4, 4], -1.0, 1.0)
-        p = make_bra_params(rng, 4, 2, 2, heads=2)
-        return watched(lambda: (x, p, compute_routing(x, p)))
-
-    (x, p, routing), _ = first_smooth(draw, range(360, 370))
-    err = _fd_rel_err(lambda v: T.sum_all(ba_forward(x, replace(p, w_q=v), routing=routing)),
-                      p.w_q, (0, 7, 15))
-    if not err <= TOL_GRAD:
-        raise AssertionError(f"query-projection rel err {err:.3e}")
-
-
 # -- enhancement block ---------------------------------------------------
 
 def check_enh_spatial_dims():
@@ -442,21 +412,6 @@ def check_enh_deformable_degeneracy():
     p = make_cfe_params(T.Rng(430), 4, 6, offset_scale=0.0)
     q = replace(p, branch3=p.branch3[:3] + (p.branch3[3].base,))
     _close(cfe_forward(x, p), cfe_forward(x, q), TOL_TIGHT, "zero-predictor collapse")
-
-
-def check_enh_gradients():
-    rng = T.Rng(44)
-    x = rng.tensor([3, 5, 5], -1.0, 1.0)
-    p = make_cfe_params(T.Rng(440), 3, 6, activation="none")
-
-    def loss_for(weights):
-        b2 = list(p.branch2)
-        b2[1] = replace(b2[1], weights=weights)
-        return T.sum_all(cfe_forward(x, replace(p, branch2=tuple(b2))))
-
-    err = _fd_rel_err(loss_for, p.branch2[1].weights)
-    if not err <= TOL_GRAD:
-        raise AssertionError(f"branch kernel rel err {err:.3e}")
 
 
 def check_enh_channel_accounting():
@@ -695,18 +650,14 @@ CHECKS = [
     ("conv-matches-loop-oracle", check_conv_vs_loop_oracle),
     ("conv-dilated-receptive-field", check_conv_receptive_field),
     ("deformable-zero-offset-degeneracy", check_deformable_zero_offsets),
-    ("conv-gradients-match-finite-differences", check_conv_gradients),
-    ("offset-gradients-match-finite-differences", check_offset_gradients),
     ("sparse-equals-dense-at-full-routing", check_sparse_equals_dense),
     ("attention-rows-stochastic", check_attention_rows_stochastic),
     ("attention-output-convex-combination", check_convex_combination),
     ("routing-matches-full-sort", check_routing_matches_full_sort),
     ("routing-permutation-equivariance", check_routing_permutation_equivariance),
-    ("attention-gradients-frozen-routing", check_attention_gradients),
     ("enhancement-preserves-spatial-dims", check_enh_spatial_dims),
     ("enhancement-zero-branch-degeneracy", check_enh_zero_branch),
     ("enhancement-deformable-degeneracy", check_enh_deformable_degeneracy),
-    ("enhancement-gradients-match-finite-differences", check_enh_gradients),
     ("enhancement-channel-accounting", check_enh_channel_accounting),
     ("enhancement-receptive-radii", check_enh_receptive_radii),
     ("fusion-output-bounded-by-inputs", check_fuse_bounded),

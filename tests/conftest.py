@@ -25,6 +25,13 @@ def topk_ties_descending(row, k: int) -> np.ndarray:
     return np.asarray(order[:k], dtype=np.int64)
 
 
+def scaled_vjp(a, factor):
+    """a unchanged on the forward, its gradient times factor on the
+    backward: a deliberately wrong VJP that tests put in front of an
+    operand to show the gradient checks catch it."""
+    return T._emit((a,), T._val(a).copy(), lambda g: (g * factor,))
+
+
 @pytest.fixture(scope="session")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixture")

@@ -179,10 +179,13 @@ def test_criterion_08_routed_cost_ratio_exact(capfd):
         checked = 0
         for h in (8, 16):
             for s in (1, 2, 4):
-                # every k at width 4, and one k per grid at the default
-                # config's width, heads and local-context kernel
+                # every k at width 4; one k per grid at the default
+                # config's width, heads and local-context kernel; and one
+                # at two heads, where a counter that drops the head count
+                # shows
                 cases = [(4, 1, 3, k) for k in range(1, s * s + 1)]
                 cases.append((cfg.fusion_width, cfg.heads, cfg.lce_kernel, max(1, s * s // 2)))
+                cases.append((6, 2, 5, min(3, s * s)))
                 for c, heads, lce, k in cases:
                     routed = attention_flops(h, h, c, s, k, heads, lce_kernel=lce)
                     dense = attention_flops(h, h, c, s, k, heads, mode="dense")
@@ -193,6 +196,7 @@ def test_criterion_08_routed_cost_ratio_exact(capfd):
                         ba_forward(x, p)
                     counted = {{"qk": "qk_logits", "av": "av_aggregation"}.get(key, key): v
                                for key, v in mc.as_dict().items()}
+                    assert mc.ba_invocations == 1
                     assert counted == routed.as_dict()
                     assert counted["qk_logits"] * s * s == dense.qk_logits * k
                     assert counted["av_aggregation"] * s * s == dense.av_aggregation * k

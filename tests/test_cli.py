@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import cafbifpn
-from cafbifpn import attention, cli
+from cafbifpn import attention, cli, pipeline, selfcheck
 from cafbifpn import tensor as T
 from cafbifpn import tensorio as IO
 from cafbifpn.cli import main
 from cafbifpn.selfcheck import CHECKS
 
-from conftest import topk_ties_descending
+from conftest import scaled_vjp, topk_ties_descending
 
 
 @pytest.fixture()
@@ -34,11 +34,20 @@ def test_selfcheck_passes(capsys):
     assert capsys.readouterr().out == "".join(f"PASS {name}\n" for name, _ in CHECKS)
 
 
-def test_selfcheck_reports_injected_fault(capsys, monkeypatch):
-    monkeypatch.setattr(attention, "_topk_indices_row", topk_ties_descending)
+def _fuse_scaling_input_gradients(inputs, raw_weights, epsilon):
+    return pipeline.fuse([scaled_vjp(x, 1.0001) for x in inputs], raw_weights, epsilon)
+
+
+@pytest.mark.parametrize("target, replacement, expected", [
+    pytest.param((attention, "_topk_indices_row"), topk_ties_descending,
+                 "FAIL routing-matches-full-sort", id="routing-tie-order"),
+    pytest.param((selfcheck, "fuse"), _fuse_scaling_input_gradients,
+                 "FAIL op-gradients-match-finite-differences", id="fuse-input-gradient"),
+])
+def test_selfcheck_reports_injected_fault(capsys, monkeypatch, target, replacement, expected):
+    monkeypatch.setattr(*target, replacement)
     assert main(["selfcheck"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL routing-matches-full-sort" in out
+    assert expected in capsys.readouterr().out
 
 
 def test_forward_report(capsys, tmp_path, default_cfg, fixture_dir):

@@ -1,12 +1,17 @@
 """The shared gradient comparison that selfcheck and gradcheck both rely on:
 it must report agreement on an exact gradient and must report a VJP that
-is off by a relative 1e-4."""
+is off by a relative 1e-4, in any coordinate of the offsets group."""
 
+import numpy as np
 import pytest
 
+from cafbifpn import gradcheck
 from cafbifpn import tensor as T
 from cafbifpn.errors import NumericError
 from cafbifpn.gradcheck import first_smooth, max_rel_err
+from cafbifpn.tensorio import RunConfig
+
+from conftest import scaled_vjp
 
 
 def _square(a, vjp_factor: float):
@@ -64,3 +69,17 @@ def test_first_smooth_records_rejected_seeds():
     with pytest.raises(NumericError, match="gap 8"):
         first_smooth(lambda s: (s, f"gap {s}"), range(5, 9))
 
+
+
+def test_offsets_group_fails_a_fault_confined_to_tap_zero(monkeypatch):
+    real = gradcheck.deformable_conv2d_with_offsets
+    tap0 = np.ones((18, 1, 1))
+    tap0[:2] = 1.0001  # tap 0's y and x offsets
+
+    def faulty(x, base, offsets, activation="none"):
+        return real(x, base, scaled_vjp(offsets, tap0), activation)
+
+    monkeypatch.setattr(gradcheck, "deformable_conv2d_with_offsets", faulty)
+    groups = gradcheck.run_gradcheck(RunConfig(), 7)["groups"]
+    assert groups["offsets"]["pass"] is False
+    assert [name for name, g in groups.items() if not g["pass"]] == ["offsets"]
