@@ -124,6 +124,30 @@ def topk_routing(q_pooled, k_pooled, topk_k: int) -> RoutingResult:
     return RoutingResult(affinity, indices)
 
 
+def attention_work(n_regions: int, heads: int, n_queries: int, n_gathered: int) -> int:
+    """The logits count of one token_attention call, the work that decides
+    whether it runs on the pool: regions * heads * queries per region *
+    routed keys per region."""
+    return n_regions * heads * n_queries * n_gathered
+
+
+def ba_work(height: int, width: int, p: BraParams) -> int:
+    """attention_work of the token_attention call that ba_forward makes on
+    a [C, height, width] map."""
+    n_regions = p.regions_s * p.regions_s
+    tokens = height * width // n_regions if n_regions else 0  # partition rejects S 0
+    return attention_work(n_regions, p.heads, tokens, p.topk_k * tokens)
+
+
+# (region, head) blocks are stacked, up to this many bytes of logits per
+# stack, so that one stacked matmul replaces many small ones: a region's
+# heads together, or several regions' when they fit.  A block larger than
+# this is a stack of its own.  From a sweep of 0 to 2 MB on token_attention
+# at 48x64x64, 4 heads, k 4: the fastest at S 8 and within 5% of the
+# fastest at S 16 (ROADMAP item 6).
+_STACK_BYTES = 1 << 19
+
+
 def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: RegionTokens,
                     routing: RoutingResult, heads: int) -> RegionTokens:
     """Per region and head: softmax(q . k_g^T / sqrt(d_k)) applied to v_g,
@@ -131,14 +155,17 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
     highest affinity first; heads are contiguous channel groups
     re-concatenated afterwards.
 
-    One tape node.  Each region copies its routed regions' keys and values
-    once, shared by its heads, so the gathered stack is never built whole.
-    Each (region, head) block is one [n, G] logits matmul into a reused
-    buffer, scaled and normalised in place by T.softmax_inplace, then
-    multiplied into the values.  The tape keeps no attention weights: the
-    backward recomputes each block with the same calls, so it sees the
-    forward's bits.  Large calls run their regions on T._run_rows's
-    worker threads.
+    One tape node.  The (region, head) blocks go in stacks of consecutive
+    regions, all heads of each, up to _STACK_BYTES of logits; a region
+    whose heads exceed it is split into stacks of fewer heads.  Each stack
+    copies its routed regions' keys and values once, shared by its heads,
+    so the gathered stack of the whole call is never built.  A stack is one
+    stacked [n, G] logits matmul, scaled and normalised in place by
+    T.softmax_inplace, then one stacked matmul into the values: the same
+    BLAS call per block as a loop over blocks, so the same bits.  The tape
+    keeps no attention weights: the backward recomputes each stack with the
+    same calls, so it sees the forward's bits.  Large calls run their
+    stacks on T._run_rows's worker threads.
     """
     qv = T._val(q_tokens.data)
     n_regions, n_tokens, c = qv.shape
@@ -162,56 +189,71 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
         record.gather += 2 * n_regions * n_gathered * c
         record.qk += n_regions * heads * n_tokens * d * n_gathered
         record.av += n_regions * heads * n_tokens * n_gathered * d
-    work = n_regions * heads * n_tokens * n_gathered
+    work = attention_work(n_regions, heads, n_tokens, n_gathered)
+    per_stack = _STACK_BYTES // max(1, n_tokens * n_gathered * 8)  # blocks
+    span = max(1, min(n_regions, per_stack // heads))  # regions per stack
+    width = max(1, min(heads, per_stack))              # heads per stack
+    n_stacks = -(-n_regions // span)
+    # [regions, tokens, heads, d] views; a block is [r, :, h]
+    q4, k4, v4 = (a.reshape(a.shape[0], a.shape[1], heads, d) for a in (qv, kv, vv))
 
-    def blocks(rows):
-        """(r, cols, q [n, d], v [G, d], weights [n, G]) for every block
-        of the regions in rows; the weights share one buffer, overwritten
-        by the next block."""
-        s = np.empty((n_tokens, n_gathered))
-        for r in rows:
-            k_r = kv[idx[r]].reshape(n_gathered, c)
-            v_r = vv[idx[r]].reshape(n_gathered, c)
-            for h in range(heads):
-                cols = slice(h * d, (h + 1) * d)
-                q = np.ascontiguousarray(qv[r, :, cols])
-                kt = np.ascontiguousarray(k_r[:, cols].T)
+    def stacks(indices):
+        """(rows, hs, q [R,H,n,d], k^T [R,H,d,G], v [R,H,G,d], weights
+        [R,H,n,G]) for every stack of the given stack indices: R regions
+        rows, H heads hs.  The weights share one buffer, overwritten by the
+        next stack."""
+        buf = np.empty((span * width * n_tokens * n_gathered,))
+        for i in indices:
+            rows = slice(i * span, min((i + 1) * span, n_regions))
+            n_r = rows.stop - rows.start
+            kg = k4[idx[rows]].reshape(n_r, n_gathered, heads, d)
+            vg = v4[idx[rows]].reshape(n_r, n_gathered, heads, d)
+            for h0 in range(0, heads, width):
+                hs = slice(h0, min(h0 + width, heads))
+                n_h = hs.stop - hs.start
+                q = np.ascontiguousarray(q4[rows, :, hs].transpose(0, 2, 1, 3))
+                kt = np.ascontiguousarray(kg[:, :, hs].transpose(0, 2, 3, 1))
+                s = buf[:n_r * n_h * n_tokens * n_gathered].reshape(n_r, n_h, n_tokens, n_gathered)
                 np.matmul(q, kt, out=s)
                 s *= inv_scale
                 T.softmax_inplace(s)
-                yield r, cols, q, kt, np.ascontiguousarray(v_r[:, cols]), s
+                yield rows, hs, q, kt, np.ascontiguousarray(vg[:, :, hs].transpose(0, 2, 1, 3)), s
 
     out = np.empty((n_regions, n_tokens, c))
+    out4 = out.reshape(n_regions, n_tokens, heads, d)
 
-    def forward(rows):
-        for r, cols, _, _, v, s in blocks(rows):
-            out[r, :, cols] = s @ v
+    def forward(indices):
+        for rows, hs, _, _, v, s in stacks(indices):
+            out4[rows, :, hs] = (s @ v).transpose(0, 2, 1, 3)
 
-    T._run_rows(n_regions, forward, work)
+    T._run_rows(n_stacks, forward, work)
     need_q, need_k, need_v = T._on_tape(q_tokens.data, k_tokens.data, v_tokens.data)
 
     def grads(g):
         gq = np.zeros_like(qv) if need_q else None
         gk = np.zeros((n_regions, n_gathered, c)) if need_k else None
         gv = np.zeros((n_regions, n_gathered, c)) if need_v else None
+        g4 = g.reshape(n_regions, n_tokens, heads, d)
+        gq4, gk4, gv4 = (None if a is None else a.reshape(a.shape[0], a.shape[1], heads, d)
+                         for a in (gq, gk, gv))
 
-        def backward(rows):
-            for r, cols, q, kt, v, s in blocks(rows):
-                go = np.ascontiguousarray(g[r, :, cols])
+        def backward(indices):
+            for rows, hs, q, kt, v, s in stacks(indices):
+                go = np.ascontiguousarray(g4[rows, :, hs].transpose(0, 2, 1, 3))
                 if need_v:
-                    gv[r, :, cols] += s.T @ go
+                    gv4[rows, :, hs] += (s.swapaxes(-1, -2) @ go).transpose(0, 2, 1, 3)
                 if not (need_q or need_k):
                     continue
-                gs = go @ v.T
+                gs = go @ v.swapaxes(-1, -2)
                 gs -= (gs * s).sum(axis=-1, keepdims=True)
                 gs *= s
                 gs *= inv_scale
                 if need_q:
-                    gq[r, :, cols] += gs @ kt.T
+                    gq4[rows, :, hs] += (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
                 if need_k:
-                    gk[r, :, cols] += (q.T @ gs).T
+                    gk4[rows, :, hs] += (q.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2)
 
-        T._run_rows(n_regions, backward, work)
+        T._run_rows(n_stacks, backward, work)
 
         def scatter(gathered_grad, like):
             """Sum each routed copy's gradient into its source region, in

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .convops import (Conv2dParams, DeformableParams, deformable_conv2d,
+from .convops import (Conv2dParams, DeformableParams, conv2d, deformable_conv2d,
                       deformable_conv2d_with_offsets)
 from .errors import ConfigError, NumericError
 from .cfe import cfe_forward, make_cfe_params
@@ -78,6 +78,14 @@ def watched(run, lattice: bool = False):
     if m["routing"] < ROUTING_MARGIN:
         return out, f"routing margin {m['routing']:.2e}"
     return out, None
+
+
+def crosses_relu(out) -> bool:
+    """Whether a relu-activated output crosses the relu: some values
+    clamped to exactly zero and some above it.  A case that does not
+    cannot tell a relu from the identity."""
+    v = T._val(out)
+    return bool((v == 0).any() and (v > 0).any())
 
 
 def first_smooth(draw, seeds, events: list | None = None):
@@ -246,7 +254,9 @@ def _predictor_case(case_seed: int):
 
 def _relu_case(case_seed: int):
     """Small relu-active block where the pre-activation margin is
-    attainable; reseeds like the main case."""
+    attainable; reseeds like the main case.  The case also carries whether
+    the activated stage it differences, branch 1's 1x3 convolution, crosses
+    the relu."""
     rng = T.Rng(case_seed)
     record = make_cfe_params(rng, 3, 6, activation="relu", offset_scale=1.0)
     x = rng.tensor([3, 4, 4], -1.0, 1.0)
@@ -255,8 +265,9 @@ def _relu_case(case_seed: int):
         return T.sum_all(cfe_forward(x, p))
 
     _, reason = watched(lambda: loss(record))
+    stage = conv2d(conv2d(x, record.branch1[0], "relu"), record.branch1[1], "relu")
     rows = (("kernel", ("branch1", 1, "weights")), ("bias", ("residual", "bias")))
-    return (record, rows, loss), reason and f"relu case: {reason}"
+    return (record, rows, loss, crosses_relu(stage)), reason and f"relu case: {reason}"
 
 
 def run_gradcheck(cfg, seed: int) -> dict:
@@ -292,8 +303,12 @@ def run_gradcheck(cfg, seed: int) -> dict:
         predictor, _ = first_smooth(_predictor_case,
                                     range(seed + 2000, seed + 2000 + MAX_RESEEDS), events)
         groups["offset-predictor"] = _check_group(*predictor, coords)
-        relu, _ = first_smooth(_relu_case, range(seed + 1000, seed + 1000 + MAX_RESEEDS), events)
+        (*relu, crossed), _ = first_smooth(_relu_case,
+                                           range(seed + 1000, seed + 1000 + MAX_RESEEDS), events)
         groups["relu-path"] = _check_group(*relu, coords)
+        if not crossed:
+            groups["relu-path"].update({"pass": False,
+                                        "reason": "the differenced stage does not cross the relu"})
     else:
         skipped += ["offsets", "offset-predictor", "relu-path"]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import ba_forward, compute_routing, make_bra_params
+from .attention import ba_forward, ba_work, compute_routing, make_bra_params
 from .cfe import cfe_forward, make_cfe_params
 from .convops import Conv2dParams, conv2d
 from .errors import (ConfigError, FormatError, NumericError, PartitionError,
@@ -219,6 +219,15 @@ def _check_pyramid(maps: dict, stage: str, error: type) -> None:
         prev = (v.shape[1], v.shape[2])
 
 
+def _attention_work(maps: dict, p: PipelineParams) -> int:
+    """The largest token-attention work of the two refined levels, from
+    the extents of maps (the enhancement block and the projections keep
+    the backbone's extents)."""
+    if p.bra is None:
+        return 0
+    return max(ba_work(*T._val(maps[lvl]).shape[1:], p.bra[lvl]) for lvl in (3, 4))
+
+
 def _refine(x, p: PipelineParams, level: int, routing: dict | None):
     if p.bra is None:
         return x
@@ -241,6 +250,9 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     routing, a mutable level-keyed dict, pins the region selection of each
     level it holds (gradient checks perturb parameters without letting
     routing flip) and receives the selection of each level it lacks.
+
+    A forward whose attention reaches the worker pool holds the pool, with
+    OpenBLAS at one thread, until it returns (tensor.hold_pool).
     """
     _validate_params(p)
     _check_pyramid(inputs, "stage-I", PipelineError)
@@ -255,37 +267,41 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
         except PartitionError as exc:
             raise PartitionError(f"node {name}: {exc}") from exc
 
-    p4f = node("level-4 intermediate",
-               lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
-    a4 = node("level-4 refinement",
-              lambda: _refine(p4f, p, 4, routing))
-    p3f = node("level-3 intermediate",
-               lambda: fuse([inputs[3], resize(a4, "up2")], fw.p3_mid, eps))
-    a3 = node("level-3 refinement",
-              lambda: _refine(p3f, p, 3, routing))
-    p2o = node("level-2 output",
-               lambda: fuse([inputs[2], resize(a3, "up2")], fw.p2_out, eps))
-    p3o = node("level-3 output",
-               lambda: fuse([inputs[3], a3, resize(p2o, "down2")], fw.p3_out, eps))
-    p4o = node("level-4 output",
-               lambda: fuse([inputs[4], a4, resize(p3o, "down2")], fw.p4_out, eps))
-    p5o = node("level-5 output",
-               lambda: fuse([inputs[5], resize(p4o, "down2")], fw.p5_out, eps))
-    return {2: p2o, 3: p3o, 4: p4o, 5: p5o}
+    with T.hold_pool(_attention_work(inputs, p)):
+        p4f = node("level-4 intermediate",
+                   lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
+        a4 = node("level-4 refinement",
+                  lambda: _refine(p4f, p, 4, routing))
+        p3f = node("level-3 intermediate",
+                   lambda: fuse([inputs[3], resize(a4, "up2")], fw.p3_mid, eps))
+        a3 = node("level-3 refinement",
+                  lambda: _refine(p3f, p, 3, routing))
+        p2o = node("level-2 output",
+                   lambda: fuse([inputs[2], resize(a3, "up2")], fw.p2_out, eps))
+        p3o = node("level-3 output",
+                   lambda: fuse([inputs[3], a3, resize(p2o, "down2")], fw.p3_out, eps))
+        p4o = node("level-4 output",
+                   lambda: fuse([inputs[4], a4, resize(p3o, "down2")], fw.p4_out, eps))
+        p5o = node("level-5 output",
+                   lambda: fuse([inputs[5], resize(p4o, "down2")], fw.p5_out, eps))
+        return {2: p2o, 3: p3o, 4: p4o, 5: p5o}
 
 
 def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
                       routing: dict | None = None) -> dict:
-    """Backbone maps {2..5} (any per-level widths) -> stage-O maps."""
+    """Backbone maps {2..5} (any per-level widths) -> stage-O maps.  The
+    pool hold (afbifpn_forward) starts before the enhancement block or the
+    projections, so it covers every BLAS call of the forward."""
     _validate_params(p)
     _check_pyramid(backbone, "backbone", FormatError)
-    stage_i = {}
-    for lvl in LEVELS:
-        if p.cfe is not None:
-            stage_i[lvl] = cfe_forward(backbone[lvl], p.cfe[lvl])
-        else:
-            stage_i[lvl] = conv2d(backbone[lvl], p.projection[lvl])
-    return afbifpn_forward(stage_i, p, routing=routing)
+    with T.hold_pool(_attention_work(backbone, p)):
+        stage_i = {}
+        for lvl in LEVELS:
+            if p.cfe is not None:
+                stage_i[lvl] = cfe_forward(backbone[lvl], p.cfe[lvl])
+            else:
+                stage_i[lvl] = conv2d(backbone[lvl], p.projection[lvl])
+        return afbifpn_forward(stage_i, p, routing=routing)
 
 
 def build_pipeline_params(cfg, channels: dict) -> PipelineParams:

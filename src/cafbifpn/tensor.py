@@ -5,13 +5,22 @@ Tensors are immutable after construction and every operation is a pure
 function, so values may be shared freely between threads.  A Tape is
 single-writer: recording and backward must be serialized per tape.
 
-One primitive, routed token attention, runs its large block loops on a
-small pool of worker threads (`_run_rows`), one per CPU this process may
-use.  The pool is private: a caller never sees its threads, the call
-returns only after every worker has stopped, and the run record
-(instrumentation.py) is only touched on the calling thread.  While the workers run, OpenBLAS
-is held to one thread and restored afterwards; one caller at a time
-holds the pool, and any other runs its loop inline, so concurrent
+Large row loops run on a small pool of worker threads (`_run_rows`), one
+per CPU this process may use: routed token attention's stacks of blocks,
+and large products (`matmul`, `conv2d`'s), split into blocks of the left
+operand's rows while BLAS is held to one thread.  The pool is private: a caller never sees its threads, a call returns only
+after every worker has stopped, and the run record (instrumentation.py)
+is only touched on the calling thread.
+
+Whoever uses the pool holds it (`hold_pool`): it takes the pool's lock and
+holds OpenBLAS to one thread until it lets go, then restores the count.
+OpenBLAS's own worker spins for about 2^28 cycles after every threaded
+product, so a pooled share that starts right after one runs beside a
+spinning thread.  A pyramid forward whose attention reaches the pool
+therefore holds it from its first BLAS call to its last, and pooled calls
+inside it dispatch without toggling anything; a pooled call made outside
+such a forward holds the pool for its own duration.  One thread at a time
+holds the pool, and any other runs its loops inline, so concurrent
 forwards give the same bits and leave the BLAS thread count as they
 found it.
 
@@ -21,6 +30,7 @@ is rejected on tapes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -270,8 +280,33 @@ def matmul(a, b):
     if av.dtype != bv.dtype:
         raise ShapeError(f"matmul: dtype {av.dtype} vs {bv.dtype}")
     need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), av @ bv, lambda g: (g @ bv.T if need_a else None,
-                                             av.T @ g if need_b else None))
+    return _emit((a, b), _row_blocked_product(av, bv),
+                 lambda g: (g @ bv.T if need_a else None, av.T @ g if need_b else None))
+
+
+def _row_blocked_product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """av @ bv.  While this thread holds the pool, and so OpenBLAS runs on
+    one thread, a product of at least _POOL_MIN_WORK multiply-adds is
+    computed as one block of av's rows per allowed CPU, on the pool.  Each
+    output row gets the same BLAS kernel either way, so the bits match the
+    whole product's.  Splitting bv's columns changes bits, and so do blocks
+    of one row and single-column products (both take gemv), so those
+    products stay whole."""
+    m, n = av.shape[0], bv.shape[1]
+    work = m * av.shape[1] * n
+    split = work >= _POOL_MIN_WORK and n > 1 and _holding()
+    blocks = min(_allowed_cpus(), m // 2) if split else 1
+    if blocks < 2:
+        return av @ bv
+    out = np.empty((m, n), dtype=av.dtype)
+    bounds = [m * i // blocks for i in range(blocks + 1)]
+
+    def body(indices):
+        for i in indices:
+            np.matmul(av[bounds[i]:bounds[i + 1]], bv, out=out[bounds[i]:bounds[i + 1]])
+
+    _run_rows(blocks, body, work)
+    return out
 
 
 def softmax_inplace(x: np.ndarray) -> np.ndarray:
@@ -348,12 +383,14 @@ def sum_all(a):
 
 # A loop with less work than this runs inline: handing it to the pool
 # costs more than a second core returns.  For token attention the work is
-# the logits count, regions * heads * queries * gathered keys; the value
-# comes from a sweep of pooled against inline calls (CHANGES.md).
+# the logits count, regions * heads * queries * gathered keys, and for a
+# matmul its multiply-adds; the value comes from a sweep of pooled against
+# inline attention calls (CHANGES.md).
 _POOL_MIN_WORK = 1 << 23
 
 _pool_lock = threading.Lock()
-_pool = None  # (creating pid, workers, executor), made on first use
+_pool = None    # (creating pid, workers, executor), made on first use
+_holder = None  # (pid, thread id) of the pool's holder, set under _pool_lock
 
 
 def _allowed_cpus() -> int:
@@ -401,45 +438,71 @@ def _executor(workers: int):
     return _pool[2]
 
 
-def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
-    """Run body over rows 0..n_rows-1 in interleaved shares
-    range(i, n_rows, shares), one share per allowed CPU, at once: the
-    calling thread takes share 0 and pool threads the rest, with OpenBLAS
-    held to one thread meanwhile.  Shares must write disjoint outputs and
-    must not touch the run record.
+def _holding() -> bool:
+    return _holder == (os.getpid(), threading.get_ident())
 
-    body(range(n_rows)) runs inline instead when work is below
-    _POOL_MIN_WORK, one CPU is allowed, no OpenBLAS is loaded, or another
-    thread holds the pool.  Returns only once every share has stopped; the
-    first failed share's exception, in share order, is then re-raised.
-    """
-    workers = _allowed_cpus() if work >= _POOL_MIN_WORK else 1
-    shares = min(workers, n_rows)
-    blas = _openblas_threads() if shares > 1 else None
-    if blas is None or not _pool_lock.acquire(blocking=False):
-        body(range(n_rows))
+
+@contextlib.contextmanager
+def hold_pool(work: int):
+    """Hold the pool for the body when work reaches _POOL_MIN_WORK: take
+    its lock and hold OpenBLAS to one thread, restoring the count on the
+    way out, error or not.  Yields whether this thread holds the pool; a
+    holder entering again is still the holder and changes nothing.
+
+    Nothing is held, and no lock or BLAS call made, when work is below the
+    threshold, one CPU is allowed, no OpenBLAS is loaded, or another
+    thread holds the pool; loops in the body then run inline."""
+    global _holder
+    if _holding():
+        yield True
         return
-    from concurrent.futures import wait
+    blas = _openblas_threads() if work >= _POOL_MIN_WORK and _allowed_cpus() > 1 else None
+    if blas is None or not _pool_lock.acquire(blocking=False):
+        yield False
+        return
     get, put = blas
     try:
-        pool = _executor(workers)
         old = get()
         put(1)
+        _holder = (os.getpid(), threading.get_ident())
         try:
-            futures = []
-            try:
-                for i in range(1, shares):
-                    futures.append(pool.submit(body, range(i, n_rows, shares)))
-                body(range(0, n_rows, shares))
-            finally:
-                wait(futures)
-            errors = [e for e in (f.exception() for f in futures) if e is not None]
-            if errors:
-                raise errors[0]
+            yield True
         finally:
+            _holder = None
             put(old)
     finally:
         _pool_lock.release()
+
+
+def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
+    """Run body over rows 0..n_rows-1 in interleaved shares
+    range(i, n_rows, shares), one share per allowed CPU, at once: the
+    calling thread takes share 0 and pool threads the rest, under
+    hold_pool.  Shares must write disjoint outputs and must not touch the
+    run record.
+
+    body(range(n_rows)) runs inline instead when work is below
+    _POOL_MIN_WORK or this thread cannot hold the pool (see hold_pool).
+    Returns only once every share has stopped; the first failed share's
+    exception, in share order, is then re-raised.
+    """
+    shares = min(_allowed_cpus(), n_rows) if work >= _POOL_MIN_WORK else 1
+    with hold_pool(work if shares > 1 else 0) as held:
+        if not held or shares < 2:
+            body(range(n_rows))
+            return
+        from concurrent.futures import wait
+        pool = _executor(_allowed_cpus())
+        futures = []
+        try:
+            for i in range(1, shares):
+                futures.append(pool.submit(body, range(i, n_rows, shares)))
+            body(range(0, n_rows, shares))
+        finally:
+            wait(futures)
+        errors = [e for e in (f.exception() for f in futures) if e is not None]
+        if errors:
+            raise errors[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 relu-activated convolutions, the enhancement block's branch join, both
 resize directions, and routed token attention, whose backward recomputes
 the attention weights instead of keeping them.  Each records one tape
-node and gives the composed chain's forward bits and input-gradient bits.
+node and gives the composed chain's forward bits and input-gradient bits,
+and token attention does so at every stacking of its blocks.
 Their gradients against central finite differences are selfcheck's
 op-gradients-match-finite-differences."""
 
@@ -15,6 +16,7 @@ from cafbifpn import attention as A
 from cafbifpn import tensor as T
 from cafbifpn.cfe import join_branches
 from cafbifpn.convops import Conv2dParams, conv2d, deformable_conv2d_with_offsets
+from cafbifpn.errors import NumericError
 from cafbifpn.pipeline import resize
 
 
@@ -211,3 +213,48 @@ def test_attention_tape_keeps_no_weights():
             tracemalloc.stop()
 
     assert held(_stored_weights_attention) - held(A.token_attention) >= 0.9 * weight_bytes
+
+
+# -- stacked attention blocks against the per-block loop -------------------
+
+def _stack_case(regions_s, heads):
+    """q, k, v over a 16x16 map of width 8 cut into S x S regions, and a
+    routing of three regions per row that names region r + 1 twice."""
+    n_regions, tokens = regions_s ** 2, (16 // regions_s) ** 2
+    rng = T.Rng(100 + regions_s * heads)
+    operands = tuple(rng.tensor([n_regions, tokens, 8], -1.0, 1.0) for _ in range(3))
+    routing = A.RoutingResult(None, np.array([[(r + 1) % n_regions, r, (r + 1) % n_regions]
+                                              for r in range(n_regions)]))
+
+    def attend(fn):
+        def op(q, k, v):
+            views = (A.RegionTokens(t, 16, 16, regions_s) for t in (q, k, v))
+            return fn(*views, routing, heads).data
+        return op
+
+    return operands, attend, tokens * 3 * tokens * 8  # one block's logits bytes
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("regions_s", [1, 2, 4, 8, 16])
+def test_stacked_attention_matches_the_block_loop(monkeypatch, regions_s, heads):
+    """Forward and q, k, v gradients, bit for bit, at budgets of one block
+    per stack, two blocks (part of a region's heads when there are more),
+    three regions (a short last stack), and the default."""
+    operands, attend, block = _stack_case(regions_s, heads)
+    _, want, want_grads = _taped(attend(_stored_weights_attention), operands, cotangent_seed=18)
+    for budget in (0, 2 * block, 3 * heads * block, A._STACK_BYTES):
+        monkeypatch.setattr(A, "_STACK_BYTES", budget)
+        _, out, grads = _taped(attend(A.token_attention), operands, cotangent_seed=18)
+        assert np.array_equal(_bits(out), _bits(want)), budget
+        for got, expect in zip(grads, want_grads):
+            assert np.array_equal(_bits(got), _bits(expect)), budget
+
+
+def test_non_finite_logit_in_one_block_of_a_stack_raises():
+    operands, attend, block = _stack_case(4, 2)
+    assert 16 * 2 * block <= A._STACK_BYTES  # all 32 blocks in one stack
+    q = T._val(operands[0]).copy()
+    q[5, 3, 4] = np.inf  # region 5, query 3, head 1
+    with pytest.raises(NumericError, match="softmax input contains non-finite values"):
+        attend(A.token_attention)(T.tensor(q), *operands[1:])

@@ -5,7 +5,7 @@ is off by a relative 1e-4, in any coordinate of the offsets group."""
 import numpy as np
 import pytest
 
-from cafbifpn import gradcheck
+from cafbifpn import convops, gradcheck
 from cafbifpn import tensor as T
 from cafbifpn.errors import NumericError
 from cafbifpn.gradcheck import first_smooth, max_rel_err
@@ -83,3 +83,13 @@ def test_offsets_group_fails_a_fault_confined_to_tap_zero(monkeypatch):
     groups = gradcheck.run_gradcheck(RunConfig(), 7)["groups"]
     assert groups["offsets"]["pass"] is False
     assert [name for name, g in groups.items() if not g["pass"]] == ["offsets"]
+
+
+def test_relu_path_fails_a_relu_that_never_clamps(monkeypatch):
+    """A relu made the identity forward and backward keeps the relu case's
+    gradient consistent with its loss; only the crossing check sees it."""
+    monkeypatch.setattr(convops, "_activate", lambda out, activation: out)
+    monkeypatch.setattr(convops, "_deactivate", lambda g, out, activation: g)
+    groups = gradcheck.run_gradcheck(RunConfig(), 7)["groups"]
+    assert [name for name, g in groups.items() if not g["pass"]] == ["relu-path"]
+    assert groups["relu-path"]["reason"] == "the differenced stage does not cross the relu"

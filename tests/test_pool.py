@@ -1,12 +1,15 @@
-"""The worker pool behind large token-attention calls: pooled and inline
-runs give the same bits, a failing share stops the call only after every
-share has stopped, concurrent callers and forked children are safe, and
-the OpenBLAS thread count is always restored.
+"""The worker pool behind large token-attention calls and products:
+pooled and inline runs give the same bits, a failing share stops the call
+only after every share has stopped, concurrent callers and forked
+children are safe, and the OpenBLAS thread count is always restored.  A
+forward whose attention reaches the pool holds it, and sets the BLAS
+thread count once each way; a smaller forward never touches either.
 
 The pool threshold is lowered so desk-scale calls reach the pool.
 Assertions that the pool actually ran skip when only one CPU is allowed
 (for example under `taskset -c 0`) or no OpenBLAS is loaded; the rest
-then check the inline path."""
+then check the inline path.  The hold tests stand in a recording BLAS
+and two allowed CPUs, so they run the pooled path everywhere."""
 
 import multiprocessing
 import sys
@@ -18,10 +21,11 @@ import numpy as np
 import pytest
 
 from cafbifpn import attention as A
+from cafbifpn import pipeline as P
 from cafbifpn import tensor as T
 from cafbifpn.errors import NumericError
 from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward
-from cafbifpn.tensorio import RunConfig
+from cafbifpn.tensorio import RunConfig, load_backbone
 
 POOL_NAME = "cafbifpn-rows"
 
@@ -37,9 +41,11 @@ def _blas_count():
 
 @pytest.fixture()
 def pooled(monkeypatch):
-    """Every call reaches the pool; the names of the threads that ran a
-    softmax block are collected."""
+    """Every call reaches the pool, with one attention block per stack so
+    that a call has stacks to share out; the names of the threads that ran
+    a softmax block are collected."""
     monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(A, "_STACK_BYTES", 0)
     names = set()
     real = T.softmax_inplace
 
@@ -88,8 +94,9 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, pooled):
 def test_failing_share_raises_after_every_share_stopped(monkeypatch):
     """Region 0 (the caller's share) holds a NaN and fails at once; the
     other share is slowed down, and must have finished when the call
-    raises."""
+    raises.  Each region is a stack of its own."""
     monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(A, "_STACK_BYTES", 0)
     real = T.softmax_inplace
     finished = []
 
@@ -186,3 +193,118 @@ def test_forked_child_runs_pooled_calls(pooled):
     assert all(_same_bits(got[lvl], parent[lvl]) for lvl in parent)
     if _pool_available():
         assert child_pooled
+
+
+@pytest.fixture()
+def recorded(monkeypatch):
+    """Two allowed CPUs and a stand-in OpenBLAS whose thread count starts
+    at 3; every lookup, get and set, and every attempt on the pool's lock,
+    is appended to the returned list."""
+    calls = []
+    count = [3]
+
+    def get():
+        calls.append(("get",))
+        return count[0]
+
+    def put(n):
+        calls.append(("set", n))
+        count[0] = n
+
+    def lookup():
+        calls.append(("lookup",))
+        return get, put
+
+    class Lock:
+        def __init__(self, lock):
+            self.lock = lock
+
+        def acquire(self, blocking=True):
+            calls.append(("lock",))
+            return self.lock.acquire(blocking)
+
+        def release(self):
+            self.lock.release()
+
+        def locked(self):
+            return self.lock.locked()
+
+    monkeypatch.setattr(T, "_allowed_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_openblas_threads", lookup)
+    monkeypatch.setattr(T, "_pool_lock", Lock(T._pool_lock))
+    return calls
+
+
+def _sets(calls):
+    return [c[1] for c in calls if c[0] == "set"]
+
+
+def test_pooled_forward_sets_blas_threads_once_each_way(monkeypatch, pooled, recorded):
+    """The hold spans the whole forward, the stage-I projections included."""
+    runs, held = [], []
+    real = T._run_rows
+    monkeypatch.setattr(T, "_run_rows", lambda n_rows, body, work: (runs.append(n_rows),
+                                                                       real(n_rows, body, work)))
+    real_conv = P.conv2d
+    monkeypatch.setattr(P, "conv2d", lambda *args: (held.append(T._holding()), real_conv(*args))[1])
+    backbone, params = _pyramid()
+    c_afbifpn_forward(backbone, params)
+    assert any(n.startswith(POOL_NAME) for n in pooled)
+    assert len(runs) >= 10  # two attention calls and every projection
+    assert held == [True] * 4
+    assert _sets(recorded) == [1, 3]
+    assert [c for c in recorded if c[0] == "lock"] == [("lock",)]
+
+
+def test_forward_below_threshold_touches_neither_blas_nor_lock(fixture_dir, recorded):
+    """The fixture forward, untaped and taped with its backward."""
+    maps = load_backbone(fixture_dir)
+    params = build_pipeline_params(RunConfig(), {lvl: t.dims[0] for lvl, t in maps.items()})
+    c_afbifpn_forward(maps, params)
+    tape = T.Tape()
+    out = c_afbifpn_forward({lvl: tape.leaf(t) for lvl, t in maps.items()}, params)
+    tape.backward(T.sum_all(out[2]), T.tensor([1.0]))
+    assert recorded == []
+
+
+def test_error_mid_forward_restores_blas_and_releases_the_pool(monkeypatch, pooled, recorded):
+    backbone, params = _pyramid()
+    real = T.softmax_inplace
+    failed = []
+
+    def fail_once(x):
+        if not failed:
+            failed.append(True)
+            raise NumericError("softmax input contains non-finite values")
+        return real(x)
+
+    monkeypatch.setattr(T, "softmax_inplace", fail_once)
+    with pytest.raises(NumericError):
+        c_afbifpn_forward(backbone, params)
+    assert _sets(recorded) == [1, 3]
+    assert not T._pool_lock.locked() and not T._holding()
+    pooled.clear()
+    c_afbifpn_forward(backbone, params)
+    assert _sets(recorded) == [1, 3, 1, 3]
+    assert any(n.startswith(POOL_NAME) for n in pooled)
+
+
+@pytest.mark.parametrize("m,k,n,blocks", [(2049, 48, 48, 2), (4097, 7, 5, 2), (16384, 48, 48, 2),
+                                          (5, 3, 4, 2), (3, 48, 48, None), (4097, 48, 1, None)])
+def test_row_blocked_matmul_equals_the_whole_product(monkeypatch, recorded, m, k, n, blocks):
+    """Under the hold a product splits into one block of at least two rows
+    per CPU; a product that would need one-row blocks, or has one column,
+    stays whole (both would take gemv, whose bits differ)."""
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    rows = []
+    real = T._run_rows
+    monkeypatch.setattr(T, "_run_rows", lambda n_rows, body, work: (rows.append(n_rows),
+                                                                       real(n_rows, body, work)))
+    rng = T.Rng(m)
+    a, b = rng.tensor([m, k], -1.0, 1.0), rng.tensor([k, n], -1.0, 1.0)
+    whole = T.matmul(a, b).array
+    assert rows == []  # no hold, no split
+    with T.hold_pool(0):
+        blocked = T.matmul(a, b).array
+    assert rows == ([] if blocks is None else [blocks])
+    assert _same_bits(blocked, a.array @ b.array) and _same_bits(whole, blocked)
