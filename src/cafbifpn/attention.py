@@ -142,9 +142,9 @@ def ba_work(height: int, width: int, p: BraParams) -> int:
 # (region, head) blocks are stacked, up to this many bytes of logits per
 # stack, so that one stacked matmul replaces many small ones: a region's
 # heads together, or several regions' when they fit.  A block larger than
-# this is a stack of its own.  From a sweep of 0 to 2 MB on token_attention
-# at 48x64x64, 4 heads, k 4: the fastest at S 8 and within 5% of the
-# fastest at S 16 (ROADMAP item 6).
+# half of this is a stack of its own.  From a sweep of 0 to 2 MB on
+# token_attention at 48x64x64, 4 heads, k 4: the fastest at S 8 and within
+# 5% of the fastest at S 16 (ROADMAP item 6).
 _STACK_BYTES = 1 << 19
 
 
