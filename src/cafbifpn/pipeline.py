@@ -117,8 +117,8 @@ def fuse(inputs, raw_weights, epsilon: float):
         raise ShapeError("fuse needs at least one input")
     if len(raw_weights) != len(inputs):
         raise ShapeError(f"{len(raw_weights)} weights for {len(inputs)} inputs")
-    if epsilon < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     xs = [T._val(x) for x in inputs]
     for x in xs[1:]:
         if x.shape != xs[0].shape:
@@ -182,8 +182,8 @@ def fuse(inputs, raw_weights, epsilon: float):
 
 
 def _validate_params(p: PipelineParams) -> None:
-    if p.fusion.epsilon < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {p.fusion.epsilon}")
+    if not 0 <= p.fusion.epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and >= 0, got {p.fusion.epsilon}")
     for name, arity in _WEIGHT_ARITY.items():
         got = len(getattr(p.fusion, name))
         if got != arity:

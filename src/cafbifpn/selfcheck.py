@@ -8,6 +8,9 @@ the implementation with itself.
 
 from __future__ import annotations
 
+import itertools
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -245,16 +248,32 @@ def check_rng_uniform_bounds():
 # -- convolution ---------------------------------------------------------
 
 def check_conv_vs_loop_oracle():
-    rng = T.Rng(21)
+    """Seven kernel, dilation and stride cases at one shape, then 100
+    draws over nine kernel shapes, dilation 1 or 2, stride 1 or 2, widths
+    1..4 and extents 5..16."""
+    def params(rng, cout, cin, kh, kw, stride, pad, dil):
+        return Conv2dParams(weights=rng.tensor([cout, cin, kh, kw], -1.0, 1.0),
+                            bias=rng.tensor([cout], -0.5, 0.5), stride=stride, padding=pad,
+                            dilation=dil)
+
+    cases, rng = [], T.Rng(21)
     for kh, kw, dil, pad, stride in ((1, 1, 1, 0, 1), (3, 3, 1, 1, 1), (1, 5, 1, (0, 2), 1),
                                      (5, 1, 1, (2, 0), 1), (3, 1, 1, (1, 0), 1),
                                      (3, 3, 2, (2, 2), 1), (3, 3, 1, 1, 2)):
         x = rng.tensor([3, 7, 9], -1.0, 1.0)
-        p = Conv2dParams(weights=rng.tensor([4, 3, kh, kw], -1.0, 1.0),
-                         bias=rng.tensor([4], -0.5, 0.5), stride=stride, padding=pad,
-                         dilation=dil)
+        cases.append((x, params(rng, 4, 3, kh, kw, stride, pad, dil)))
+    kernels = [(1, 1), (3, 3), (5, 5), (1, 3), (3, 1), (5, 3), (3, 5), (1, 5), (5, 1)]
+    for i in range(100):
+        kh, kw = kernels[i % len(kernels)]
+        dil, cin = 2 if i % 3 == 0 else 1, 1 + i % 4
+        draw = T.Rng(33000 + i)
+        p = params(draw, 1 + (i // 2) % 4, cin, kh, kw, 2 if i % 4 == 0 else 1,
+                   (dil * (kh - 1) // 2, dil * (kw - 1) // 2), dil)
+        cases.append((draw.tensor([cin, 5 + i % 12, 5 + (i * 7) % 12], -1.0, 1.0), p))
+    for x, p in cases:
+        kh, kw = _arr(p.weights).shape[2:]
         _close(conv2d(x, p), conv2d_reference(x, p), TOL_TIGHT,
-               f"kernel {kh}x{kw} dilation {dil} stride {stride}")
+               f"kernel {kh}x{kw} dilation {p.dilation} stride {p.stride} input {list(x.dims)}")
 
 
 def check_conv_receptive_field():
@@ -273,25 +292,46 @@ def check_conv_receptive_field():
 
 
 def check_deformable_zero_offsets():
+    """One case of width 3 at 7x7, then 20 draws over widths 1..3 and
+    extents 4..8."""
+    def base(rng, cout, cin):
+        return Conv2dParams(weights=rng.tensor([cout, cin, 3, 3], -1.0, 1.0),
+                            bias=rng.tensor([cout], -0.5, 0.5), padding=1)
+
     rng = T.Rng(23)
     x = rng.tensor([3, 7, 7], -1.0, 1.0)
-    base = Conv2dParams(weights=rng.tensor([2, 3, 3, 3], -1.0, 1.0),
-                        bias=rng.tensor([2], -0.5, 0.5), padding=1)
-    pred = Conv2dParams(weights=T.zeros([18, 3, 3, 3]), bias=T.zeros([18]), padding=1)
-    _close(deformable_conv2d(x, DeformableParams(base, pred)), conv2d(x, base),
-           TOL_TIGHT, "zero-offset collapse")
+    cases = [(x, base(rng, 2, 3))]
+    for i in range(20):
+        rng, cin, hw = T.Rng(32000 + i), 1 + i % 3, 4 + i % 5
+        b = base(rng, 1 + (i // 3) % 3, cin)
+        cases.append((rng.tensor([cin, hw, hw], -1.0, 1.0), b))
+    for x, b in cases:
+        cin = x.dims[0]
+        pred = Conv2dParams(weights=T.zeros([18, cin, 3, 3]), bias=T.zeros([18]), padding=1)
+        _close(deformable_conv2d(x, DeformableParams(b, pred)), conv2d(x, b),
+               TOL_TIGHT, f"zero-offset collapse, input {list(x.dims)}")
 
 
 # -- routed attention ----------------------------------------------------
 
 def check_sparse_equals_dense():
-    rng = T.Rng(31)
+    """Four grid and head cases at width 6 on 8x8, then 20 draws over grids
+    1, 2, 4, heads 1, 2, widths 2..5 per head and 2..4 tokens per region
+    side."""
+    cases, rng = [], T.Rng(31)
     for s, heads in ((2, 1), (2, 2), (1, 1), (4, 1)):
-        c = 6
-        x = rng.tensor([c, 8, 8], -1.0, 1.0)
-        p = make_bra_params(T.Rng(310 + s + heads), c, s, s * s, heads=heads, zero_lce=True)
+        x = rng.tensor([6, 8, 8], -1.0, 1.0)
+        cases.append((x, make_bra_params(T.Rng(310 + s + heads), 6, s, s * s, heads=heads,
+                                         zero_lce=True)))
+    for i in range(20):
+        s, heads = (1, 2, 4)[i % 3], (1, 2)[i % 2]
+        c, hw = heads * (2 + i % 4), s * (2 + i % 3)
+        draw = T.Rng(31000 + i)
+        p = make_bra_params(draw, c, s, s * s, heads, 3, zero_lce=True)
+        cases.append((draw.tensor([c, hw, hw], -1.0, 1.0), p))
+    for x, p in cases:
         _close(ba_forward(x, p), dense_attention_reference(x, p), TOL_ORACLE,
-               f"grid {s} heads {heads}")
+               f"grid {p.regions_s} heads {p.heads} input {list(x.dims)}")
 
 
 def check_attention_rows_stochastic():
@@ -458,39 +498,77 @@ def _tiny_cfg(**overrides):
 
 
 def check_fuse_bounded():
+    """Five draws of three inputs and weights in [0.1, 2], then three sets of
+    inputs under every weight triple from {0, 0.25, 1, 2}."""
     rng = T.Rng(51)
+    cases = []
     for _ in range(5):
         inputs = [rng.tensor([2, 3], -2.0, 2.0) for _ in range(3)]
-        weights = [rng.uniform(0.1, 2.0) for _ in range(3)]
+        cases.append((inputs, [rng.uniform(0.1, 2.0) for _ in range(3)]))
+    for seed in (90, 91, 92):
+        inputs = [T.Rng(seed * 7 + j).tensor([2, 2], -2.0, 2.0) for j in range(3)]
+        cases += [(inputs, list(ws)) for ws in itertools.product((0.0, 0.25, 1.0, 2.0), repeat=3)]
+    for inputs, weights in cases:
         out = _arr(fuse(inputs, weights, 1e-4))
         bound = max(float(np.abs(_arr(x)).max()) for x in inputs)
         if not float(np.abs(out).max()) <= bound + 1e-15:
-            raise AssertionError(f"|out| {float(np.abs(out).max()):.6f} exceeds {bound:.6f}")
+            raise AssertionError(f"weights {weights}: |out| {float(np.abs(out).max()):.6f} "
+                                 f"exceeds {bound:.6f}")
+
+
+def check_fuse_clamps_negative_weights():
+    """A negative weight counts as zero: bit for bit the output of the
+    clamped weights, on one hand-picked triple and, for two sets of inputs,
+    every triple from {-1, -0.25, 0.5, 1.5} that keeps a positive weight."""
+    rng = T.Rng(82)
+    cases = [([rng.tensor([2, 2], -1.0, 1.0) for _ in range(3)], (0.8, -0.5, 0.3))]
+    for seed in (93, 94):
+        inputs = [T.Rng(seed * 7 + j).tensor([2, 2], -1.0, 1.0) for j in range(3)]
+        cases += [(inputs, ws) for ws in itertools.product((-1.0, -0.25, 0.5, 1.5), repeat=3)
+                  if max(ws) > 0.0]
+    for inputs, ws in cases:
+        clamped = [max(w, 0.0) for w in ws]
+        got, want = fuse(inputs, list(ws), 1e-4), fuse(inputs, clamped, 1e-4)
+        if not np.array_equal(_arr(got), _arr(want)):
+            raise AssertionError(f"weights {list(ws)} differ from their clamp {clamped}")
 
 
 def check_fuse_epsilon_limit():
+    """As epsilon falls through 1e-1, 1e-2, 1e-4 to 0 the output approaches
+    the weighted mean strictly, within 1e-4 at 1e-4 and to 1e-12 at 0."""
     rng = T.Rng(52)
-    inputs = [rng.tensor([3, 3], -1.0, 1.0) for _ in range(2)]
-    weights = [1.3, 0.7]
-    mean = (1.3 * _arr(inputs[0]) + 0.7 * _arr(inputs[1])) / 2.0
-    errs = [float(np.abs(_arr(fuse(inputs, weights, eps)) - mean).max())
-            for eps in (1e-1, 1e-2, 1e-4)]
-    if not (errs[0] > errs[1] > errs[2]):
-        raise AssertionError(f"approach not monotone: {errs}")
-    if errs[2] > 1e-4:
-        raise AssertionError(f"residual gap {errs[2]:.3e} at the smallest epsilon")
+    cases = [([rng.tensor([3, 3], -1.0, 1.0) for _ in range(2)], (1.3, 0.7)),
+             ([T.Rng(95).tensor([3, 3], -1.0, 1.0) for _ in range(2)], (1.2, 0.6))]
+    for inputs, weights in cases:
+        mean = sum(w * _arr(x) for w, x in zip(weights, inputs)) / sum(weights)
+        errs = [float(np.abs(_arr(fuse(inputs, list(weights), eps)) - mean).max())
+                for eps in (1e-1, 1e-2, 1e-4, 0.0)]
+        if not (errs[0] > errs[1] > errs[2] > errs[3]):
+            raise AssertionError(f"weights {weights}: approach not monotone: {errs}")
+        if errs[2] > 1e-4 or errs[3] > TOL_TIGHT:
+            raise AssertionError(f"weights {weights}: residual gaps {errs[2]:.3e} at 1e-4, "
+                                 f"{errs[3]:.3e} at 0")
 
 
 def check_two_attention_invocations():
-    channels, backbone = _tiny_backbone(53)
-    params = build_pipeline_params(_tiny_cfg(), channels)
-    with count_macs() as mc:
-        out = c_afbifpn_forward(backbone, params)
-    if mc.ba_invocations != 2:
-        raise AssertionError(f"{mc.ba_invocations} attention invocations, want 2")
-    for lvl in (2, 3, 4, 5):
-        if _arr(out[lvl]).shape != (6, 16 >> (lvl - 2), 16 >> (lvl - 2)):
-            raise AssertionError(f"level {lvl} dims {_arr(out[lvl]).shape}")
+    """A tiny pyramid and the seed-0 fixture at the default config: two
+    attention passes per forward, and output dims at the fusion width that
+    halve per level from the level-2 input's."""
+    _, tiny = _tiny_backbone(53)
+    with tempfile.TemporaryDirectory() as d:
+        IO.gen_fixture(0, d)
+        fixture = IO.load_backbone(d)
+    for backbone, cfg in ((tiny, _tiny_cfg()), (fixture, IO.RunConfig())):
+        channels = {lvl: t.dims[0] for lvl, t in backbone.items()}
+        with count_macs() as mc:
+            out = c_afbifpn_forward(backbone, build_pipeline_params(cfg, channels))
+        if mc.ba_invocations != 2:
+            raise AssertionError(f"{mc.ba_invocations} attention invocations, want 2")
+        h2 = backbone[2].dims[1]
+        for lvl in (2, 3, 4, 5):
+            want = (cfg.fusion_width, h2 >> (lvl - 2), h2 >> (lvl - 2))
+            if _arr(out[lvl]).shape != want:
+                raise AssertionError(f"level {lvl} dims {_arr(out[lvl]).shape}, want {want}")
 
 
 def check_ablation_grid():
@@ -585,36 +663,46 @@ def check_reference_vs_loop_oracle():
 
 
 def check_tensor_roundtrip():
-    import os
-    import tempfile
-    rng = T.Rng(71)
+    """Ten float64 files of rank 1..3 and extents 1..4, then 1,000 of rank
+    1..4 and extents 1..5, every other one float32: dims, dtype and values
+    come back exactly, and rewriting what was read gives the same bytes."""
     with tempfile.TemporaryDirectory() as d:
-        for i in range(10):
-            dims = [int(rng.randint(4)) + 1 for _ in range(int(rng.randint(3)) + 1)]
-            t = rng.tensor(dims, -10.0, 10.0)
-            path = os.path.join(d, f"t{i}.tnsr")
-            IO.tensor_write(path, t)
-            first = open(path, "rb").read()
-            back = IO.tensor_read(path)
-            if back.dims != t.dims or not np.array_equal(_arr(back), _arr(t)):
-                raise AssertionError(f"round-trip {i} not identical")
-            IO.tensor_write(path, back)
-            if open(path, "rb").read() != first:
-                raise AssertionError(f"round-trip {i} not byte-stable")
+        path = os.path.join(d, "t.tnsr")
+        for seed, count, rank, extent, bound, mixed in ((71, 10, 3, 4, 10.0, False),
+                                                        (100, 1000, 4, 5, 4.0, True)):
+            rng = T.Rng(seed)
+            for i in range(count):
+                dims = [int(rng.randint(extent)) + 1 for _ in range(int(rng.randint(rank)) + 1)]
+                t = rng.tensor(dims, -bound, bound)
+                if mixed and i % 2:
+                    t = t.astype("float32")
+                IO.tensor_write(path, t)
+                first = open(path, "rb").read()
+                back = IO.tensor_read(path)
+                if not (back.dims == t.dims and back.dtype == t.dtype
+                        and np.array_equal(back.array, t.array)):
+                    raise AssertionError(f"seed {seed} round-trip {i} not identical")
+                IO.tensor_write(path, back)
+                if open(path, "rb").read() != first:
+                    raise AssertionError(f"seed {seed} round-trip {i} not byte-stable")
 
 
 def check_malformed_rejected():
-    import os
-    import tempfile
+    """Eight malformed files cut from two good ones: bad magic, an unknown
+    dtype code, and a header, extents or payload cut short."""
     with tempfile.TemporaryDirectory() as d:
-        good_path = os.path.join(d, "good.tnsr")
-        IO.tensor_write(good_path, T.tensor([1.0, 2.0]))
-        good = open(good_path, "rb").read()
-        bad = {"bad-magic": b"NOPE" + good[4:],
-               "bad-dtype": good[:5] + b"\x09" + good[6:],
-               "truncated": good[:-4]}
+        path = os.path.join(d, "t.tnsr")
+        bad = {}
+        for name, t, cut in (("pair", T.tensor([1.0, 2.0]), 4),
+                             ("2x3", T.Rng(101).tensor([2, 3], -1.0, 1.0), 10)):
+            IO.tensor_write(path, t)
+            good = open(path, "rb").read()
+            bad.update({f"{name} bad-magic": b"NOPE" + good[4:],
+                        f"{name} bad-dtype": good[:5] + b"\x09" + good[6:],
+                        f"{name} payload-truncated": good[:-cut]})
+        # cut from the rank-2 file, the last one written
+        bad.update({"2x3 header-truncated": good[:6], "2x3 extents-truncated": good[:14]})
         for tag, raw in bad.items():
-            path = os.path.join(d, tag)
             with open(path, "wb") as fh:
                 fh.write(raw)
             try:
@@ -625,8 +713,6 @@ def check_malformed_rejected():
 
 
 def check_fixture_determinism():
-    import os
-    import tempfile
     with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
         IO.gen_fixture(3, d1)
         IO.gen_fixture(3, d2)
@@ -661,6 +747,7 @@ CHECKS = [
     ("enhancement-channel-accounting", check_enh_channel_accounting),
     ("enhancement-receptive-radii", check_enh_receptive_radii),
     ("fusion-output-bounded-by-inputs", check_fuse_bounded),
+    ("fusion-clamps-negative-weights", check_fuse_clamps_negative_weights),
     ("fusion-epsilon-limit", check_fuse_epsilon_limit),
     ("attention-invoked-twice-per-forward", check_two_attention_invocations),
     ("ablation-grid-constructible", check_ablation_grid),

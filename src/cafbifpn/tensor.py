@@ -8,9 +8,10 @@ single-writer: recording and backward must be serialized per tape.
 Large row loops run on a small pool of worker threads (`_run_rows`), one
 per CPU this process may use: routed token attention's stacks of blocks,
 and large products (`matmul`, `conv2d`'s), split into blocks of the left
-operand's rows while BLAS is held to one thread.  The pool is private: a caller never sees its threads, a call returns only
-after every worker has stopped, and the run record (instrumentation.py)
-is only touched on the calling thread.
+operand's rows while BLAS is held to one thread.  The pool is private: a
+caller never sees its threads, a call returns only after every worker has
+stopped, and the run record (instrumentation.py) is only touched on the
+calling thread.
 
 Whoever uses the pool holds it (`hold_pool`): it takes the pool's lock and
 holds OpenBLAS to one thread until it lets go, then restores the count.

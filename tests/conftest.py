@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,21 @@ def max_abs_diff(a, b) -> float:
     da, db = arr(a), arr(b)
     assert da.shape == db.shape, f"shape mismatch {da.shape} vs {db.shape}"
     return float(np.max(np.abs(da - db))) if da.size else 0.0
+
+
+def tiny_cfg(**overrides) -> IO.RunConfig:
+    """The desk-scale config: fusion width 6, seed 80, local-context kernel
+    3, with overrides on top."""
+    return replace(IO.RunConfig(), **{"fusion_width": 6, "seed": 80, "lce_kernel": 3, **overrides})
+
+
+def tiny_pyramid(seed: int):
+    """(channels, maps): backbone widths 3, 3, 4, 4 drawn from seed, level 2
+    at 16 pixels, extents halving per level."""
+    channels = {2: 3, 3: 3, 4: 4, 5: 4}
+    rng = T.Rng(seed)
+    return channels, {lvl: rng.tensor([c, 16 >> (lvl - 2), 16 >> (lvl - 2)], -1.0, 1.0)
+                      for lvl, c in channels.items()}
 
 
 def topk_ties_descending(row, k: int) -> np.ndarray:

@@ -1,30 +1,27 @@
 """The release gate: ten numbered criteria, each printing one PASS or FAIL
 line to the terminal (capture is suspended for the line) with its wall time.
 Every criterion re-derives its expectation from an independent route; none
-reuses the implementation under test as its own oracle."""
+reuses the implementation under test as its own oracle.  Criteria 1, 2, 3,
+9 and 10, and the wiring half of criterion 7, run named selfcheck items:
+each property is implemented once, in cafbifpn.selfcheck, and `cafbifpn
+selfcheck` carries them without pytest."""
 
 import contextlib
-import itertools
 import time
-from dataclasses import replace
-
-import numpy as np
-import pytest
-
 from cafbifpn import tensor as T
 from cafbifpn.attention import ba_forward, make_bra_params
-from cafbifpn.convops import Conv2dParams, DeformableParams, conv2d, deformable_conv2d
-from cafbifpn.errors import FormatError
+from cafbifpn.convops import conv2d
 from cafbifpn.gradcheck import run_gradcheck
 from cafbifpn.instrumentation import count_macs
-from cafbifpn.oracles import (attention_flops, conv2d_reference,
-                              dense_attention_reference)
-from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward, fuse
+from cafbifpn.oracles import attention_flops
+from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward
 from cafbifpn.reference import ref_afbifpn, ref_c_afbifpn
-from cafbifpn.tensorio import (RunConfig, config_validate, load_backbone,
-                               tensor_read, tensor_write)
+from cafbifpn.selfcheck import CHECKS
+from cafbifpn.tensorio import RunConfig, config_validate, load_backbone, tensor_write
 
-from conftest import arr, max_abs_diff
+from conftest import max_abs_diff, tiny_cfg, tiny_pyramid
+
+CHECK = dict(CHECKS)
 
 
 @contextlib.contextmanager
@@ -44,67 +41,32 @@ def _criterion(capfd, n: int, label: str, budget=None):
         print(f"\nPASS criterion {n}: {label}{info.get('detail', '')} [{elapsed:.2f}s]")
 
 
+def _params(maps, cfg):
+    return build_pipeline_params(cfg, {lvl: t.dims[0] for lvl, t in maps.items()})
+
+
+def _pyramids(fixture_dir, seed: int):
+    """(maps, config): the seed-0 fixture at the default config, then a
+    16-pixel pyramid drawn from seed at the desk-scale config."""
+    return [(load_backbone(fixture_dir), RunConfig()), (tiny_pyramid(seed)[1], tiny_cfg())]
+
+
 def test_criterion_01_routed_attention_equals_dense(capfd):
     with _criterion(capfd, 1, "full routing with zero local context matches "
-                    "the dense attention oracle", budget=10.0) as info:
-        worst = 0.0
-        for i in range(20):
-            s = (1, 2, 4)[i % 3]
-            heads = (1, 2)[i % 2]
-            c = heads * (2 + i % 4)
-            hw = s * (2 + i % 3)
-            rng = T.Rng(31000 + i)
-            p = make_bra_params(rng, c, s, s * s, heads, 3, zero_lce=True)
-            x = rng.tensor([c, hw, hw], -1.0, 1.0)
-            worst = max(worst, max_abs_diff(ba_forward(x, p),
-                                            dense_attention_reference(x, p)))
-        assert worst <= 1e-10
-        info["detail"] = f" (20 cases, max abs diff {worst:.2e})"
+                    "the dense attention oracle", budget=10.0):
+        CHECK["sparse-equals-dense-at-full-routing"]()
 
 
 def test_criterion_02_zero_offsets_reduce_to_plain_convolution(capfd):
     with _criterion(capfd, 2, "a zeroed offset predictor makes the deformable "
-                    "convolution plain", budget=5.0) as info:
-        worst = 0.0
-        for i in range(20):
-            rng = T.Rng(32000 + i)
-            cin = 1 + i % 3
-            cout = 1 + (i // 3) % 3
-            hw = 4 + i % 5
-            base = Conv2dParams(weights=rng.tensor([cout, cin, 3, 3], -1.0, 1.0),
-                                bias=rng.tensor([cout], -0.5, 0.5), padding=1)
-            dead = Conv2dParams(weights=T.zeros([18, cin, 3, 3]),
-                                bias=T.zeros([18]), padding=1)
-            x = rng.tensor([cin, hw, hw], -1.0, 1.0)
-            worst = max(worst, max_abs_diff(deformable_conv2d(x, DeformableParams(base, dead)),
-                                            conv2d(x, base)))
-        assert worst <= 1e-12
-        info["detail"] = f" (20 cases, max abs diff {worst:.2e})"
+                    "convolution plain", budget=5.0):
+        CHECK["deformable-zero-offset-degeneracy"]()
 
 
 def test_criterion_03_convolution_matches_loop_oracle(capfd):
     with _criterion(capfd, 3, "convolution agrees with the six-loop oracle "
-                    "across 100 shape draws", budget=30.0) as info:
-        kernels = [(1, 1), (3, 3), (5, 5), (1, 3), (3, 1), (5, 3), (3, 5), (1, 5), (5, 1)]
-        worst = 0.0
-        for i in range(100):
-            kh, kw = kernels[i % len(kernels)]
-            dil = 2 if i % 3 == 0 else 1
-            stride = 2 if i % 4 == 0 else 1
-            cin = 1 + i % 4
-            cout = 1 + (i // 2) % 4
-            h = 5 + i % 12
-            w = 5 + (i * 7) % 12
-            rng = T.Rng(33000 + i)
-            p = Conv2dParams(weights=rng.tensor([cout, cin, kh, kw], -1.0, 1.0),
-                             bias=rng.tensor([cout], -0.5, 0.5),
-                             stride=stride,
-                             padding=(dil * (kh - 1) // 2, dil * (kw - 1) // 2),
-                             dilation=dil)
-            x = rng.tensor([cin, h, w], -1.0, 1.0)
-            worst = max(worst, max_abs_diff(conv2d(x, p), conv2d_reference(x, p)))
-        assert worst <= 1e-12
-        info["detail"] = f" (100 draws, max abs diff {worst:.2e})"
+                    "across 100 shape draws", budget=30.0):
+        CHECK["conv-matches-loop-oracle"]()
 
 
 def test_criterion_04_gradients_match_finite_differences(capfd):
@@ -121,55 +83,44 @@ def test_criterion_04_gradients_match_finite_differences(capfd):
 def test_criterion_05_disabled_stages_reduce_to_plain_pyramid(capfd):
     with _criterion(capfd, 5, "with enhancement and attention off the pyramid "
                     "equals the plain weighted-fusion reference", budget=5.0) as info:
-        cfg = config_validate(replace(RunConfig(), fusion_width=6, seed=50,
-                                      cfe_enabled=False,
-                                      attention_fusion_enabled=False))
-        channels = {2: 3, 3: 3, 4: 4, 5: 4}
-        rng = T.Rng(500)
-        backbone = {lvl: rng.tensor([channels[lvl], 16 >> (lvl - 2), 16 >> (lvl - 2)], -1.0, 1.0)
-                    for lvl in (2, 3, 4, 5)}
-        params = build_pipeline_params(cfg, channels)
-        out = c_afbifpn_forward(backbone, params)
-        stage_i = {lvl: conv2d(backbone[lvl], params.projection[lvl])
-                   for lvl in (2, 3, 4, 5)}
-        ref = ref_afbifpn(stage_i, params)
-        worst = max(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5))
+        off = dict(cfe_enabled=False, attention_fusion_enabled=False)
+        worst = 0.0
+        for seed, cfg in ((500, tiny_cfg(seed=50, lce_kernel=5, **off)), (88, tiny_cfg(**off))):
+            maps = tiny_pyramid(seed)[1]
+            params = _params(maps, config_validate(cfg))
+            out = c_afbifpn_forward(maps, params)
+            ref = ref_afbifpn({lvl: conv2d(maps[lvl], params.projection[lvl])
+                               for lvl in (2, 3, 4, 5)}, params)
+            worst = max(worst, *(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5)))
         assert worst <= 1e-12
-        info["detail"] = f" (max abs diff {worst:.2e})"
+        info["detail"] = f" (2 pyramids, max abs diff {worst:.2e})"
 
 
 def test_criterion_06_full_forward_matches_composed_references(capfd, fixture_dir):
     with _criterion(capfd, 6, "the full pyramid on the standard input maps "
                     "equals the stage-by-stage reference composition", budget=30.0) as info:
-        maps = load_backbone(fixture_dir)
-        channels = {lvl: t.dims[0] for lvl, t in maps.items()}
-        params = build_pipeline_params(RunConfig(), channels)
-        out = c_afbifpn_forward(maps, params)
-        ref = ref_c_afbifpn(maps, params)
-        worst = max(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5))
+        worst = 0.0
+        for maps, cfg in _pyramids(fixture_dir, 89):
+            params = _params(maps, cfg)
+            out, ref = c_afbifpn_forward(maps, params), ref_c_afbifpn(maps, params)
+            worst = max(worst, *(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5)))
         assert worst <= 1e-10
-        info["detail"] = f" (max abs diff {worst:.2e})"
+        info["detail"] = f" (fixture and a 16-pixel pyramid, max abs diff {worst:.2e})"
 
 
 def test_criterion_07_wiring_contracts(capfd, fixture_dir, tmp_path):
     with _criterion(capfd, 7, "two attention passes per forward, halving output "
-                    "dims, byte-identical reruns") as info:
-        maps = load_backbone(fixture_dir)
-        channels = {lvl: t.dims[0] for lvl, t in maps.items()}
-        params = build_pipeline_params(RunConfig(), channels)
-        for run in ("a", "b"):
-            out_dir = tmp_path / run
-            out_dir.mkdir()
-            with count_macs() as mc:
+                    "dims, byte-identical reruns"):
+        CHECK["attention-invoked-twice-per-forward"]()
+        for maps, cfg in _pyramids(fixture_dir, 85):
+            params = _params(maps, cfg)
+            runs = []
+            for _ in range(2):
                 out = c_afbifpn_forward(maps, params)
-            assert mc.ba_invocations == 2
-            for lvl in (2, 3, 4, 5):
-                assert arr(out[lvl]).shape == (48, 64 >> (lvl - 2), 64 >> (lvl - 2))
-                tensor_write(out_dir / f"p{lvl}.tnsr", out[lvl])
-        for lvl in (2, 3, 4, 5):
-            assert ((tmp_path / "a" / f"p{lvl}.tnsr").read_bytes()
-                    == (tmp_path / "b" / f"p{lvl}.tnsr").read_bytes())
-        info["detail"] = " (2 invocations, dims halve per level)"
+                for lvl in (2, 3, 4, 5):
+                    tensor_write(tmp_path / f"p{lvl}.tnsr", out[lvl])
+                runs.append([(tmp_path / f"p{lvl}.tnsr").read_bytes() for lvl in (2, 3, 4, 5)])
+            assert runs[0] == runs[1]
 
 
 def test_criterion_08_routed_cost_ratio_exact(capfd):
@@ -206,64 +157,14 @@ def test_criterion_08_routed_cost_ratio_exact(capfd):
 
 def test_criterion_09_fusion_properties(capfd):
     with _criterion(capfd, 9, "fusion output is bounded by its inputs, clamps "
-                    "negative weights, converges as epsilon shrinks", budget=5.0) as info:
-        grid = (0.0, 0.25, 1.0, 2.0)
-        cases = 0
-        for seed in (90, 91, 92):
-            inputs = [T.Rng(seed * 7 + j).tensor([2, 2], -2.0, 2.0) for j in range(3)]
-            cap = max(np.abs(arr(x)).max() for x in inputs)
-            for ws in itertools.product(grid, grid, grid):
-                out = arr(fuse(inputs, list(ws), 1e-4))
-                assert np.abs(out).max() <= cap + 1e-15
-                cases += 1
-        for seed in (93, 94):
-            inputs = [T.Rng(seed * 7 + j).tensor([2, 2], -1.0, 1.0) for j in range(3)]
-            for ws in itertools.product((-1.0, -0.25, 0.5, 1.5), repeat=3):
-                clamped = [max(wv, 0.0) for wv in ws]
-                if sum(clamped) == 0.0:
-                    continue
-                assert np.array_equal(arr(fuse(inputs, list(ws), 1e-4)),
-                                      arr(fuse(inputs, clamped, 1e-4)))
-                cases += 1
-        inputs = [T.Rng(95).tensor([3, 3], -1.0, 1.0) for _ in range(2)]
-        weights = [1.2, 0.6]
-        target = arr(fuse(inputs, weights, 0.0))
-        errs = [float(np.abs(arr(fuse(inputs, weights, eps)) - target).max())
-                for eps in (1e-1, 1e-2, 1e-4)]
-        assert errs[0] > errs[1] > errs[2]
-        info["detail"] = f" ({cases} weight grids, eps errors {errs[0]:.1e} > {errs[1]:.1e} > {errs[2]:.1e})"
+                    "negative weights, converges as epsilon shrinks", budget=5.0):
+        for name in ("fusion-output-bounded-by-inputs", "fusion-clamps-negative-weights",
+                     "fusion-epsilon-limit"):
+            CHECK[name]()
 
 
-def test_criterion_10_serialization_round_trips(capfd, tmp_path):
+def test_criterion_10_serialization_round_trips(capfd):
     with _criterion(capfd, 10, "1000 tensor files round-trip bit-exactly and "
-                    "malformed files all raise the format error", budget=10.0) as info:
-        rng = T.Rng(100)
-        path = tmp_path / "t.tnsr"
-        for i in range(1000):
-            dims = [1 + rng.randint(5) for _ in range(1 + rng.randint(4))]
-            t = rng.tensor(dims, -4.0, 4.0)
-            if i % 2:
-                t = t.astype("float32")
-            tensor_write(path, t)
-            back = tensor_read(path)
-            assert back.dtype == t.dtype
-            assert np.array_equal(back.array, t.array)
-            first = path.read_bytes()
-            tensor_write(path, back)
-            assert path.read_bytes() == first
-
-        tensor_write(path, T.Rng(101).tensor([2, 3], -1.0, 1.0))
-        good = path.read_bytes()
-        bad = tmp_path / "bad.tnsr"
-        corpus = [
-            b"JUNK" + good[4:],          # wrong magic
-            good[:6],                    # header truncated
-            good[:14],                   # extents truncated
-            good[:-10],                  # payload truncated
-            good[:5] + bytes([9]) + good[6:],  # unknown dtype code
-        ]
-        for i, blob in enumerate(corpus):
-            bad.write_bytes(blob)
-            with pytest.raises(FormatError):
-                tensor_read(bad)
-        info["detail"] = f" (1000 round trips, {len(corpus)} malformed files)"
+                    "malformed files all raise the format error", budget=10.0):
+        CHECK["tensor-file-round-trip"]()
+        CHECK["malformed-tensor-files-rejected"]()

@@ -38,11 +38,31 @@ def _fuse_scaling_input_gradients(inputs, raw_weights, epsilon):
     return pipeline.fuse([scaled_vjp(x, 1.0001) for x in inputs], raw_weights, epsilon)
 
 
+def _fuse_without_clamp(inputs, raw_weights, epsilon):
+    """The weighted mean with negative weights left as they are."""
+    ws = [T._val(pipeline._as_scalar(w)) for w in raw_weights]
+    return T.tensor(sum(w * T._val(x) for w, x in zip(ws, inputs)) / (sum(ws) + epsilon))
+
+
+_tensor_read = IO.tensor_read
+
+
+def _tensor_read_upcasting(path):
+    """Float32 files come back as float64: the values survive, the dtype
+    does not.  Only the round-trip check's float32 draws can see it."""
+    t = _tensor_read(path)
+    return t.astype("float64") if t.dtype == "float32" else t
+
+
 @pytest.mark.parametrize("target, replacement, expected", [
     pytest.param((attention, "_topk_indices_row"), topk_ties_descending,
                  "FAIL routing-matches-full-sort", id="routing-tie-order"),
     pytest.param((selfcheck, "fuse"), _fuse_scaling_input_gradients,
                  "FAIL op-gradients-match-finite-differences", id="fuse-input-gradient"),
+    pytest.param((selfcheck, "fuse"), _fuse_without_clamp,
+                 "FAIL fusion-clamps-negative-weights", id="fuse-without-clamp"),
+    pytest.param((IO, "tensor_read"), _tensor_read_upcasting,
+                 "FAIL tensor-file-round-trip", id="float32-read-as-float64"),
 ])
 def test_selfcheck_reports_injected_fault(capsys, monkeypatch, target, replacement, expected):
     monkeypatch.setattr(*target, replacement)
@@ -331,7 +351,10 @@ def test_forward_non_finite_report_exits_1_without_writing(capsys, tmp_path, def
 
 def test_forward_bytes_do_not_depend_on_blas_threads(tmp_path, fixture_dir):
     """Two cold `forward` runs, one BLAS thread against the default count,
-    at S=8, k=4 with 4 heads: report and maps byte-identical."""
+    at S=8, k=4 with 4 heads: report and maps byte-identical.  This holds
+    at the default fusion width only: at {"fusion_width": 144} the four
+    maps differ between one and two OpenBLAS threads (the report agrees),
+    because OpenBLAS's products of large inner extent do."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"regions_s": 8, "topk_k": 4, "heads": 4}))
     src = str(Path(cafbifpn.__file__).resolve().parent.parent)

@@ -10,24 +10,10 @@ from cafbifpn.errors import (ConfigError, FormatError, NumericError, PipelineErr
 from cafbifpn.instrumentation import count_macs
 from cafbifpn.pipeline import (build_pipeline_params, c_afbifpn_forward,
                                afbifpn_forward, fuse, resize)
-from cafbifpn.reference import ref_afbifpn, ref_c_afbifpn
+from cafbifpn.reference import ref_afbifpn
 from cafbifpn.tensorio import RunConfig, load_backbone
 
-from conftest import arr, max_abs_diff
-
-
-def _cfg(**overrides):
-    base = dict(fusion_width=6, seed=80, lce_kernel=3)
-    base.update(overrides)
-    return replace(RunConfig(), **base)
-
-
-def _backbone(seed, h2=16, channels=None):
-    channels = channels or {2: 3, 3: 3, 4: 4, 5: 4}
-    rng = T.Rng(seed)
-    maps = {lvl: rng.tensor([channels[lvl], h2 >> (lvl - 2), h2 >> (lvl - 2)], -1.0, 1.0)
-            for lvl in (2, 3, 4, 5)}
-    return channels, maps
+from conftest import arr, max_abs_diff, tiny_cfg, tiny_pyramid
 
 
 # -- resize --------------------------------------------------------------
@@ -68,14 +54,6 @@ def test_fuse_weighted_combination():
     assert abs(out - 5.0) <= 1e-12  # (2 + 18) / 4
 
 
-def test_fuse_negative_weight_equals_clamped():
-    rng = T.Rng(82)
-    inputs = [rng.tensor([2, 2], -1.0, 1.0) for _ in range(3)]
-    neg = arr(fuse(inputs, [0.8, -0.5, 0.3], 1e-4))
-    clamped = arr(fuse(inputs, [0.8, 0.0, 0.3], 1e-4))
-    assert np.array_equal(neg, clamped)
-
-
 def test_fuse_clamp_recorded():
     with count_macs() as record:
         fuse([T.tensor([[1.0]]), T.tensor([[2.0]])], [0.5, -0.2], 1e-4)
@@ -87,17 +65,18 @@ def test_fuse_zero_denominator_rejected():
         fuse([T.tensor([[1.0]]), T.tensor([[2.0]])], [0.0, -1.0], 0.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_epsilon_rejected(eps):
+    # unchecked, a NaN epsilon makes every output NaN and an infinite one zero
+    with pytest.raises(ConfigError, match="epsilon"):
+        fuse([T.tensor([[1.0]]), T.tensor([[2.0]])], [1.0, 1.0], eps)
+    channels, backbone = tiny_pyramid(96)
+    params = build_pipeline_params(tiny_cfg(), channels)
+    with pytest.raises(ConfigError, match="epsilon"):
+        c_afbifpn_forward(backbone, replace(params, fusion=replace(params.fusion, epsilon=eps)))
+
+
 # -- assembled pyramid ---------------------------------------------------
-
-
-def test_forward_deterministic():
-    channels, backbone = _backbone(85)
-    params = build_pipeline_params(_cfg(), channels)
-    a = c_afbifpn_forward(backbone, params)
-    b = c_afbifpn_forward(backbone, params)
-    for lvl in (2, 3, 4, 5):
-        assert np.array_equal(arr(a[lvl]), arr(b[lvl]))
-
 
 @pytest.mark.parametrize("overrides", [{}, {"regions_s": 8, "topk_k": 4, "heads": 4}])
 def test_run_record_leaves_outputs_bit_identical(fixture_dir, overrides):
@@ -123,8 +102,8 @@ def test_default_forward_records_every_margin(fixture_dir):
 
 
 def test_frozen_routing_substitution_is_identity():
-    channels, backbone = _backbone(86)
-    params = build_pipeline_params(_cfg(), channels)
+    channels, backbone = tiny_pyramid(86)
+    params = build_pipeline_params(tiny_cfg(), channels)
     routing = {}
     a = c_afbifpn_forward(backbone, params, routing=routing)
     assert sorted(routing.keys()) == [3, 4]
@@ -135,35 +114,12 @@ def test_frozen_routing_substitution_is_identity():
         assert np.array_equal(arr(a[lvl]), arr(b[lvl]))
 
 
-def test_plain_reduction_matches_reference():
-    channels, backbone = _backbone(88)
-    cfg = _cfg(cfe_enabled=False, attention_fusion_enabled=False)
-    params = build_pipeline_params(cfg, channels)
-    out = c_afbifpn_forward(backbone, params)
-
-    from cafbifpn.convops import conv2d
-    stage_i = {lvl: T.tensor(arr(conv2d(backbone[lvl], params.projection[lvl])))
-               for lvl in (2, 3, 4, 5)}
-    ref = ref_afbifpn(stage_i, params)
-    for lvl in (2, 3, 4, 5):
-        assert max_abs_diff(out[lvl], ref[lvl]) <= 1e-12
-
-
-def test_full_forward_matches_reference():
-    channels, backbone = _backbone(89)
-    params = build_pipeline_params(_cfg(), channels)
-    out = c_afbifpn_forward(backbone, params)
-    ref = ref_c_afbifpn(backbone, params)
-    for lvl in (2, 3, 4, 5):
-        assert max_abs_diff(out[lvl], ref[lvl]) <= 1e-10
-
-
 def test_fusion_stage_alone_matches_reference():
     # enter at stage I directly: every level already at the shared width
     rng = T.Rng(95)
     stage_i = {lvl: rng.tensor([6, 16 >> (lvl - 2), 16 >> (lvl - 2)], -1.0, 1.0)
                for lvl in (2, 3, 4, 5)}
-    params = build_pipeline_params(_cfg(seed=95), {2: 3, 3: 3, 4: 4, 5: 4})
+    params = build_pipeline_params(tiny_cfg(seed=95), {2: 3, 3: 3, 4: 4, 5: 4})
     out = afbifpn_forward(stage_i, params)
     ref = ref_afbifpn(stage_i, params)
     for lvl in (2, 3, 4, 5):
@@ -171,16 +127,16 @@ def test_fusion_stage_alone_matches_reference():
 
 
 def test_missing_level_named_in_error():
-    channels, backbone = _backbone(91)
-    params = build_pipeline_params(_cfg(), channels)
+    channels, backbone = tiny_pyramid(91)
+    params = build_pipeline_params(tiny_cfg(), channels)
     del backbone[4]
     with pytest.raises(FormatError, match="4"):
         c_afbifpn_forward(backbone, params)
 
 
 def test_bad_halving_rejected():
-    channels, backbone = _backbone(92)
-    params = build_pipeline_params(_cfg(), channels)
+    channels, backbone = tiny_pyramid(92)
+    params = build_pipeline_params(tiny_cfg(), channels)
     backbone[3] = T.Rng(920).tensor([3, 7, 7], -1.0, 1.0)
     with pytest.raises(FormatError):  # an input problem
         c_afbifpn_forward(backbone, params)
@@ -191,8 +147,8 @@ def test_bad_halving_rejected():
 
 
 def test_stage_params_presence_enforced():
-    channels, backbone = _backbone(93)
-    params = build_pipeline_params(_cfg(), channels)
+    channels, backbone = tiny_pyramid(93)
+    params = build_pipeline_params(tiny_cfg(), channels)
     for bad in (replace(params, cfe=None), replace(params, projection=params.cfe),
                 replace(params, bra={4: params.bra[4]})):
         with pytest.raises(ConfigError):
@@ -200,8 +156,8 @@ def test_stage_params_presence_enforced():
 
 
 def test_fusion_weight_arity_enforced():
-    channels, backbone = _backbone(94)
-    params = build_pipeline_params(_cfg(), channels)
+    channels, backbone = tiny_pyramid(94)
+    params = build_pipeline_params(tiny_cfg(), channels)
     bad = replace(params, fusion=replace(params.fusion, p3_out=(1.0, 1.0)))
     with pytest.raises((ConfigError, PipelineError, ShapeError)):
         c_afbifpn_forward(backbone, bad)
