@@ -5,6 +5,9 @@ import pytest
 
 from cafbifpn import tensor as T
 from cafbifpn import tensorio as IO
+from cafbifpn.convops import conv2d
+from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward
+from cafbifpn.reference import ref_afbifpn, ref_c_afbifpn
 
 
 def arr(x) -> np.ndarray:
@@ -32,6 +35,41 @@ def tiny_pyramid(seed: int):
     rng = T.Rng(seed)
     return channels, {lvl: rng.tensor([c, 16 >> (lvl - 2), 16 >> (lvl - 2)], -1.0, 1.0)
                       for lvl, c in channels.items()}
+
+
+def pyramid_params(maps, cfg):
+    return build_pipeline_params(cfg, {lvl: t.dims[0] for lvl, t in maps.items()})
+
+
+def plain_reduction_error(maps, cfg) -> float:
+    """Worst abs diff between the pyramid (run with cfg, which should have
+    enhancement and attention off) and the plain weighted-fusion reference
+    fed the projected maps."""
+    params = pyramid_params(maps, IO.config_validate(cfg))
+    out = c_afbifpn_forward(maps, params)
+    ref = ref_afbifpn({lvl: conv2d(maps[lvl], params.projection[lvl])
+                       for lvl in (2, 3, 4, 5)}, params)
+    return max(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5))
+
+
+def full_forward_error(maps, cfg) -> float:
+    """Worst abs diff between the full pyramid and the stage-by-stage
+    reference composition."""
+    params = pyramid_params(maps, cfg)
+    out, ref = c_afbifpn_forward(maps, params), ref_c_afbifpn(maps, params)
+    return max(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5))
+
+
+def assert_reruns_byte_identical(maps, cfg, tmp_path):
+    """Two forwards with the same parameters write byte-identical files."""
+    params = pyramid_params(maps, cfg)
+    runs = []
+    for _ in range(2):
+        out = c_afbifpn_forward(maps, params)
+        for lvl in (2, 3, 4, 5):
+            IO.tensor_write(tmp_path / f"p{lvl}.tnsr", out[lvl])
+        runs.append([(tmp_path / f"p{lvl}.tnsr").read_bytes() for lvl in (2, 3, 4, 5)])
+    assert runs[0] == runs[1]
 
 
 def topk_ties_descending(row, k: int) -> np.ndarray:

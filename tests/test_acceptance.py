@@ -10,16 +10,14 @@ import contextlib
 import time
 from cafbifpn import tensor as T
 from cafbifpn.attention import ba_forward, make_bra_params
-from cafbifpn.convops import conv2d
 from cafbifpn.gradcheck import run_gradcheck
 from cafbifpn.instrumentation import count_macs
 from cafbifpn.oracles import attention_flops
-from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward
-from cafbifpn.reference import ref_afbifpn, ref_c_afbifpn
 from cafbifpn.selfcheck import CHECKS
-from cafbifpn.tensorio import RunConfig, config_validate, load_backbone, tensor_write
+from cafbifpn.tensorio import RunConfig, load_backbone
 
-from conftest import max_abs_diff, tiny_cfg, tiny_pyramid
+from conftest import (assert_reruns_byte_identical, full_forward_error,
+                      plain_reduction_error, tiny_cfg, tiny_pyramid)
 
 CHECK = dict(CHECKS)
 
@@ -39,16 +37,6 @@ def _criterion(capfd, n: int, label: str, budget=None):
         raise
     with capfd.disabled():
         print(f"\nPASS criterion {n}: {label}{info.get('detail', '')} [{elapsed:.2f}s]")
-
-
-def _params(maps, cfg):
-    return build_pipeline_params(cfg, {lvl: t.dims[0] for lvl, t in maps.items()})
-
-
-def _pyramids(fixture_dir, seed: int):
-    """(maps, config): the seed-0 fixture at the default config, then a
-    16-pixel pyramid drawn from seed at the desk-scale config."""
-    return [(load_backbone(fixture_dir), RunConfig()), (tiny_pyramid(seed)[1], tiny_cfg())]
 
 
 def test_criterion_01_routed_attention_equals_dense(capfd):
@@ -83,44 +71,25 @@ def test_criterion_04_gradients_match_finite_differences(capfd):
 def test_criterion_05_disabled_stages_reduce_to_plain_pyramid(capfd):
     with _criterion(capfd, 5, "with enhancement and attention off the pyramid "
                     "equals the plain weighted-fusion reference", budget=5.0) as info:
-        off = dict(cfe_enabled=False, attention_fusion_enabled=False)
-        worst = 0.0
-        for seed, cfg in ((500, tiny_cfg(seed=50, lce_kernel=5, **off)), (88, tiny_cfg(**off))):
-            maps = tiny_pyramid(seed)[1]
-            params = _params(maps, config_validate(cfg))
-            out = c_afbifpn_forward(maps, params)
-            ref = ref_afbifpn({lvl: conv2d(maps[lvl], params.projection[lvl])
-                               for lvl in (2, 3, 4, 5)}, params)
-            worst = max(worst, *(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5)))
+        cfg = tiny_cfg(seed=50, lce_kernel=5, cfe_enabled=False, attention_fusion_enabled=False)
+        worst = plain_reduction_error(tiny_pyramid(500)[1], cfg)
         assert worst <= 1e-12
-        info["detail"] = f" (2 pyramids, max abs diff {worst:.2e})"
+        info["detail"] = f" (max abs diff {worst:.2e})"
 
 
 def test_criterion_06_full_forward_matches_composed_references(capfd, fixture_dir):
     with _criterion(capfd, 6, "the full pyramid on the standard input maps "
                     "equals the stage-by-stage reference composition", budget=30.0) as info:
-        worst = 0.0
-        for maps, cfg in _pyramids(fixture_dir, 89):
-            params = _params(maps, cfg)
-            out, ref = c_afbifpn_forward(maps, params), ref_c_afbifpn(maps, params)
-            worst = max(worst, *(max_abs_diff(out[lvl], ref[lvl]) for lvl in (2, 3, 4, 5)))
+        worst = full_forward_error(load_backbone(fixture_dir), RunConfig())
         assert worst <= 1e-10
-        info["detail"] = f" (fixture and a 16-pixel pyramid, max abs diff {worst:.2e})"
+        info["detail"] = f" (max abs diff {worst:.2e})"
 
 
 def test_criterion_07_wiring_contracts(capfd, fixture_dir, tmp_path):
     with _criterion(capfd, 7, "two attention passes per forward, halving output "
                     "dims, byte-identical reruns"):
         CHECK["attention-invoked-twice-per-forward"]()
-        for maps, cfg in _pyramids(fixture_dir, 85):
-            params = _params(maps, cfg)
-            runs = []
-            for _ in range(2):
-                out = c_afbifpn_forward(maps, params)
-                for lvl in (2, 3, 4, 5):
-                    tensor_write(tmp_path / f"p{lvl}.tnsr", out[lvl])
-                runs.append([(tmp_path / f"p{lvl}.tnsr").read_bytes() for lvl in (2, 3, 4, 5)])
-            assert runs[0] == runs[1]
+        assert_reruns_byte_identical(load_backbone(fixture_dir), RunConfig(), tmp_path)
 
 
 def test_criterion_08_routed_cost_ratio_exact(capfd):

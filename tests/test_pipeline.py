@@ -13,7 +13,8 @@ from cafbifpn.pipeline import (build_pipeline_params, c_afbifpn_forward,
 from cafbifpn.reference import ref_afbifpn
 from cafbifpn.tensorio import RunConfig, load_backbone
 
-from conftest import arr, max_abs_diff, tiny_cfg, tiny_pyramid
+from conftest import (arr, assert_reruns_byte_identical, full_forward_error, max_abs_diff,
+                      plain_reduction_error, tiny_cfg, tiny_pyramid)
 
 
 # -- resize --------------------------------------------------------------
@@ -78,6 +79,10 @@ def test_non_finite_epsilon_rejected(eps):
 
 # -- assembled pyramid ---------------------------------------------------
 
+def test_forward_deterministic(tmp_path):
+    assert_reruns_byte_identical(tiny_pyramid(85)[1], tiny_cfg(), tmp_path)
+
+
 @pytest.mark.parametrize("overrides", [{}, {"regions_s": 8, "topk_k": 4, "heads": 4}])
 def test_run_record_leaves_outputs_bit_identical(fixture_dir, overrides):
     backbone = load_backbone(fixture_dir)
@@ -112,6 +117,15 @@ def test_frozen_routing_substitution_is_identity():
     assert all(routing[lvl] is pinned[lvl] for lvl in (3, 4))
     for lvl in (2, 3, 4, 5):
         assert np.array_equal(arr(a[lvl]), arr(b[lvl]))
+
+
+def test_plain_reduction_matches_reference():
+    cfg = tiny_cfg(cfe_enabled=False, attention_fusion_enabled=False)
+    assert plain_reduction_error(tiny_pyramid(88)[1], cfg) <= 1e-12
+
+
+def test_full_forward_matches_reference():
+    assert full_forward_error(tiny_pyramid(89)[1], tiny_cfg()) <= 1e-10
 
 
 def test_fusion_stage_alone_matches_reference():
