@@ -31,11 +31,11 @@ class CfeParams:
     activation: str = "relu"
 
 
-def _run_branch(f, stages: tuple, activation: str):
+def _run_branch(f, stages: tuple, activation: str, kinks: dict | None):
     x = f
     for stage in stages:
         if isinstance(stage, DeformableParams):
-            x = deformable_conv2d(x, stage, activation)
+            x = deformable_conv2d(x, stage, activation, kinks)
         else:
             x = conv2d(x, stage, activation)
     return x
@@ -64,11 +64,12 @@ def join_branches(branches: list, residual, width: int):
     return T._emit(tuple(branches) + (residual,), out, grads)
 
 
-def cfe_forward(f, p: CfeParams):
-    """[C_in, H, W] -> [width, H, W]; no activation after the residual add."""
+def cfe_forward(f, p: CfeParams, kinks: dict | None = None):
+    """[C_in, H, W] -> [width, H, W]; no activation after the residual add.
+    kinks freezes the deformable stage's offsets (deformable_conv2d)."""
     if p.width % 3:
         raise ConfigError(f"fusion width {p.width} not divisible by 3")
-    branches = [_run_branch(f, stages, p.activation)
+    branches = [_run_branch(f, stages, p.activation, kinks)
                 for stages in (p.branch1, p.branch2, p.branch3)]
     return join_branches(branches, conv2d(f, p.residual), p.width)
 

@@ -346,14 +346,22 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: s
     return T._emit((x, base.weights, base.bias, offsets), out, grads)
 
 
-def deformable_conv2d(x, p: DeformableParams, activation: str = "none"):
+def deformable_conv2d(x, p: DeformableParams, activation: str = "none",
+                      kinks: dict | None = None):
     """Predict per-tap offsets from the input (never activated), then
     sample, accumulate and activate; a zero-initialized predictor makes
-    this identical to conv2d(x, p.base, activation)."""
+    this identical to conv2d(x, p.base, activation).
+
+    kinks, a mutable dict, freezes the sampling offsets: they are taken
+    from kinks["offsets"] as a constant, or predicted and stored there."""
     wv = T._val(p.base.weights)
     kh, kw = wv.shape[2], wv.shape[3]
     opv = T._val(p.offset_predictor.weights)
     if opv.shape[0] != 2 * kh * kw:
         raise ShapeError(f"offset predictor emits {opv.shape[0]} channels, base needs {2 * kh * kw}")
+    if kinks is not None and "offsets" in kinks:
+        return deformable_conv2d_with_offsets(x, p.base, kinks["offsets"], activation)
     offsets = conv2d(x, p.offset_predictor)
+    if kinks is not None:
+        kinks["offsets"] = T.tensor(T._val(offsets))
     return deformable_conv2d_with_offsets(x, p.base, offsets, activation)

@@ -1,23 +1,21 @@
 """Analytic gradients versus central finite differences.
 
-Routing is captured once on the unperturbed forward and pinned for every
-evaluation afterwards, so the region selection cannot flip between the
-two sides of a difference step.  A case is accepted only when the forward
-pass keeps a margin from every non-smooth point: relu pre-activations and
-fusion-weight clamps away from zero, routing score gaps above the cut,
-and bilinear sampling positions off the integer lattice.  Positions that
-land exactly on the lattice are exempt: they come from identically zero
-offsets (dead patches feeding the offset predictor), so perturbations do
-not move them.  A violated margin reseeds the case and the event is
-reported, not failed.
-
-The pipeline-wide groups run with activation "none"; a small dedicated
-case covers the relu path, where the margin is achievable at desk scale.
+A case's parameters are walked leaf by leaf (walk): one taped backward
+gives every gradient, and each leaf is differenced along one random
+direction.  Small operands are differenced in every coordinate
+(max_rel_err).  One kinks record, filled on the unperturbed forward,
+freezes what a perturbation could flip: each refined level's routing and
+each deformable stage's sampling offsets.  A case is accepted only when
+its forward keeps a margin from every other non-smooth point (watched);
+a violated margin reseeds the case and the event is reported, not failed.
+The pipeline case runs with activation "none"; a small dedicated case
+covers the relu path, where the margin is achievable at desk scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -27,8 +25,8 @@ from .convops import (Conv2dParams, DeformableParams, conv2d, deformable_conv2d,
 from .errors import ConfigError, NumericError
 from .cfe import cfe_forward, make_cfe_params
 from .instrumentation import count_macs
-from .oracles import finite_diff_grad
-from .pipeline import _WEIGHT_ARITY, build_pipeline_params, c_afbifpn_forward
+from .oracles import directional_diffs
+from .pipeline import build_pipeline_params, c_afbifpn_forward
 from .tensorio import _MAX_VALUES, config_check_extents
 
 RELU_MARGIN = 1e-4
@@ -39,24 +37,10 @@ FD_STEP = 1e-5
 PASS_THRESHOLD = 1e-5
 REL_FLOOR = 1e-3
 MAX_RESEEDS = 32
-COORDS_PER_TENSOR = 5
 
-# Pipeline-wide groups: (entry name, path into PipelineParams) per tensor.
-GROUPS = {
-    "cfe-kernels": (("b1-row-conv", ("cfe", 2, "branch1", 1, "weights")),
-                    ("b1-dilated", ("cfe", 2, "branch1", 3, "weights")),
-                    ("b2-row-conv", ("cfe", 2, "branch2", 1, "weights")),
-                    ("b3-deform-base", ("cfe", 2, "branch3", 3, "base", "weights")),
-                    ("residual", ("cfe", 2, "residual", "weights"))),
-    "cfe-biases": (("b1-reduce-bias", ("cfe", 2, "branch1", 0, "bias")),
-                   ("b3-deform-bias", ("cfe", 2, "branch3", 3, "base", "bias")),
-                   ("residual-bias", ("cfe", 2, "residual", "bias"))),
-    "bra-projections": (("l3-query", ("bra", 3, "w_q")), ("l3-key", ("bra", 3, "w_k")),
-                        ("l3-value", ("bra", 3, "w_v")), ("l4-query", ("bra", 4, "w_q"))),
-    "lce": (("l3-lce", ("bra", 3, "lce_kernel")), ("l4-lce", ("bra", 4, "lce_kernel"))),
-    "fusion-weights": tuple((f"{node}[{j}]", ("fusion", node, j))
-                            for node, arity in _WEIGHT_ARITY.items() for j in range(arity)),
-}
+# Fields that are not leaves: epsilon is a constant of the fusion formula,
+# and the predictor feeds only the frozen offsets (offset-predictor case).
+_NOT_LEAVES = ("epsilon", "offset_predictor")
 
 
 def watched(run, lattice: bool = False):
@@ -102,38 +86,21 @@ def first_smooth(draw, seeds, events: list | None = None):
     raise NumericError(f"no smooth case found in {len(seeds)} reseeds: {reason}")
 
 
-def max_rel_err(entries, loss_of, coords=None) -> tuple[float, int]:
-    """Worst relative error of tape gradients against central differences.
-
-    entries are (name, Tensor) pairs, recorded as leaves of one tape for a
-    single backward pass of loss_of(values); values maps every name to a
-    Tensor or Node and the loss has one element.  coords(t), if given,
-    picks the flat coordinates of t to difference (default: all), each
-    with the other entries at their base values.  Returns the worst
-    |a - f| / max(|a|, |f|, REL_FLOOR) and the number of coordinates.
-    """
-    tape = T.Tape()
-    leaves = {name: tape.leaf(t) for name, t in entries}
-    grads = tape.backward(loss_of(leaves), T.tensor([1.0]))
-    base = dict(entries)
-    worst, count = 0.0, 0
-    for name, t in entries:
-        picked = None if coords is None else list(coords(t))
-        fd = T._val(finite_diff_grad(
-            lambda v, name=name: float(T._val(loss_of({**base, name: v})).reshape(-1)[0]),
-            t, FD_STEP, picked)).reshape(-1)
-        a = T._val(grads[leaves[name]]).reshape(-1)
-        if picked is not None:
-            a = a[picked]
-        rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), REL_FLOOR)
-        worst = float(np.max([worst, rel.max()]))  # a NaN error stays NaN
-        count += rel.size
-    return worst, count
-
-
-def _at(record, path):
-    for key in path:
-        record = record[key] if isinstance(record, (dict, tuple)) else getattr(record, key)
+def _map_leaves(record, fn, path=()):
+    """record with every float leaf replaced by fn(path, leaf).  The leaves
+    are the Tensors and floats reached through dataclass fields (except
+    _NOT_LEAVES), dict values and tuple items; path lists the field names,
+    keys and indices that lead to one.  The containers are rebuilt; ints,
+    strings and None stay as they are."""
+    if isinstance(record, (T.Tensor, float)):
+        return fn(path, record)
+    if isinstance(record, dict):
+        return {k: _map_leaves(v, fn, path + (k,)) for k, v in record.items()}
+    if isinstance(record, tuple):
+        return tuple(_map_leaves(v, fn, path + (i,)) for i, v in enumerate(record))
+    if is_dataclass(record):
+        return replace(record, **{f.name: _map_leaves(getattr(record, f.name), fn, path + (f.name,))
+                                  for f in fields(record) if f.name not in _NOT_LEAVES})
     return record
 
 
@@ -150,40 +117,70 @@ def _replaced(record, path, value):
     return replace(record, **{key: _replaced(getattr(record, key), rest, value)})
 
 
-def _check_group(record, rows, loss, coords) -> dict:
-    """Differences the tensors that rows (entry name, path) pick out of
-    record, where loss(record) is the scalar under test."""
-    entries = [(name, _at(record, path)) for name, path in rows]
-    entries = [(name, t if isinstance(t, T.Tensor) else T.tensor([float(t)]))
-               for name, t in entries]  # raw fusion weights are floats
+def _compare(record, loss, directions) -> dict:
+    """{path: relative errors} for every float leaf of record, one per
+    array v that directions(leaf) yields: <gradient, v>, the gradient from
+    one taped backward of the scalar loss(record), against the central
+    difference of loss along v, the other leaves at their base values.
+    Each error is |a - f| / max(|a|, |f|, REL_FLOOR)."""
+    found = []
+    _map_leaves(record, lambda path, leaf: found.append(
+        (path, leaf if isinstance(leaf, T.Tensor) else T.tensor([leaf]))))
+    tape = T.Tape()
+    nodes = {path: tape.leaf(t) for path, t in found}
+    grads = tape.backward(loss(_map_leaves(record, lambda path, _: nodes[path])), T.tensor([1.0]))
+    errs = {}
+    for path, t in found:
+        vs = list(directions(t))
+        g = T._val(grads[nodes[path]]) if nodes[path] in grads else np.zeros(t.dims)
+        fd = directional_diffs(lambda u, path=path: T._val(loss(_replaced(record, path, u)))[0],
+                               t, vs, FD_STEP)
+        along = np.array([np.vdot(g, v) for v in vs])
+        errs[path] = np.abs(along - fd) / np.maximum(np.maximum(np.abs(along), np.abs(fd)),
+                                                     REL_FLOOR)
+    return errs
 
-    def loss_of(values):
-        rec = record
-        for name, path in rows:
-            rec = _replaced(rec, path, values[name])
-        return loss(rec)
 
-    worst, count = max_rel_err(entries, loss_of, coords)
-    return {"max_rel_err": worst, "coords": count, "pass": worst <= PASS_THRESHOLD}
+def max_rel_err(entries, loss_of) -> tuple[float, int]:
+    """The worst relative error in every coordinate of the (name, Tensor)
+    entries, and the number of coordinates; loss_of maps {name: Tensor or
+    Node} to a one-element loss."""
+    errs = np.concatenate(list(_compare(dict(entries), loss_of,
+                                        lambda t: np.eye(t.size).reshape((-1,) + t.dims)).values()))
+    return float(np.max(errs)), errs.size  # a NaN error stays NaN
 
 
-def _sample_coords(rng: T.Rng, size: int, count: int) -> list:
-    if size <= count:
-        return list(range(size))
-    picked = []
-    while len(picked) < count:
-        i = rng.randint(size)
-        if i not in picked:
-            picked.append(i)
-    return picked
+def walk(record, loss, rng: T.Rng) -> dict:
+    """{path: relative error} for every float leaf of record, each along
+    one direction drawn from rng, uniform in [-1, 1] per coordinate: one
+    backward, then two forwards per leaf."""
+    return {path: float(rel[0]) for path, rel in
+            _compare(record, loss, lambda t: [T._val(rng.symmetric_unit(t.dims))]).items()}
+
+
+def _walked(errs: dict) -> dict:
+    """A walked group's report: its worst relative error and its number of
+    directions."""
+    worst = float(np.max(list(errs.values())))  # a NaN error stays NaN
+    return {"max_rel_err": worst, "directions": len(errs), "pass": worst <= PASS_THRESHOLD}
+
+
+# The pipeline case's report groups in report order; _group picks a leaf's
+PIPELINE_GROUPS = ("cfe-kernels", "cfe-biases", "projections", "bra-projections", "lce",
+                   "fusion-weights")
+
+
+def _group(path) -> str:
+    """The report group of the PipelineParams leaf at path."""
+    if path[0] == "cfe":
+        return "cfe-kernels" if path[-1] == "weights" else "cfe-biases"
+    if path[0] == "bra":
+        return "lce" if path[-1] == "lce_kernel" else "bra-projections"
+    return {"projection": "projections", "fusion": "fusion-weights"}[path[0]]
 
 
 def _loss_of(out: dict):
-    tot = None
-    for lvl in (2, 3, 4, 5):
-        s = T.sum_all(out[lvl])
-        tot = s if tot is None else T.add(tot, s)
-    return tot
+    return reduce(T.add, [T.sum_all(out[lvl]) for lvl in (2, 3, 4, 5)])
 
 
 def _pipeline_case(cfg, case_seed: int):
@@ -202,16 +199,11 @@ def _pipeline_case(cfg, case_seed: int):
     # The production draw keeps projections small, which squeezes the
     # affinity gaps below the absolute resampling margin.  Boost them
     # for the check; the math under test is unchanged.
-    if params.bra is not None:
-        boosted = {lvl: replace(bp,
-                                w_q=T.tensor(T._val(bp.w_q) * 10.0),
-                                w_k=T.tensor(T._val(bp.w_k) * 10.0),
-                                w_v=T.tensor(T._val(bp.w_v) * 10.0))
-                   for lvl, bp in params.bra.items()}
-        params = replace(params, bra=boosted)
-    routing = {}
-    _, reason = watched(lambda: c_afbifpn_forward(backbone, params, routing=routing))
-    return (params, backbone, routing), reason
+    params = _map_leaves(params, lambda path, leaf: T.tensor(T._val(leaf) * 10.0)
+                         if _group(path) == "bra-projections" else leaf)
+    kinks = {}
+    _, reason = watched(lambda: c_afbifpn_forward(backbone, params, kinks=kinks))
+    return (params, backbone, kinks), reason
 
 
 def _offsets_case(seed: int):
@@ -228,7 +220,7 @@ def _offsets_case(seed: int):
 
     if watched(lambda: loss(T.tensor(off)), lattice=True)[1] is not None:
         raise NumericError("constructed offsets sit near the lattice")
-    return T.tensor(off), (("offsets", ()),), loss
+    return T.tensor(off), loss
 
 
 def _predictor_case(case_seed: int):
@@ -241,74 +233,64 @@ def _predictor_case(case_seed: int):
                         bias=rng.tensor([2], -0.1, 0.1), padding=1)
     predictor = Conv2dParams(weights=rng.tensor([18, 3, 3, 3], -0.6, 0.6),
                              bias=rng.tensor([18], -0.4, 0.4), padding=1)
-    record = DeformableParams(base, predictor)
 
-    def loss(p):
-        return T.sum_all(deformable_conv2d(x, p))
+    def loss(pred):
+        return T.sum_all(deformable_conv2d(x, DeformableParams(base, pred)))
 
-    _, reason = watched(lambda: loss(record), lattice=True)
-    rows = (("pred-weights", ("offset_predictor", "weights")),
-            ("pred-bias", ("offset_predictor", "bias")))
-    return (record, rows, loss), reason and f"predictor case: {reason}"
+    _, reason = watched(lambda: loss(predictor), lattice=True)
+    return (predictor, loss), reason and f"predictor case: {reason}"
 
 
 def _relu_case(case_seed: int):
     """Small relu-active block where the pre-activation margin is
-    attainable; reseeds like the main case.  The case also carries whether
-    the activated stage it differences, branch 1's 1x3 convolution, crosses
-    the relu."""
+    attainable, its sampling offsets frozen; reseeds like the main case.
+    The case also carries whether each branch's leading 1x1 convolution
+    crosses the relu, so its walked parameters are differenced through a
+    relu that clamps some outputs and passes others."""
     rng = T.Rng(case_seed)
     record = make_cfe_params(rng, 3, 6, activation="relu", offset_scale=1.0)
     x = rng.tensor([3, 4, 4], -1.0, 1.0)
+    kinks = {}
 
     def loss(p):
-        return T.sum_all(cfe_forward(x, p))
+        return T.sum_all(cfe_forward(x, p, kinks))
 
     _, reason = watched(lambda: loss(record))
-    stage = conv2d(conv2d(x, record.branch1[0], "relu"), record.branch1[1], "relu")
-    rows = (("kernel", ("branch1", 1, "weights")), ("bias", ("residual", "bias")))
-    return (record, rows, loss, crosses_relu(stage)), reason and f"relu case: {reason}"
+    crossed = all(crosses_relu(conv2d(x, stages[0], "relu"))
+                  for stages in (record.branch1, record.branch2, record.branch3))
+    return (record, loss, crossed), reason and f"relu case: {reason}"
 
 
 def run_gradcheck(cfg, seed: int) -> dict:
-    """Check every parameter group that the config builds; returns a report
-    with per-group worst relative errors.
-
-    A group whose tensors the config leaves out (the enhancement block or
-    the attention parameters of an ablation) is not checked; the dedicated
-    offset, predictor and relu cases exercise the enhancement block, so
-    they run only when it is enabled.  Absent groups are listed under
-    "skipped", a key the report carries only when some group is absent.
-    """
+    """Check every parameter the config builds; returns a report with the
+    worst relative error of each group of leaves.  The offset, predictor
+    and relu cases exercise the enhancement block, so they run only when it
+    is enabled.  Groups the config leaves out are listed under "skipped", a
+    key the report carries only when some group is absent."""
     events = []
-    (params, backbone, routing), case_seed = first_smooth(
+    (params, backbone, kinks), case_seed = first_smooth(
         lambda s: _pipeline_case(cfg, s), range(seed, seed + MAX_RESEEDS), events)
-    coord_rng = T.Rng(seed ^ 0xC0FFEE)
-
-    def coords(t):
-        return _sample_coords(coord_rng, t.size, COORDS_PER_TENSOR)
-
-    def pipeline_loss(p):
-        return _loss_of(c_afbifpn_forward(backbone, p, routing=routing))
-
-    groups, skipped = {}, []
-    for name, rows in GROUPS.items():
-        if any(getattr(params, path[0]) is None for _, path in rows):
-            skipped.append(name)
-        else:
-            groups[name] = _check_group(params, rows, pipeline_loss, coords)
+    directions = T.Rng(seed ^ 0xC0FFEE)
+    by_group = {}
+    for path, rel in walk(params, lambda p: _loss_of(c_afbifpn_forward(backbone, p, kinks=kinks)),
+                          directions).items():
+        by_group.setdefault(_group(path), {})[path] = rel
+    groups = {name: _walked(by_group[name]) for name in PIPELINE_GROUPS if name in by_group}
+    skipped = [name for name in PIPELINE_GROUPS if name not in by_group]
     if params.cfe is not None:
         # every coordinate: a fault confined to one tap's offsets shows
-        groups["offsets"] = _check_group(*_offsets_case(seed), None)
+        offsets, loss = _offsets_case(seed)
+        worst, count = max_rel_err([("offsets", offsets)], lambda v: loss(v["offsets"]))
+        groups["offsets"] = {"max_rel_err": worst, "coords": count, "pass": worst <= PASS_THRESHOLD}
         predictor, _ = first_smooth(_predictor_case,
                                     range(seed + 2000, seed + 2000 + MAX_RESEEDS), events)
-        groups["offset-predictor"] = _check_group(*predictor, coords)
+        groups["offset-predictor"] = _walked(walk(*predictor, directions))
         (*relu, crossed), _ = first_smooth(_relu_case,
                                            range(seed + 1000, seed + 1000 + MAX_RESEEDS), events)
-        groups["relu-path"] = _check_group(*relu, coords)
+        groups["relu-path"] = _walked(walk(*relu, directions))
         if not crossed:
             groups["relu-path"].update({"pass": False,
-                                        "reason": "the differenced stage does not cross the relu"})
+                                        "reason": "a branch's leading stage does not cross the relu"})
     else:
         skipped += ["offsets", "offset-predictor", "relu-path"]
 

@@ -119,27 +119,29 @@ def topk_reference(row, k: int):
     return order[:k]
 
 
-def finite_diff_grad(scalar_fn, x, h: float = 1e-5, coords=None):
-    """Central differences, per-coordinate step h * max(1, |x_i|).
-
-    Returns the gradient shaped like x, or, given coords (flat indices),
-    only those derivatives as a 1-D tensor in the order given.
-    """
+def directional_diffs(scalar_fn, x, directions, h: float = 1e-5) -> np.ndarray:
+    """The one central-difference loop: for each direction v (shaped like
+    x), (f(x + s v) - f(x - s v)) / 2s, the derivative of scalar_fn along
+    v.  The step s is h * max(1, |x_i|) over the coordinates v moves.
+    Raises NumericError on a non-finite evaluation."""
     base = np.array(T._val(x), dtype=np.float64)
-    flat = base.reshape(-1)
-    grad = []
-    for i in (range(flat.size) if coords is None else coords):
-        step = h * max(1.0, abs(float(flat[i])))
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        fp = float(scalar_fn(T.tensor(bumped.reshape(base.shape))))
-        bumped[i] = flat[i] - step
-        fm = float(scalar_fn(T.tensor(bumped.reshape(base.shape))))
+    out = []
+    for n, v in enumerate(directions):
+        step = h * max(1.0, float(np.abs(base[v != 0]).max(initial=0.0)))
+        fp = float(scalar_fn(T.tensor(base + step * v)))
+        fm = float(scalar_fn(T.tensor(base - step * v)))
         if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericError(f"non-finite evaluation while differencing coordinate {i}")
-        grad.append((fp - fm) / (2.0 * step))
-    grad = np.array(grad, dtype=np.float64)
-    return T.tensor(grad if coords is not None else grad.reshape(base.shape))
+            raise NumericError(f"non-finite evaluation while differencing direction {n}")
+        out.append((fp - fm) / (2.0 * step))
+    return np.array(out, dtype=np.float64)
+
+
+def finite_diff_grad(scalar_fn, x, h: float = 1e-5):
+    """The gradient shaped like x, from directional_diffs along each unit
+    vector: coordinate i steps h * max(1, |x_i|)."""
+    shape = T._val(x).shape
+    units = np.eye(T._val(x).size).reshape((-1,) + shape)
+    return T.tensor(directional_diffs(scalar_fn, x, units, h).reshape(shape))
 
 
 @dataclass(frozen=True)

@@ -228,18 +228,20 @@ def _attention_work(maps: dict, p: PipelineParams) -> int:
     return max(ba_work(*T._val(maps[lvl]).shape[1:], p.bra[lvl]) for lvl in (3, 4))
 
 
-def _refine(x, p: PipelineParams, level: int, routing: dict | None):
+def _level_kinks(kinks: dict | None, level: int) -> dict | None:
+    return None if kinks is None else kinks.setdefault(level, {})
+
+
+def _refine(x, p: PipelineParams, level: int, kinks: dict | None):
     if p.bra is None:
         return x
-    if routing is None:
-        return ba_forward(x, p.bra[level])
-    if level not in routing:
-        routing[level] = compute_routing(x, p.bra[level])
-    return ba_forward(x, p.bra[level], routing=routing[level])
+    if kinks is not None and "routing" not in kinks:
+        kinks["routing"] = compute_routing(x, p.bra[level])
+    return ba_forward(x, p.bra[level], routing=None if kinks is None else kinks["routing"])
 
 
 def afbifpn_forward(inputs: dict, p: PipelineParams, *,
-                    routing: dict | None = None) -> dict:
+                    kinks: dict | None = None) -> dict:
     """Stage-I maps {2..5} -> stage-O maps {2..5}.
 
     Node order: level-4 intermediate, its refinement, level-3 intermediate,
@@ -247,9 +249,9 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     once and reused by both consumers, so the routed-attention pass runs
     exactly twice.
 
-    routing, a mutable level-keyed dict, pins the region selection of each
-    level it holds (gradient checks perturb parameters without letting
-    routing flip) and receives the selection of each level it lacks.
+    kinks, a mutable level-keyed dict of dicts, freezes what a gradient
+    check's perturbation could flip: kinks[level]["routing"] pins that
+    level's region selection, and a forward that lacks it stores its own.
 
     A forward whose attention reaches the worker pool holds the pool, with
     OpenBLAS at one thread, until it returns (tensor.hold_pool).
@@ -271,11 +273,11 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
         p4f = node("level-4 intermediate",
                    lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
         a4 = node("level-4 refinement",
-                  lambda: _refine(p4f, p, 4, routing))
+                  lambda: _refine(p4f, p, 4, _level_kinks(kinks, 4)))
         p3f = node("level-3 intermediate",
                    lambda: fuse([inputs[3], resize(a4, "up2")], fw.p3_mid, eps))
         a3 = node("level-3 refinement",
-                  lambda: _refine(p3f, p, 3, routing))
+                  lambda: _refine(p3f, p, 3, _level_kinks(kinks, 3)))
         p2o = node("level-2 output",
                    lambda: fuse([inputs[2], resize(a3, "up2")], fw.p2_out, eps))
         p3o = node("level-3 output",
@@ -288,20 +290,21 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
 
 
 def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
-                      routing: dict | None = None) -> dict:
+                      kinks: dict | None = None) -> dict:
     """Backbone maps {2..5} (any per-level widths) -> stage-O maps.  The
     pool hold (afbifpn_forward) starts before the enhancement block or the
-    projections, so it covers every BLAS call of the forward."""
+    projections, so it covers every BLAS call of the forward.  kinks, as in
+    afbifpn_forward, also freezes each level's sampling offsets (cfe_forward)."""
     _validate_params(p)
     _check_pyramid(backbone, "backbone", FormatError)
     with T.hold_pool(_attention_work(backbone, p)):
         stage_i = {}
         for lvl in LEVELS:
             if p.cfe is not None:
-                stage_i[lvl] = cfe_forward(backbone[lvl], p.cfe[lvl])
+                stage_i[lvl] = cfe_forward(backbone[lvl], p.cfe[lvl], _level_kinks(kinks, lvl))
             else:
                 stage_i[lvl] = conv2d(backbone[lvl], p.projection[lvl])
-        return afbifpn_forward(stage_i, p, routing=routing)
+        return afbifpn_forward(stage_i, p, kinks=kinks)
 
 
 def build_pipeline_params(cfg, channels: dict) -> PipelineParams:

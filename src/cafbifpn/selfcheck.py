@@ -536,9 +536,9 @@ def check_fuse_clamps_negative_weights():
 def check_fuse_epsilon_limit():
     """As epsilon falls through 1e-1, 1e-2, 1e-4 to 0 the output approaches
     the weighted mean strictly, within 1e-4 at 1e-4 and to 1e-12 at 0."""
-    rng = T.Rng(52)
+    rng, rng95 = T.Rng(52), T.Rng(95)
     cases = [([rng.tensor([3, 3], -1.0, 1.0) for _ in range(2)], (1.3, 0.7)),
-             ([T.Rng(95).tensor([3, 3], -1.0, 1.0) for _ in range(2)], (1.2, 0.6))]
+             ([rng95.tensor([3, 3], -1.0, 1.0) for _ in range(2)], (1.2, 0.6))]
     for inputs, weights in cases:
         mean = sum(w * _arr(x) for w, x in zip(weights, inputs)) / sum(weights)
         errs = [float(np.abs(_arr(fuse(inputs, list(weights), eps)) - mean).max())

@@ -21,6 +21,8 @@ from cafbifpn.selfcheck import CHECKS
 
 from conftest import scaled_vjp, topk_ties_descending
 
+CHECK = dict(CHECKS)
+
 
 @pytest.fixture()
 def default_cfg(tmp_path):
@@ -54,20 +56,41 @@ def _tensor_read_upcasting(path):
     return t.astype("float64") if t.dtype == "float32" else t
 
 
-@pytest.mark.parametrize("target, replacement, expected", [
+def _fuse_swapping_weights(inputs, raw_weights, epsilon):
+    return pipeline.fuse(inputs, list(raw_weights)[::-1], epsilon)
+
+
+@pytest.mark.parametrize("target, replacement, item", [
     pytest.param((attention, "_topk_indices_row"), topk_ties_descending,
-                 "FAIL routing-matches-full-sort", id="routing-tie-order"),
+                 "routing-matches-full-sort", id="routing-tie-order"),
     pytest.param((selfcheck, "fuse"), _fuse_scaling_input_gradients,
-                 "FAIL op-gradients-match-finite-differences", id="fuse-input-gradient"),
+                 "op-gradients-match-finite-differences", id="fuse-input-gradient"),
     pytest.param((selfcheck, "fuse"), _fuse_without_clamp,
-                 "FAIL fusion-clamps-negative-weights", id="fuse-without-clamp"),
+                 "fusion-clamps-negative-weights", id="fuse-without-clamp"),
     pytest.param((IO, "tensor_read"), _tensor_read_upcasting,
-                 "FAIL tensor-file-round-trip", id="float32-read-as-float64"),
+                 "tensor-file-round-trip", id="float32-read-as-float64"),
+    pytest.param((selfcheck, "fuse"), _fuse_swapping_weights,
+                 "fusion-epsilon-limit", id="fuse-swapping-weights"),
 ])
-def test_selfcheck_reports_injected_fault(capsys, monkeypatch, target, replacement, expected):
+def test_selfcheck_reports_injected_fault(monkeypatch, target, replacement, item):
+    """Each planted fault fails the selfcheck item that targets it; the
+    routing fault also runs the whole suite through the CLI, which exits 1
+    with that item's FAIL line."""
     monkeypatch.setattr(*target, replacement)
+    with pytest.raises(AssertionError):
+        CHECK[item]()
+
+
+def test_selfcheck_cli_prints_the_fail_line_of_a_fault(capsys, monkeypatch):
+    """The CLI runs the suite past a failed item and exits 1 with its FAIL
+    line; the suite is cut to its two routing items (test_selfcheck_passes
+    runs all of them)."""
+    monkeypatch.setattr(attention, "_topk_indices_row", topk_ties_descending)
+    monkeypatch.setattr(selfcheck, "CHECKS", [c for c in CHECKS if c[0].startswith("routing-")])
     assert main(["selfcheck"]) == 1
-    assert expected in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL routing-matches-full-sort: ")
+    assert lines[1:] == ["PASS routing-permutation-equivariance"]
 
 
 def test_forward_report(capsys, tmp_path, default_cfg, fixture_dir):
@@ -248,12 +271,13 @@ def test_gradcheck_cli(capsys, default_cfg):
     assert report["pass"] is True
     assert report["threshold"] == 1e-5
     assert len(report["groups"]) == 8
+    assert report["skipped"] == ["projections"]
     for group in report["groups"].values():
         assert group["max_rel_err"] <= 1e-5
 
 
 @pytest.mark.parametrize("overrides, skipped", [
-    ({"attention_fusion_enabled": False}, ["bra-projections", "lce"]),
+    ({"attention_fusion_enabled": False}, ["projections", "bra-projections", "lce"]),
     ({"cfe_enabled": False},
      ["cfe-kernels", "cfe-biases", "offsets", "offset-predictor", "relu-path"]),
 ])
@@ -266,7 +290,7 @@ def test_gradcheck_ablation_reports_present_groups(capsys, tmp_path, overrides, 
     assert report["pass"] is True
     assert report["skipped"] == skipped
     assert "fusion-weights" in report["groups"]
-    assert len(report["groups"]) + len(skipped) == 8
+    assert len(report["groups"]) + len(skipped) == 9
     assert not set(skipped) & set(report["groups"])
 
 

@@ -12,8 +12,8 @@ from cafbifpn.convops import Conv2dParams
 from cafbifpn.errors import ConfigError, NumericError, ShapeError
 from cafbifpn.attention import make_bra_params
 from cafbifpn.oracles import (attention_flops, conv2d_reference,
-                              dense_attention_reference, finite_diff_grad,
-                              topk_reference, _softmax_floats)
+                              dense_attention_reference, directional_diffs,
+                              finite_diff_grad, topk_reference, _softmax_floats)
 from cafbifpn.reference import ref_conv2d
 
 from conftest import arr, max_abs_diff
@@ -96,9 +96,23 @@ def test_finite_diff_on_quadratic():
     g = arr(finite_diff_grad(f, x0))
     exact = 2.0 * arr(a) * arr(x0)
     assert np.abs(g - exact).max() <= 1e-6
-    picked = arr(finite_diff_grad(f, x0, coords=[4, 1]))
-    assert picked.shape == (2,)
-    assert np.array_equal(picked, g[[4, 1]])
+
+
+def test_directional_diffs_on_quadratic():
+    """Along each direction the difference equals <gradient, v>; a
+    direction that moves one coordinate steps by that coordinate alone."""
+    a = T.Rng(23).tensor([6], -2.0, 2.0)
+    x0 = T.Rng(24).tensor([6], -2.0, 2.0)
+    seen = []
+
+    def f(x):
+        seen.append(arr(x))
+        return float((arr(x) * arr(x) * arr(a)).sum())
+
+    vs = [arr(T.Rng(25).tensor([6], -1.0, 1.0)), np.eye(6)[2]]
+    d = directional_diffs(f, x0, vs, 1e-5)
+    assert np.abs(d - [2.0 * (arr(a) * arr(x0)) @ v for v in vs]).max() <= 1e-6
+    assert seen[2][2] - arr(x0)[2] == pytest.approx(1e-5 * max(1.0, abs(arr(x0)[2])))
 
 
 def test_finite_diff_rejects_nonfinite_probe():

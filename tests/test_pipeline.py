@@ -107,16 +107,20 @@ def test_default_forward_records_every_margin(fixture_dir):
 
 
 def test_frozen_routing_substitution_is_identity():
+    """The frozen-kink record, routing at the refined levels and sampling
+    offsets at every level, replays the unrecorded forward's bits."""
     channels, backbone = tiny_pyramid(86)
     params = build_pipeline_params(tiny_cfg(), channels)
-    routing = {}
-    a = c_afbifpn_forward(backbone, params, routing=routing)
-    assert sorted(routing.keys()) == [3, 4]
-    pinned = dict(routing)
-    b = c_afbifpn_forward(backbone, params, routing=routing)
-    assert all(routing[lvl] is pinned[lvl] for lvl in (3, 4))
+    kinks = {}
+    a = c_afbifpn_forward(backbone, params, kinks=kinks)
+    assert {lvl: sorted(k) for lvl, k in kinks.items()} == {
+        2: ["offsets"], 3: ["offsets", "routing"], 4: ["offsets", "routing"], 5: ["offsets"]}
+    pinned = {lvl: dict(k) for lvl, k in kinks.items()}
+    b = c_afbifpn_forward(backbone, params, kinks=kinks)
+    assert all(kinks[lvl][key] is pinned[lvl][key] for lvl in pinned for key in pinned[lvl])
     for lvl in (2, 3, 4, 5):
-        assert np.array_equal(arr(a[lvl]), arr(b[lvl]))
+        assert arr(a[lvl]).tobytes() == arr(b[lvl]).tobytes() == \
+            arr(c_afbifpn_forward(backbone, params)[lvl]).tobytes()
 
 
 def test_plain_reduction_matches_reference():
