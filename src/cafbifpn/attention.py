@@ -124,21 +124,6 @@ def topk_routing(q_pooled, k_pooled, topk_k: int) -> RoutingResult:
     return RoutingResult(affinity, indices)
 
 
-def attention_work(n_regions: int, heads: int, n_queries: int, n_gathered: int) -> int:
-    """The logits count of one token_attention call, the work that decides
-    whether it runs on the pool: regions * heads * queries per region *
-    routed keys per region."""
-    return n_regions * heads * n_queries * n_gathered
-
-
-def ba_work(height: int, width: int, p: BraParams) -> int:
-    """attention_work of the token_attention call that ba_forward makes on
-    a [C, height, width] map."""
-    n_regions = p.regions_s * p.regions_s
-    tokens = height * width // n_regions if n_regions else 0  # partition rejects S 0
-    return attention_work(n_regions, p.heads, tokens, p.topk_k * tokens)
-
-
 # (region, head) blocks are stacked, up to this many bytes of logits per
 # stack, so that one stacked matmul replaces many small ones: a region's
 # heads together, or several regions' when they fit.  A block larger than
@@ -189,7 +174,7 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
         record.gather += 2 * n_regions * n_gathered * c
         record.qk += n_regions * heads * n_tokens * d * n_gathered
         record.av += n_regions * heads * n_tokens * n_gathered * d
-    work = attention_work(n_regions, heads, n_tokens, n_gathered)
+    work = n_regions * heads * n_tokens * n_gathered  # logits, for T._run_rows
     per_stack = _STACK_BYTES // max(1, n_tokens * n_gathered * 8)  # blocks
     span = max(1, min(n_regions, per_stack // heads))  # regions per stack
     width = max(1, min(heads, per_stack))              # heads per stack

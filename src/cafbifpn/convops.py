@@ -132,7 +132,7 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
     padded_shape = padded.shape
     # weight matrix rows follow the columns' tap-major, channel-minor order
     wmat = np.ascontiguousarray(wv.transpose(0, 2, 3, 1)).reshape(c_out, kh * kw * c_in)
-    out = T._row_blocked_product(wmat, _columns(padded, kh, kw, s, d, h_out, w_out))
+    out = wmat @ _columns(padded, kh, kw, s, d, h_out, w_out)
     out += bv.reshape(c_out, 1)
     out = _activate(out, activation).reshape(c_out, h_out, w_out)
     need_x, need_w, need_b = T._on_tape(x, p.weights, p.bias)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import ba_forward, ba_work, compute_routing, make_bra_params
+from .attention import ba_forward, compute_routing, make_bra_params
 from .cfe import cfe_forward, make_cfe_params
 from .convops import Conv2dParams, conv2d
 from .errors import (ConfigError, FormatError, NumericError, PartitionError,
@@ -219,15 +219,6 @@ def _check_pyramid(maps: dict, stage: str, error: type) -> None:
         prev = (v.shape[1], v.shape[2])
 
 
-def _attention_work(maps: dict, p: PipelineParams) -> int:
-    """The largest token-attention work of the two refined levels, from
-    the extents of maps (the enhancement block and the projections keep
-    the backbone's extents)."""
-    if p.bra is None:
-        return 0
-    return max(ba_work(*T._val(maps[lvl]).shape[1:], p.bra[lvl]) for lvl in (3, 4))
-
-
 def _level_kinks(kinks: dict | None, level: int) -> dict | None:
     return None if kinks is None else kinks.setdefault(level, {})
 
@@ -253,8 +244,9 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     check's perturbation could flip: kinks[level]["routing"] pins that
     level's region selection, and a forward that lacks it stores its own.
 
-    A forward whose attention reaches the worker pool holds the pool, with
-    OpenBLAS at one thread, until it returns (tensor.hold_pool).
+    The forward holds the pool, with OpenBLAS at one thread, until it
+    returns (tensor.hold_pool); only token attention's stacks run on the
+    pool's threads.
     """
     _validate_params(p)
     _check_pyramid(inputs, "stage-I", PipelineError)
@@ -269,7 +261,7 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
         except PartitionError as exc:
             raise PartitionError(f"node {name}: {exc}") from exc
 
-    with T.hold_pool(_attention_work(inputs, p)):
+    with T.hold_pool():
         p4f = node("level-4 intermediate",
                    lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
         a4 = node("level-4 refinement",
@@ -293,11 +285,12 @@ def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
                       kinks: dict | None = None) -> dict:
     """Backbone maps {2..5} (any per-level widths) -> stage-O maps.  The
     pool hold (afbifpn_forward) starts before the enhancement block or the
-    projections, so it covers every BLAS call of the forward.  kinks, as in
-    afbifpn_forward, also freezes each level's sampling offsets (cfe_forward)."""
+    projections, so every BLAS call of the forward runs on one thread.
+    kinks, as in afbifpn_forward, also freezes each level's sampling
+    offsets (cfe_forward)."""
     _validate_params(p)
     _check_pyramid(backbone, "backbone", FormatError)
-    with T.hold_pool(_attention_work(backbone, p)):
+    with T.hold_pool():
         stage_i = {}
         for lvl in LEVELS:
             if p.cfe is not None:

@@ -5,25 +5,21 @@ Tensors are immutable after construction and every operation is a pure
 function, so values may be shared freely between threads.  A Tape is
 single-writer: recording and backward must be serialized per tape.
 
-Large row loops run on a small pool of worker threads (`_run_rows`), one
-per CPU this process may use: routed token attention's stacks of blocks,
-and large products (`matmul`, `conv2d`'s), split into blocks of the left
-operand's rows while BLAS is held to one thread.  The pool is private: a
-caller never sees its threads, a call returns only after every worker has
-stopped, and the run record (instrumentation.py) is only touched on the
-calling thread.
-
-Whoever uses the pool holds it (`hold_pool`): it takes the pool's lock and
+One rule owns the cores.  Every pyramid forward (pipeline.py) and every
+Tape.backward holds the pool (`hold_pool`): it takes the pool's lock and
 holds OpenBLAS to one thread until it lets go, then restores the count.
-OpenBLAS's own worker spins for about 2^28 cycles after every threaded
-product, so a pooled share that starts right after one runs beside a
-spinning thread.  A pyramid forward whose attention reaches the pool
-therefore holds it from its first BLAS call to its last, and pooled calls
-inside it dispatch without toggling anything; a pooled call made outside
-such a forward holds the pool for its own duration.  One thread at a time
-holds the pool, and any other runs its loops inline, so concurrent
-forwards give the same bits and leave the BLAS thread count as they
-found it.
+OpenBLAS sums some products in an order that depends on its thread
+count, so at one thread the bits depend on neither that count nor the CPU
+count.  The one loop that uses a second core is routed token
+attention's stacks of blocks, run by `_run_rows` on a small pool of worker
+threads, one per CPU this process may use.  The pool is private: a caller
+never sees its threads, a call returns only after every worker has
+stopped, and the run record (instrumentation.py) is only touched on the
+calling thread.  Pooled calls inside a held forward or backward dispatch
+without toggling anything; a pooled call made outside them holds the pool
+for its own duration.  One thread at a time holds the pool, and any other
+runs its loops inline, so concurrent forwards leave the BLAS thread count
+as they found it.
 
 Verification arithmetic is float64; float32 exists as a storage dtype and
 is rejected on tapes.
@@ -185,7 +181,8 @@ class Tape:
         its VJP has run, so only the leaves' gradients are returned.
         Gradient arrays are never written in place: a slot may share its
         array with another slot or with the seed, and fan-in adds out of
-        place.
+        place.  The node loop holds the pool (hold_pool), as a forward
+        does.
         """
         if not isinstance(output, Node) or output.tape is not self:
             raise GraphError("output node is not recorded on this tape")
@@ -193,19 +190,20 @@ class Tape:
             raise ShapeError(f"seed dims {seed.dims} != output dims {output.dims}")
         slots: dict[int, np.ndarray] = {output.index: np.asarray(seed.array, dtype=np.float64)}
         leaves: dict[Node, Tensor] = {}
-        for idx in range(output.index, -1, -1):
-            g = slots.pop(idx, None)
-            if g is None:
-                continue
-            node = self.nodes[idx]
-            if not node.parents:
-                leaves[node] = Tensor(g, copy=False)
-                continue
-            for parent, pg in zip(node.parents, node._grads_fn(g)):
-                if not isinstance(parent, Node) or pg is None:
+        with hold_pool():
+            for idx in range(output.index, -1, -1):
+                g = slots.pop(idx, None)
+                if g is None:
                     continue
-                slot = slots.get(parent.index)
-                slots[parent.index] = pg if slot is None else slot + pg
+                node = self.nodes[idx]
+                if not node.parents:
+                    leaves[node] = Tensor(g, copy=False)
+                    continue
+                for parent, pg in zip(node.parents, node._grads_fn(g)):
+                    if not isinstance(parent, Node) or pg is None:
+                        continue
+                    slot = slots.get(parent.index)
+                    slots[parent.index] = pg if slot is None else slot + pg
         return leaves
 
 
@@ -281,33 +279,8 @@ def matmul(a, b):
     if av.dtype != bv.dtype:
         raise ShapeError(f"matmul: dtype {av.dtype} vs {bv.dtype}")
     need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), _row_blocked_product(av, bv),
+    return _emit((a, b), av @ bv,
                  lambda g: (g @ bv.T if need_a else None, av.T @ g if need_b else None))
-
-
-def _row_blocked_product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """av @ bv.  While this thread holds the pool, and so OpenBLAS runs on
-    one thread, a product of at least _POOL_MIN_WORK multiply-adds is
-    computed as one block of av's rows per allowed CPU, on the pool.  Each
-    output row gets the same BLAS kernel either way, so the bits match the
-    whole product's.  Splitting bv's columns changes bits, and so do blocks
-    of one row and single-column products (both take gemv), so those
-    products stay whole."""
-    m, n = av.shape[0], bv.shape[1]
-    work = m * av.shape[1] * n
-    split = work >= _POOL_MIN_WORK and n > 1 and _holding()
-    blocks = min(_allowed_cpus(), m // 2) if split else 1
-    if blocks < 2:
-        return av @ bv
-    out = np.empty((m, n), dtype=av.dtype)
-    bounds = [m * i // blocks for i in range(blocks + 1)]
-
-    def body(indices):
-        for i in indices:
-            np.matmul(av[bounds[i]:bounds[i + 1]], bv, out=out[bounds[i]:bounds[i + 1]])
-
-    _run_rows(blocks, body, work)
-    return out
 
 
 def softmax_inplace(x: np.ndarray) -> np.ndarray:
@@ -380,13 +353,13 @@ def sum_all(a):
 
 
 # ---------------------------------------------------------------------------
-# Worker pool for large row loops
+# Worker pool for token attention's stacks
 
-# A loop with less work than this runs inline: handing it to the pool
-# costs more than a second core returns.  For token attention the work is
-# the logits count, regions * heads * queries * gathered keys, and for a
-# matmul its multiply-adds; the value comes from a sweep of pooled against
-# inline attention calls (CHANGES.md).
+# A token-attention call with less work than this runs its stacks inline:
+# handing them to the pool costs more than a second core returns.  The
+# work is the logits count, regions * heads * queries * gathered keys; the
+# value comes from a sweep of pooled against inline attention calls
+# (CHANGES.md).
 _POOL_MIN_WORK = 1 << 23
 
 _pool_lock = threading.Lock()
@@ -444,20 +417,20 @@ def _holding() -> bool:
 
 
 @contextlib.contextmanager
-def hold_pool(work: int):
-    """Hold the pool for the body when work reaches _POOL_MIN_WORK: take
-    its lock and hold OpenBLAS to one thread, restoring the count on the
-    way out, error or not.  Yields whether this thread holds the pool; a
-    holder entering again is still the holder and changes nothing.
+def hold_pool():
+    """Hold the pool for the body: take its lock and hold OpenBLAS to one
+    thread, restoring the count on the way out, error or not.  Yields
+    whether this thread holds the pool; a holder entering again is still
+    the holder and changes nothing.  The hold does not depend on the work
+    in the body or on the CPU count.
 
-    Nothing is held, and no lock or BLAS call made, when work is below the
-    threshold, one CPU is allowed, no OpenBLAS is loaded, or another
-    thread holds the pool; loops in the body then run inline."""
+    Nothing is held, and no BLAS call made, when no OpenBLAS is loaded or
+    another thread holds the pool; loops in the body then run inline."""
     global _holder
     if _holding():
         yield True
         return
-    blas = _openblas_threads() if work >= _POOL_MIN_WORK and _allowed_cpus() > 1 else None
+    blas = _openblas_threads()
     if blas is None or not _pool_lock.acquire(blocking=False):
         yield False
         return
@@ -482,14 +455,18 @@ def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
     hold_pool.  Shares must write disjoint outputs and must not touch the
     run record.
 
-    body(range(n_rows)) runs inline instead when work is below
-    _POOL_MIN_WORK or this thread cannot hold the pool (see hold_pool).
-    Returns only once every share has stopped; the first failed share's
-    exception, in share order, is then re-raised.
+    body(range(n_rows)) runs inline instead, before any hold is taken,
+    when work is below _POOL_MIN_WORK or there are fewer than two shares;
+    and it runs inline when this thread cannot hold the pool (see
+    hold_pool).  Returns only once every share has stopped; the first
+    failed share's exception, in share order, is then re-raised.
     """
     shares = min(_allowed_cpus(), n_rows) if work >= _POOL_MIN_WORK else 1
-    with hold_pool(work if shares > 1 else 0) as held:
-        if not held or shares < 2:
+    if shares < 2:
+        body(range(n_rows))
+        return
+    with hold_pool() as held:
+        if not held:
             body(range(n_rows))
             return
         from concurrent.futures import wait

@@ -375,27 +375,27 @@ def test_forward_non_finite_report_exits_1_without_writing(capsys, tmp_path, def
 
 def test_forward_bytes_do_not_depend_on_blas_threads(tmp_path, fixture_dir):
     """Two cold `forward` runs, one BLAS thread against the default count,
-    at S=8, k=4 with 4 heads: report and maps byte-identical.  This holds
-    at the default fusion width only: at {"fusion_width": 144} the four
-    maps differ between one and two OpenBLAS threads (the report agrees),
-    because OpenBLAS's products of large inner extent do."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"regions_s": 8, "topk_k": 4, "heads": 4}))
+    report and maps byte-identical: at S=8, k=4 with 4 heads, and at
+    fusion width 144, where OpenBLAS's own products of large inner extent
+    sum differently at one thread and at two."""
     src = str(Path(cafbifpn.__file__).resolve().parent.parent)
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
-    runs = []
-    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
-        out = tmp_path / name
-        done = subprocess.run([sys.executable, "-m", "cafbifpn.cli", "forward",
-                               "--config", str(cfg), "--input", str(fixture_dir),
-                               "--output", str(out)],
-                              env={**base, **extra}, capture_output=True, timeout=300)
-        assert done.returncode == 0, done.stderr.decode()
-        runs.append((done.stdout, [(out / f"out_p{lvl}.tnsr").read_bytes()
-                                   for lvl in (2, 3, 4, 5)]))
-    assert json.loads(runs[0][0])["ba_invocations"] == 2
-    assert runs[0] == runs[1]
+    for i, config in enumerate(({"regions_s": 8, "topk_k": 4, "heads": 4}, {"fusion_width": 144})):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(config))
+        runs = []
+        for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            out = tmp_path / f"{name}{i}"
+            done = subprocess.run([sys.executable, "-m", "cafbifpn.cli", "forward",
+                                   "--config", str(cfg), "--input", str(fixture_dir),
+                                   "--output", str(out)],
+                                  env={**base, **extra}, capture_output=True, timeout=300)
+            assert done.returncode == 0, done.stderr.decode()
+            runs.append((done.stdout, [(out / f"out_p{lvl}.tnsr").read_bytes()
+                                       for lvl in (2, 3, 4, 5)]))
+        assert json.loads(runs[0][0])["ba_invocations"] == 2
+        assert runs[0] == runs[1], config
 
 
 def test_gen_fixture_cli(capsys, tmp_path):

@@ -1,9 +1,10 @@
-"""The worker pool behind large token-attention calls and products:
-pooled and inline runs give the same bits, a failing share stops the call
-only after every share has stopped, concurrent callers and forked
-children are safe, and the OpenBLAS thread count is always restored.  A
-forward whose attention reaches the pool holds it, and sets the BLAS
-thread count once each way; a smaller forward never touches either.
+"""The worker pool behind large token-attention calls, and the hold that
+keeps OpenBLAS at one thread: pooled and inline runs give the same bits, a
+failing share stops the call only after every share has stopped,
+concurrent callers and forked children are safe, and the OpenBLAS thread
+count is always restored.  Every forward and every backward holds the
+pool, setting the BLAS thread count once each way, so outputs and
+gradients do not depend on that count.
 
 The pool threshold is lowered so desk-scale calls reach the pool.
 Assertions that the pool actually ran skip when only one CPU is allowed
@@ -12,14 +13,18 @@ then check the inline path.  The hold tests stand in a recording BLAS
 and two allowed CPUs, so they run the pooled path everywhere."""
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cafbifpn
 from cafbifpn import attention as A
 from cafbifpn import pipeline as P
 from cafbifpn import tensor as T
@@ -240,7 +245,8 @@ def _sets(calls):
 
 
 def test_pooled_forward_sets_blas_threads_once_each_way(monkeypatch, pooled, recorded):
-    """The hold spans the whole forward, the stage-I projections included."""
+    """The hold spans the whole forward, the stage-I projections included,
+    and only the two attention calls reach the pool."""
     runs, held = [], []
     real = T._run_rows
     monkeypatch.setattr(T, "_run_rows", lambda n_rows, body, work: (runs.append(n_rows),
@@ -250,21 +256,61 @@ def test_pooled_forward_sets_blas_threads_once_each_way(monkeypatch, pooled, rec
     backbone, params = _pyramid()
     c_afbifpn_forward(backbone, params)
     assert any(n.startswith(POOL_NAME) for n in pooled)
-    assert len(runs) >= 10  # two attention calls and every projection
+    assert len(runs) == 2
     assert held == [True] * 4
     assert _sets(recorded) == [1, 3]
     assert [c for c in recorded if c[0] == "lock"] == [("lock",)]
 
 
-def test_forward_below_threshold_touches_neither_blas_nor_lock(fixture_dir, recorded):
-    """The fixture forward, untaped and taped with its backward."""
+def test_fixture_forward_and_backward_each_hold_blas_at_one_thread(fixture_dir, recorded):
+    """The fixture forward, untaped and taped, and the taped one's backward
+    each take the pool's lock once and set BLAS to one thread and back,
+    though none of their attention calls reaches the pool."""
     maps = load_backbone(fixture_dir)
     params = build_pipeline_params(RunConfig(), {lvl: t.dims[0] for lvl, t in maps.items()})
     c_afbifpn_forward(maps, params)
     tape = T.Tape()
     out = c_afbifpn_forward({lvl: tape.leaf(t) for lvl, t in maps.items()}, params)
     tape.backward(T.sum_all(out[2]), T.tensor([1.0]))
-    assert recorded == []
+    assert _sets(recorded) == [1, 3, 1, 3, 1, 3]
+    assert [c for c in recorded if c[0] == "lock"] == [("lock",)] * 3
+
+
+_GRADIENT_DIGESTS = """
+import hashlib, sys
+from cafbifpn import tensor as T
+from cafbifpn.pipeline import build_pipeline_params, c_afbifpn_forward
+from cafbifpn.tensorio import RunConfig, load_backbone
+maps = load_backbone(sys.argv[1])
+params = build_pipeline_params(RunConfig(fusion_width=144),
+                               {lvl: t.dims[0] for lvl, t in maps.items()})
+tape = T.Tape()
+leaves = {lvl: tape.leaf(t) for lvl, t in maps.items()}
+out = c_afbifpn_forward(leaves, params)
+mix = T.Rng(7).tensor(list(out[2].dims), -1.0, 1.0)
+grads = tape.backward(T.sum_all(T.mul(out[2], mix)), T.tensor([1.0]))
+for lvl in (2, 3, 4, 5):
+    print(lvl, hashlib.sha256(grads[leaves[lvl]].array.tobytes()).hexdigest())
+"""
+
+
+def test_gradient_bytes_do_not_depend_on_blas_threads(fixture_dir):
+    """A taped fixture forward at fusion width 144, where OpenBLAS's own
+    products of large inner extent sum differently at one thread and at
+    two, and a backward of a weighted sum of level 2: the four backbone
+    leaves' gradients are byte-identical at one BLAS thread and at the
+    default count."""
+    src = str(Path(cafbifpn.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
+    digests = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        done = subprocess.run([sys.executable, "-c", _GRADIENT_DIGESTS, str(fixture_dir)],
+                              env={**base, **extra}, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.splitlines())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
 
 
 def test_error_mid_forward_restores_blas_and_releases_the_pool(monkeypatch, pooled, recorded):
@@ -287,24 +333,3 @@ def test_error_mid_forward_restores_blas_and_releases_the_pool(monkeypatch, pool
     c_afbifpn_forward(backbone, params)
     assert _sets(recorded) == [1, 3, 1, 3]
     assert any(n.startswith(POOL_NAME) for n in pooled)
-
-
-@pytest.mark.parametrize("m,k,n,blocks", [(2049, 48, 48, 2), (4097, 7, 5, 2), (16384, 48, 48, 2),
-                                          (5, 3, 4, 2), (3, 48, 48, None), (4097, 48, 1, None)])
-def test_row_blocked_matmul_equals_the_whole_product(monkeypatch, recorded, m, k, n, blocks):
-    """Under the hold a product splits into one block of at least two rows
-    per CPU; a product that would need one-row blocks, or has one column,
-    stays whole (both would take gemv, whose bits differ)."""
-    monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
-    rows = []
-    real = T._run_rows
-    monkeypatch.setattr(T, "_run_rows", lambda n_rows, body, work: (rows.append(n_rows),
-                                                                       real(n_rows, body, work)))
-    rng = T.Rng(m)
-    a, b = rng.tensor([m, k], -1.0, 1.0), rng.tensor([k, n], -1.0, 1.0)
-    whole = T.matmul(a, b).array
-    assert rows == []  # no hold, no split
-    with T.hold_pool(0):
-        blocked = T.matmul(a, b).array
-    assert rows == ([] if blocks is None else [blocks])
-    assert _same_bits(blocked, a.array @ b.array) and _same_bits(whole, blocked)
