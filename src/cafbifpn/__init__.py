@@ -5,7 +5,7 @@ an explicit reverse-mode tape and checked against independent oracles.
 """
 
 from .attention import (BraParams, RegionTokens, RoutingResult, ba_forward,
-                        compute_routing, make_bra_params)
+                        make_bra_params)
 from .cfe import CfeParams, cfe_forward, cfe_receptive_probe, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
                       deformable_conv2d, deformable_conv2d_with_offsets,
@@ -39,7 +39,7 @@ def __getattr__(name):
 
 __all__ = [
     "BraParams", "RegionTokens", "RoutingResult", "ba_forward",
-    "compute_routing", "make_bra_params",
+    "make_bra_params",
     "CfeParams", "cfe_forward", "cfe_receptive_probe", "make_cfe_params",
     "Conv2dParams", "DeformableParams", "conv2d", "deformable_conv2d",
     "deformable_conv2d_with_offsets", "depthwise_conv2d",

@@ -96,11 +96,6 @@ def qkv_project(rt: RegionTokens, p: BraParams):
     return proj(p.w_q), proj(p.w_k), proj(p.w_v)
 
 
-def region_pool(rt: RegionTokens):
-    """Mean over each region's tokens -> [S^2, C]."""
-    return T.reduce_mean_axis(rt.data, axis=1)
-
-
 def _topk_indices_row(row: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-row, kind="stable")
     return order[:k].astype(np.int64)
@@ -267,14 +262,6 @@ def lce(v_tokens: RegionTokens, kernel):
     return depthwise_conv2d(spatial, kernel)
 
 
-def compute_routing(f, p: BraParams) -> RoutingResult:
-    """The region selection a ba_forward call on f would make.  Used to
-    freeze routing across nearby evaluations in gradient checks."""
-    rt = region_partition(f, p.regions_s)
-    q, k, _ = qkv_project(rt, p)
-    return topk_routing(region_pool(q), region_pool(k), p.topk_k)
-
-
 def make_bra_params(rng, c: int, regions_s: int, topk_k: int, heads: int = 1,
                     lce_kernel: int = 5, zero_lce: bool = False) -> BraParams:
     """Seeded projections and local-context kernel, drawn q, k, v, lce."""
@@ -293,11 +280,15 @@ def make_bra_params(rng, c: int, regions_s: int, topk_k: int, heads: int = 1,
     return BraParams(w_q, w_k, w_v, lce_k, regions_s, topk_k, heads)
 
 
-def ba_forward(f, p: BraParams, routing: RoutingResult | None = None):
+def ba_forward(f, p: BraParams, kinks: dict | None = None):
     """Full routed-attention pass over a [C, H, W] map; output dims match.
 
-    Passing a precomputed routing freezes the region selection, which the
-    gradient checks use to keep the function smooth under perturbation.
+    The routing is decided off the tape, from the region means of the
+    projected queries and keys: no output depends on it smoothly, so
+    nothing of it is recorded.  kinks, a mutable dict, freezes the region
+    selection: it is taken from kinks["routing"], or decided and stored
+    there, which the gradient checks use to keep the function smooth under
+    perturbation.
     """
     v = T._val(f)
     c = v.shape[0]
@@ -309,11 +300,14 @@ def ba_forward(f, p: BraParams, routing: RoutingResult | None = None):
 
     rt = region_partition(f, p.regions_s)
     q, k, vv = qkv_project(rt, p)
-    if routing is None:
-        q_pooled = region_pool(q)
-        k_pooled = region_pool(k)
+    if kinks is not None and "routing" in kinks:
+        routing = kinks["routing"]
+    else:
         if record is not None:
             record.routing += v.shape[1] * v.shape[2] * c  # pooling overhead
-        routing = topk_routing(q_pooled, k_pooled, p.topk_k)
+        routing = topk_routing(T.Tensor(T._val(q.data).mean(axis=1), copy=False),
+                               T.Tensor(T._val(k.data).mean(axis=1), copy=False), p.topk_k)
+        if kinks is not None:
+            kinks["routing"] = routing
     attended = token_attention(q, k, vv, routing, p.heads)
     return T.add(region_merge(attended), lce(vv, p.lce_kernel))

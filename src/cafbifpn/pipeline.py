@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import ba_forward, compute_routing, make_bra_params
+from .attention import ba_forward, make_bra_params
 from .cfe import cfe_forward, make_cfe_params
 from .convops import Conv2dParams, conv2d
 from .errors import (ConfigError, FormatError, NumericError, PartitionError,
@@ -224,11 +224,7 @@ def _level_kinks(kinks: dict | None, level: int) -> dict | None:
 
 
 def _refine(x, p: PipelineParams, level: int, kinks: dict | None):
-    if p.bra is None:
-        return x
-    if kinks is not None and "routing" not in kinks:
-        kinks["routing"] = compute_routing(x, p.bra[level])
-    return ba_forward(x, p.bra[level], routing=None if kinks is None else kinks["routing"])
+    return x if p.bra is None else ba_forward(x, p.bra[level], kinks)
 
 
 def afbifpn_forward(inputs: dict, p: PipelineParams, *,
@@ -242,11 +238,12 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
 
     kinks, a mutable level-keyed dict of dicts, freezes what a gradient
     check's perturbation could flip: kinks[level]["routing"] pins that
-    level's region selection, and a forward that lacks it stores its own.
+    level's region selection, and a forward that lacks it stores the one
+    its attention pass decided (attention.ba_forward).
 
-    The forward holds the pool, with OpenBLAS at one thread, until it
-    returns (tensor.hold_pool); only token attention's stacks run on the
-    pool's threads.
+    The forward holds OpenBLAS at one thread until it returns
+    (tensor.one_blas_thread), whatever other threads are running; only
+    token attention's stacks run on the pool's threads.
     """
     _validate_params(p)
     _check_pyramid(inputs, "stage-I", PipelineError)
@@ -261,7 +258,7 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
         except PartitionError as exc:
             raise PartitionError(f"node {name}: {exc}") from exc
 
-    with T.hold_pool():
+    with T.one_blas_thread():
         p4f = node("level-4 intermediate",
                    lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
         a4 = node("level-4 refinement",
@@ -284,13 +281,14 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
 def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
                       kinks: dict | None = None) -> dict:
     """Backbone maps {2..5} (any per-level widths) -> stage-O maps.  The
-    pool hold (afbifpn_forward) starts before the enhancement block or the
-    projections, so every BLAS call of the forward runs on one thread.
+    one-BLAS-thread hold (afbifpn_forward) starts before the enhancement
+    block or the projections, so every BLAS call of the forward runs on
+    one thread.
     kinks, as in afbifpn_forward, also freezes each level's sampling
     offsets (cfe_forward)."""
     _validate_params(p)
     _check_pyramid(backbone, "backbone", FormatError)
-    with T.hold_pool():
+    with T.one_blas_thread():
         stage_i = {}
         for lvl in LEVELS:
             if p.cfe is not None:

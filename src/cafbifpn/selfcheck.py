@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from . import tensorio as IO
-from .attention import (RegionTokens, RoutingResult, ba_forward, compute_routing,
-                        make_bra_params, token_attention)
+from .attention import (RegionTokens, RoutingResult, ba_forward, make_bra_params,
+                        token_attention)
 from .cfe import cfe_forward, cfe_receptive_probe, join_branches, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
                       deformable_conv2d, deformable_conv2d_with_offsets,
@@ -364,10 +364,11 @@ def check_convex_combination():
     c, s, k, heads = 4, 2, 2, 2
     x = rng.tensor([c, 8, 8], -1.0, 1.0)
     p = make_bra_params(T.Rng(330), c, s, k, heads=heads, zero_lce=True)
-    out = _arr(ba_forward(x, p))
+    kinks = {}
+    out = _arr(ba_forward(x, p, kinks))
     tok = _tiles(_arr(x), s)
     v = tok @ _arr(p.w_v)
-    idx = compute_routing(x, p).indices
+    idx = kinks["routing"].indices
     out_tok = _tiles(out, s)
     d = c // heads
     for r in range(s * s):
@@ -387,7 +388,9 @@ def check_routing_matches_full_sort():
              (T.full([5, 8, 8], 0.37), 342)]
     for x, pseed in cases:
         p = make_bra_params(T.Rng(pseed), 5, 2, 2)
-        routing = compute_routing(x, p)
+        kinks = {}
+        ba_forward(x, p, kinks)
+        routing = kinks["routing"]
         aff = _arr(routing.affinity)
         for r in range(aff.shape[0]):
             want = topk_reference([float(v) for v in aff[r]], p.topk_k)
@@ -406,14 +409,14 @@ def check_routing_permutation_equivariance():
     inv[sigma] = np.arange(sigma.size)
 
     xp = _untiles(_tiles(x, s)[sigma], c, 8, 8, s)
-    r0 = compute_routing(T.tensor(x), p)
-    r1 = compute_routing(T.tensor(xp), p)
+    k0, k1 = {}, {}
+    o0 = _tiles(_arr(ba_forward(T.tensor(x), p, k0)), s)
+    o1 = _tiles(_arr(ba_forward(T.tensor(xp), p, k1)), s)
+    r0, r1 = k0["routing"], k1["routing"]
     a0, a1 = _arr(r0.affinity), _arr(r1.affinity)
     _close(a1, a0[np.ix_(sigma, sigma)], TOL_TIGHT, "affinity relabeling")
     if not np.array_equal(np.asarray(r1.indices), inv[np.asarray(r0.indices)[sigma]]):
         raise AssertionError("routed indices do not relabel with the regions")
-    o0 = _tiles(_arr(ba_forward(T.tensor(x), p)), s)
-    o1 = _tiles(_arr(ba_forward(T.tensor(xp), p)), s)
     _close(o1, o0[sigma], TOL_TIGHT, "output tiles")
 
 

@@ -6,20 +6,20 @@ function, so values may be shared freely between threads.  A Tape is
 single-writer: recording and backward must be serialized per tape.
 
 One rule owns the cores.  Every pyramid forward (pipeline.py) and every
-Tape.backward holds the pool (`hold_pool`): it takes the pool's lock and
-holds OpenBLAS to one thread until it lets go, then restores the count.
-OpenBLAS sums some products in an order that depends on its thread
-count, so at one thread the bits depend on neither that count nor the CPU
-count.  The one loop that uses a second core is routed token
-attention's stacks of blocks, run by `_run_rows` on a small pool of worker
-threads, one per CPU this process may use.  The pool is private: a caller
-never sees its threads, a call returns only after every worker has
-stopped, and the run record (instrumentation.py) is only touched on the
-calling thread.  Pooled calls inside a held forward or backward dispatch
-without toggling anything; a pooled call made outside them holds the pool
-for its own duration.  One thread at a time holds the pool, and any other
-runs its loops inline, so concurrent forwards leave the BLAS thread count
-as they found it.
+Tape.backward holds OpenBLAS at one thread (`one_blas_thread`).  Holds
+are counted over the whole process: the first to enter saves the thread
+count and sets it to 1, the last to leave restores it, so concurrent and
+nested holds all run at one BLAS thread and leave the count as they found
+it.  OpenBLAS sums some products in an order that depends on its thread
+count, so at one thread the bits depend on neither that count, the CPU
+count, nor who else is running.  The one loop that uses a second core is
+routed token attention's stacks of blocks, run by `_run_rows` on a small
+pool of worker threads, one per CPU this process may use, shared by every
+caller.  The pool is private: a caller never sees its threads, a call
+returns only after every share of its own has stopped, and the run record
+(instrumentation.py) is only touched on the calling thread.  A pooled
+call made outside a forward or backward holds for its own duration.  A
+forked child starts with no hold open and a pool of its own.
 
 Verification arithmetic is float64; float32 exists as a storage dtype and
 is rejected on tapes.
@@ -181,8 +181,8 @@ class Tape:
         its VJP has run, so only the leaves' gradients are returned.
         Gradient arrays are never written in place: a slot may share its
         array with another slot or with the seed, and fan-in adds out of
-        place.  The node loop holds the pool (hold_pool), as a forward
-        does.
+        place.  The node loop holds OpenBLAS at one thread
+        (one_blas_thread), as a forward does.
         """
         if not isinstance(output, Node) or output.tape is not self:
             raise GraphError("output node is not recorded on this tape")
@@ -190,7 +190,7 @@ class Tape:
             raise ShapeError(f"seed dims {seed.dims} != output dims {output.dims}")
         slots: dict[int, np.ndarray] = {output.index: np.asarray(seed.array, dtype=np.float64)}
         leaves: dict[Node, Tensor] = {}
-        with hold_pool():
+        with one_blas_thread():
             for idx in range(output.index, -1, -1):
                 g = slots.pop(idx, None)
                 if g is None:
@@ -362,9 +362,21 @@ def sum_all(a):
 # (CHANGES.md).
 _POOL_MIN_WORK = 1 << 23
 
-_pool_lock = threading.Lock()
-_pool = None    # (creating pid, workers, executor), made on first use
-_holder = None  # (pid, thread id) of the pool's holder, set under _pool_lock
+_hold_lock = threading.Lock()  # guards _holds, _saved_threads and _pool
+_holds = 0            # holds open in this process, over all threads
+_saved_threads = None  # the OpenBLAS count the first open hold found
+_pool = None          # (workers, executor), made on first use
+
+
+def _after_fork_in_child():
+    """A forked child has only the forking thread: none of the parent's
+    holds are open in it and none of its pool threads exist."""
+    global _hold_lock, _holds, _pool
+    _hold_lock, _holds, _pool = threading.Lock(), 0, None
+
+
+if hasattr(os, "register_at_fork"):  # platforms without fork need no reset
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _allowed_cpus() -> int:
@@ -399,77 +411,65 @@ def _openblas_threads():
 
 
 def _executor(workers: int):
-    """The workers - 1 pool threads that join a calling thread.  A forked
-    child has none of its parent's threads, so a new pid gets a new pool."""
+    """The workers - 1 pool threads that join a calling thread.  A pool
+    made for another worker count is dropped, not shut down: a concurrent
+    caller may still be submitting to it, and its threads exit once it is
+    collected."""
     # imported on first use, so that importing the package does not pay for it
     from concurrent.futures import ThreadPoolExecutor
     global _pool
-    pid = os.getpid()
-    if _pool is None or _pool[:2] != (pid, workers):
-        if _pool is not None and _pool[0] == pid:
-            _pool[2].shutdown(wait=False)
-        _pool = (pid, workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="cafbifpn-rows"))
-    return _pool[2]
-
-
-def _holding() -> bool:
-    return _holder == (os.getpid(), threading.get_ident())
+    with _hold_lock:
+        if _pool is None or _pool[0] != workers:
+            _pool = (workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="cafbifpn-rows"))
+        return _pool[1]
 
 
 @contextlib.contextmanager
-def hold_pool():
-    """Hold the pool for the body: take its lock and hold OpenBLAS to one
-    thread, restoring the count on the way out, error or not.  Yields
-    whether this thread holds the pool; a holder entering again is still
-    the holder and changes nothing.  The hold does not depend on the work
-    in the body or on the CPU count.
-
-    Nothing is held, and no BLAS call made, when no OpenBLAS is loaded or
-    another thread holds the pool; loops in the body then run inline."""
-    global _holder
-    if _holding():
-        yield True
-        return
+def one_blas_thread():
+    """Hold OpenBLAS at one thread for the body.  Holds are counted over
+    every thread of the process: the first to enter saves OpenBLAS's
+    thread count and sets it to 1, the last to leave restores it, error or
+    not.  Holds nest and overlap, and every thread inside any hold sees one
+    BLAS thread.  The hold does not depend on the work in the body or on
+    the CPU count; no BLAS call is made when no OpenBLAS is loaded."""
+    global _holds, _saved_threads
     blas = _openblas_threads()
-    if blas is None or not _pool_lock.acquire(blocking=False):
-        yield False
+    if blas is None:
+        yield
         return
     get, put = blas
+    with _hold_lock:
+        if _holds == 0:
+            _saved_threads = get()
+            put(1)
+        _holds += 1
     try:
-        old = get()
-        put(1)
-        _holder = (os.getpid(), threading.get_ident())
-        try:
-            yield True
-        finally:
-            _holder = None
-            put(old)
+        yield
     finally:
-        _pool_lock.release()
+        with _hold_lock:
+            _holds -= 1
+            if _holds == 0:
+                put(_saved_threads)
 
 
 def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
     """Run body over rows 0..n_rows-1 in interleaved shares
     range(i, n_rows, shares), one share per allowed CPU, at once: the
     calling thread takes share 0 and pool threads the rest, under
-    hold_pool.  Shares must write disjoint outputs and must not touch the
-    run record.
+    one_blas_thread.  Shares must write disjoint outputs and must not
+    touch the run record.  Concurrent callers share the pool's threads.
 
     body(range(n_rows)) runs inline instead, before any hold is taken,
-    when work is below _POOL_MIN_WORK or there are fewer than two shares;
-    and it runs inline when this thread cannot hold the pool (see
-    hold_pool).  Returns only once every share has stopped; the first
-    failed share's exception, in share order, is then re-raised.
+    when work is below _POOL_MIN_WORK or there are fewer than two shares.
+    Returns only once every share has stopped; the first failed share's
+    exception, in share order, is then re-raised.
     """
     shares = min(_allowed_cpus(), n_rows) if work >= _POOL_MIN_WORK else 1
     if shares < 2:
         body(range(n_rows))
         return
-    with hold_pool() as held:
-        if not held:
-            body(range(n_rows))
-            return
-        from concurrent.futures import wait
+    from concurrent.futures import wait
+    with one_blas_thread():
         pool = _executor(_allowed_cpus())
         futures = []
         try:

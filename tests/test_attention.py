@@ -49,10 +49,11 @@ def test_routed_agrees_with_reference():
 def test_corrupt_tiebreak_hook_changes_tied_selection(monkeypatch):
     x = T.full([5, 8, 8], 0.37)  # constant map forces full score ties
     p = A.make_bra_params(T.Rng(45), 5, 2, 2)
-    clean = A.compute_routing(x, p).indices
+    clean, corrupted = {}, {}
+    A.ba_forward(x, p, clean)
     monkeypatch.setattr(A, "_topk_indices_row", topk_ties_descending)
-    corrupted = A.compute_routing(x, p).indices
-    assert not np.array_equal(clean, corrupted)
+    A.ba_forward(x, p, corrupted)
+    assert not np.array_equal(clean["routing"].indices, corrupted["routing"].indices)
 
 
 def test_topk_rejects_out_of_range():
@@ -74,8 +75,10 @@ def test_heads_must_divide_width():
 def test_routing_margin_recorded():
     x = T.Rng(51).tensor([4, 8, 8], -1.0, 1.0)
     p = A.make_bra_params(T.Rng(510), 4, 2, 2)
+    kinks = {}
     with count_macs() as record:
-        routing = A.compute_routing(x, p)
+        A.ba_forward(x, p, kinks)
+    routing = kinks["routing"]
     assert np.isfinite(record.margins["routing"])
     assert record.margins["routing"] >= 0.0
     # the per-row loop the recorded margin replaced: k-th minus (k+1)-th affinity
@@ -86,10 +89,13 @@ def test_routing_margin_recorded():
 def test_frozen_routing_reused():
     x = T.Rng(52).tensor([4, 8, 8], -1.0, 1.0)
     p = A.make_bra_params(T.Rng(520), 4, 2, 2)
-    routing = A.compute_routing(x, p)
-    a = A.ba_forward(x, p, routing=routing)
-    b = A.ba_forward(x, p)
+    kinks = {}
+    a = A.ba_forward(x, p, kinks)
+    pinned = kinks["routing"]
+    b = A.ba_forward(x, p, kinks)
+    assert kinks["routing"] is pinned
     assert np.array_equal(arr(a), arr(b))
+    assert np.array_equal(arr(a), arr(A.ba_forward(x, p)))
 
 
 def _tokens(*tensors):

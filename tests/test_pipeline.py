@@ -123,6 +123,22 @@ def test_frozen_routing_substitution_is_identity():
             arr(c_afbifpn_forward(backbone, params)[lvl]).tobytes()
 
 
+def test_every_tape_node_is_reachable_from_the_outputs():
+    """A taped forward records nothing that no output depends on: the
+    routing is decided off the tape."""
+    channels, backbone = tiny_pyramid(87)
+    params = build_pipeline_params(tiny_cfg(), channels)
+    tape = T.Tape()
+    out = c_afbifpn_forward({lvl: tape.leaf(t) for lvl, t in backbone.items()}, params)
+    reached, todo = set(), list(out.values())
+    while todo:
+        node = todo.pop()
+        if node.index not in reached:
+            reached.add(node.index)
+            todo.extend(p for p in node.parents if isinstance(p, T.Node))
+    assert sorted(set(range(len(tape.nodes))) - reached) == []
+
+
 def test_plain_reduction_matches_reference():
     cfg = tiny_cfg(cfe_enabled=False, attention_fusion_enabled=False)
     assert plain_reduction_error(tiny_pyramid(88)[1], cfg) <= 1e-12

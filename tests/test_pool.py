@@ -1,10 +1,11 @@
-"""The worker pool behind large token-attention calls, and the hold that
-keeps OpenBLAS at one thread: pooled and inline runs give the same bits, a
-failing share stops the call only after every share has stopped,
-concurrent callers and forked children are safe, and the OpenBLAS thread
-count is always restored.  Every forward and every backward holds the
-pool, setting the BLAS thread count once each way, so outputs and
-gradients do not depend on that count.
+"""The worker pool behind large token-attention calls, and the counted
+hold that keeps OpenBLAS at one thread: pooled and inline runs give the
+same bits, a failing share stops the call only after every share has
+stopped, concurrent callers and forked children are safe, and the OpenBLAS
+thread count is always restored.  Every forward and every backward holds
+BLAS at one thread, a lone caller setting the count once each way, so
+outputs and gradients do not depend on that count; overlapping holds see
+one thread until the last of them leaves.
 
 The pool threshold is lowered so desk-scale calls reach the pool.
 Assertions that the pool actually ran skip when only one CPU is allowed
@@ -203,8 +204,7 @@ def test_forked_child_runs_pooled_calls(pooled):
 @pytest.fixture()
 def recorded(monkeypatch):
     """Two allowed CPUs and a stand-in OpenBLAS whose thread count starts
-    at 3; every lookup, get and set, and every attempt on the pool's lock,
-    is appended to the returned list."""
+    at 3; every lookup, get and set is appended to the returned list."""
     calls = []
     count = [3]
 
@@ -220,23 +220,8 @@ def recorded(monkeypatch):
         calls.append(("lookup",))
         return get, put
 
-    class Lock:
-        def __init__(self, lock):
-            self.lock = lock
-
-        def acquire(self, blocking=True):
-            calls.append(("lock",))
-            return self.lock.acquire(blocking)
-
-        def release(self):
-            self.lock.release()
-
-        def locked(self):
-            return self.lock.locked()
-
     monkeypatch.setattr(T, "_allowed_cpus", lambda: 2)
     monkeypatch.setattr(T, "_openblas_threads", lookup)
-    monkeypatch.setattr(T, "_pool_lock", Lock(T._pool_lock))
     return calls
 
 
@@ -252,20 +237,20 @@ def test_pooled_forward_sets_blas_threads_once_each_way(monkeypatch, pooled, rec
     monkeypatch.setattr(T, "_run_rows", lambda n_rows, body, work: (runs.append(n_rows),
                                                                        real(n_rows, body, work)))
     real_conv = P.conv2d
-    monkeypatch.setattr(P, "conv2d", lambda *args: (held.append(T._holding()), real_conv(*args))[1])
+    monkeypatch.setattr(P, "conv2d", lambda *args: (held.append(_blas_count()), real_conv(*args))[1])
     backbone, params = _pyramid()
     c_afbifpn_forward(backbone, params)
     assert any(n.startswith(POOL_NAME) for n in pooled)
     assert len(runs) == 2
-    assert held == [True] * 4
+    assert held == [1] * 4
     assert _sets(recorded) == [1, 3]
-    assert [c for c in recorded if c[0] == "lock"] == [("lock",)]
+    assert T._holds == 0
 
 
 def test_fixture_forward_and_backward_each_hold_blas_at_one_thread(fixture_dir, recorded):
     """The fixture forward, untaped and taped, and the taped one's backward
-    each take the pool's lock once and set BLAS to one thread and back,
-    though none of their attention calls reaches the pool."""
+    each set BLAS to one thread and back once, though none of their
+    attention calls reaches the pool."""
     maps = load_backbone(fixture_dir)
     params = build_pipeline_params(RunConfig(), {lvl: t.dims[0] for lvl, t in maps.items()})
     c_afbifpn_forward(maps, params)
@@ -273,7 +258,7 @@ def test_fixture_forward_and_backward_each_hold_blas_at_one_thread(fixture_dir, 
     out = c_afbifpn_forward({lvl: tape.leaf(t) for lvl, t in maps.items()}, params)
     tape.backward(T.sum_all(out[2]), T.tensor([1.0]))
     assert _sets(recorded) == [1, 3, 1, 3, 1, 3]
-    assert [c for c in recorded if c[0] == "lock"] == [("lock",)] * 3
+    assert T._holds == 0
 
 
 _GRADIENT_DIGESTS = """
@@ -328,8 +313,141 @@ def test_error_mid_forward_restores_blas_and_releases_the_pool(monkeypatch, pool
     with pytest.raises(NumericError):
         c_afbifpn_forward(backbone, params)
     assert _sets(recorded) == [1, 3]
-    assert not T._pool_lock.locked() and not T._holding()
+    assert T._holds == 0
     pooled.clear()
     c_afbifpn_forward(backbone, params)
     assert _sets(recorded) == [1, 3, 1, 3]
     assert any(n.startswith(POOL_NAME) for n in pooled)
+
+
+def _overlapping(monkeypatch, run_b):
+    """Thread A runs the pyramid forward and pauses in its first
+    projection.  Thread B then runs run_b(checkpoint); its first checkpoint
+    pauses until A's forward has returned.  Returns the BLAS thread count
+    at each of B's checkpoints, each read after any pause.  B's own
+    projections are checkpoints."""
+    backbone, params = _pyramid()
+    a_paused, b_paused, a_done = threading.Event(), threading.Event(), threading.Event()
+    seen, errors = [], []
+
+    def checkpoint():
+        if not b_paused.is_set():
+            b_paused.set()
+            a_done.wait(60)
+        seen.append(_blas_count())
+
+    real_conv = P.conv2d
+
+    def conv(*args):
+        if threading.current_thread().name != "A":
+            checkpoint()
+        elif not a_paused.is_set():
+            a_paused.set()
+            b_paused.wait(60)
+        return real_conv(*args)
+
+    monkeypatch.setattr(P, "conv2d", conv)
+
+    def guarded(fn, done=None):
+        def run():
+            try:
+                fn()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+            finally:
+                if done is not None:
+                    done.set()
+        return run
+
+    a = threading.Thread(target=guarded(lambda: c_afbifpn_forward(backbone, params), a_done),
+                         name="A")
+    b = threading.Thread(target=guarded(lambda: run_b(checkpoint)), name="B")
+    a.start()
+    assert a_paused.wait(60)
+    b.start()
+    for t in (a, b):
+        t.join(timeout=120)
+    assert not errors and not a.is_alive() and not b.is_alive()
+    return seen
+
+
+def test_forward_overlapping_another_sees_one_blas_thread(monkeypatch, recorded):
+    """B's forward starts inside A's and outlives it: all four of B's
+    projections run at one BLAS thread, and the count is restored once,
+    when B leaves."""
+    backbone, params = _pyramid()
+    seen = _overlapping(monkeypatch, lambda checkpoint: c_afbifpn_forward(backbone, params))
+    assert seen == [1] * 4
+    assert _sets(recorded) == [1, 3]
+    assert _blas_count() == 3 and T._holds == 0
+
+
+def test_backward_overlapping_a_forward_sees_one_blas_thread(monkeypatch, recorded):
+    """B's backward starts inside A's forward and outlives it: every VJP
+    runs at one BLAS thread."""
+    backbone, params = _pyramid()
+    tape = T.Tape()
+    out = c_afbifpn_forward({lvl: tape.leaf(t) for lvl, t in backbone.items()}, params)
+    loss = T.sum_all(out[2])
+
+    def backward(checkpoint):
+        def checked(fn):
+            return lambda g: (checkpoint(), fn(g))[1]
+
+        for node in tape.nodes:
+            if node._grads_fn is not None:
+                node._grads_fn = checked(node._grads_fn)
+        tape.backward(loss, T.tensor([1.0]))
+
+    seen = _overlapping(monkeypatch, backward)
+    assert len(seen) > 4 and seen == [1] * len(seen)
+    assert _sets(recorded) == [1, 3, 1, 3]
+    assert _blas_count() == 3 and T._holds == 0
+
+
+def _child_forward_counts(conn):
+    begin = _blas_count()
+    backbone, params = _pyramid()
+    c_afbifpn_forward(backbone, params)
+    pooled = any(t.name.startswith(POOL_NAME) for t in threading.enumerate())
+    conn.send((pooled, begin, _blas_count()))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_child_forked_inside_a_hold_reaches_the_pool(pooled, recorded):
+    """Another parent thread is inside a hold when the child forks: the
+    child starts with no hold open, still reaches the pool, and ends at
+    the BLAS count it began with."""
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with T.one_blas_thread():
+            entered.set()
+            leave.wait(120)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(60)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_forward_counts, args=(send,))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "forked child did not answer"
+            child_pooled, begin, end = recv.recv()
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join()
+    finally:
+        leave.set()
+        holder.join(timeout=60)
+    assert child.exitcode == 0
+    assert child_pooled
+    assert begin == end == 1
+    assert _blas_count() == 3 and T._holds == 0
