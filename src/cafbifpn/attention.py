@@ -241,7 +241,9 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
             if gathered_grad is None:
                 return None
             buf = np.zeros_like(like)
-            np.add.at(buf, idx.reshape(-1), gathered_grad.reshape((idx.size,) + like.shape[1:]))
+            parts = gathered_grad.reshape((idx.size,) + like.shape[1:])
+            for j, r in enumerate(idx.reshape(-1)):
+                buf[r] += parts[j]
             return buf
 
         return gq, scatter(gk, kv), scatter(gv, vv)
@@ -288,7 +290,7 @@ def ba_forward(f, p: BraParams, kinks: dict | None = None):
     nothing of it is recorded.  kinks, a mutable dict, freezes the region
     selection: it is taken from kinks["routing"], or decided and stored
     there, which the gradient checks use to keep the function smooth under
-    perturbation.
+    perturbation.  Each token-layout map is dropped after its last use.
     """
     v = T._val(f)
     c = v.shape[0]
@@ -298,8 +300,7 @@ def ba_forward(f, p: BraParams, kinks: dict | None = None):
     if record is not None:
         record.ba_invocations += 1
 
-    rt = region_partition(f, p.regions_s)
-    q, k, vv = qkv_project(rt, p)
+    q, k, vv = qkv_project(region_partition(f, p.regions_s), p)
     if kinks is not None and "routing" in kinks:
         routing = kinks["routing"]
     else:
@@ -310,4 +311,7 @@ def ba_forward(f, p: BraParams, kinks: dict | None = None):
         if kinks is not None:
             kinks["routing"] = routing
     attended = token_attention(q, k, vv, routing, p.heads)
-    return T.add(region_merge(attended), lce(vv, p.lce_kernel))
+    del q, k
+    merged = region_merge(attended)
+    del attended
+    return T.add(merged, lce(vv, p.lce_kernel))

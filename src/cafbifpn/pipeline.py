@@ -10,6 +10,7 @@ tape leaves interchangeably.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,7 @@ def resize(f, direction: str):
 
     One tape node.  Both directions and their VJPs use the expressions of
     the reshape, broadcast and mean ops they replace, so the bits match.
+    down2 runs over fuse's channel blocks, with one block-sized temporary.
     """
     v = T._val(f)
     if v.ndim != 3:
@@ -72,14 +74,19 @@ def resize(f, direction: str):
     c, h, w = v.shape
     if direction == "up2":
         out = np.repeat(np.repeat(v, 2, axis=1), 2, axis=2)
-        return T._emit((f,), out, lambda g: (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),))
+        return T._emit((f,), out, lambda g: (_blocks(g).sum(axis=(2, 4)),))
     if direction == "down2":
         if h % 2 or w % 2:
             raise ShapeError(f"down2 needs even extents, got {h}x{w}")
-        rows = v[:, 0::2] + v[:, 1::2]
-        rows /= 2
-        out = rows[:, :, 0::2] + rows[:, :, 1::2]
-        out /= 2
+        n = _block_rows(v.shape)
+        out = np.empty((c, h // 2, w // 2))
+        rows = np.empty((min(n, c), h // 2, w))
+        for lo in range(0, c, n):
+            x, r, o = v[lo:lo + n], rows[:min(n, c - lo)], out[lo:lo + n]
+            np.add(x[:, 0::2], x[:, 1::2], out=r)
+            r /= 2
+            np.add(r[:, :, 0::2], r[:, :, 1::2], out=o)
+            o /= 2
 
         def grads(g):
             quarter = g / 2
@@ -88,6 +95,12 @@ def resize(f, direction: str):
 
         return T._emit((f,), out, grads)
     raise ConfigError(f"unknown resize direction {direction!r}")
+
+
+def _blocks(a):
+    """The [C, H, 2, W, 2] view of a [C, 2H, 2W] array's 2x2 blocks."""
+    c, h, w = a.shape
+    return a.reshape(c, h // 2, 2, w // 2, 2)
 
 
 def _as_scalar(w):
@@ -104,12 +117,21 @@ def _as_scalar(w):
 _FUSE_BLOCK_BYTES = 1 << 18
 
 
-def fuse(inputs, raw_weights, epsilon: float):
+def _block_rows(shape) -> int:
+    """Leading-axis rows per block of a float64 array of this shape."""
+    return max(1, _FUSE_BLOCK_BYTES // (8 * math.prod(shape[1:])))
+
+
+def fuse(inputs, raw_weights, epsilon: float, up2=()):
     """sum(max(w_i,0) * x_i) / (sum(max(w_i,0)) + epsilon), elementwise.
+
+    The inputs indexed by up2 are [C, H/2, W/2] maps read as
+    resize(x_i, "up2"), with the bits of that separate node.
 
     One tape node.  The output is accumulated in place, one block of
     leading-axis rows at a time, with one block-sized temporary:
-    ((u_0 x_0 + u_1 x_1) + u_2 x_2) / denom, u_i the clamped weights.  The
+    ((u_0 x_0 + u_1 x_1) + u_2 x_2) / denom, u_i the clamped weights; a
+    half-extent input is pixel-replicated as it is multiplied.  The
     backward recomputes the numerator for the weights' gradient instead of
     keeping it.
     """
@@ -120,9 +142,14 @@ def fuse(inputs, raw_weights, epsilon: float):
     if not 0 <= epsilon < np.inf:
         raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     xs = [T._val(x) for x in inputs]
-    for x in xs[1:]:
-        if x.shape != xs[0].shape:
-            raise ShapeError(f"fuse input dims {list(x.shape)} != {list(xs[0].shape)}")
+    halves = [i in up2 for i in range(len(xs))]
+    full = [x.shape[:1] + tuple(2 * e for e in x.shape[1:]) if half else x.shape
+            for x, half in zip(xs, halves)]
+    shape = full[0]
+    for x, f, half in zip(xs, full, halves):
+        if f != shape or half and x.ndim != 3:
+            raise ShapeError(f"fuse up2 input dims {list(x.shape)} are not half of {list(shape)}"
+                             if half else f"fuse input dims {list(x.shape)} != {list(shape)}")
     scalars = [_as_scalar(w) for w in raw_weights]
     for x in xs + [T._val(w) for w in scalars]:
         if x.dtype != np.float64:
@@ -142,8 +169,14 @@ def fuse(inputs, raw_weights, epsilon: float):
     if denom[0] == 0.0:
         raise NumericError("fusion denominator is zero: all weights clamped away and epsilon is 0")
 
-    shape = xs[0].shape
-    rows = max(1, _FUSE_BLOCK_BYTES // max(1, xs[0][:1].nbytes))
+    rows = _block_rows(shape)
+
+    def term(i, lo, out):
+        """out = u_i x_i over the block of rows from lo."""
+        x = xs[i][lo:lo + rows]
+        if halves[i]:
+            out, x = _blocks(out), x[:, :, None, :, None]
+        np.multiply(x, us[i], out=out)
 
     def numerator(out, divide: bool):
         """out = (u_0 x_0 + u_1 x_1) + ..., divided by denom if asked,
@@ -152,9 +185,9 @@ def fuse(inputs, raw_weights, epsilon: float):
         for lo in range(0, shape[0], rows):
             o = out[lo:lo + rows]
             t = tmp[:len(o)]
-            np.multiply(xs[0][lo:lo + rows], us[0], out=o)
-            for x, u in zip(xs[1:], us[1:]):
-                np.multiply(x[lo:lo + rows], u, out=t)
+            term(0, lo, o)
+            for i in range(1, len(xs)):
+                term(i, lo, t)
                 o += t
             if divide:
                 o /= denom
@@ -165,7 +198,8 @@ def fuse(inputs, raw_weights, epsilon: float):
 
     def grads(g):
         gnum = g / denom
-        gx = [gnum * u if need else None for u, need in zip(us, need_x)]
+        gx = [(_blocks(gnum * u).sum(axis=(2, 4)) if half else gnum * u) if need else None
+              for u, need, half in zip(us, need_x, halves)]
         gw = [None] * len(us)
         if any(need_w):
             every = tuple(range(g.ndim))
@@ -175,7 +209,9 @@ def fuse(inputs, raw_weights, epsilon: float):
             gden = gden.sum(axis=every).reshape(1)
             for i, need in enumerate(need_w):
                 if need:
-                    gw[i] = (gden + (gnum * xs[i]).sum(axis=every).reshape(1)) * masks[i]
+                    prod = ((_blocks(gnum) * xs[i][:, :, None, :, None]).reshape(shape)
+                            if halves[i] else gnum * xs[i])
+                    gw[i] = (gden + prod.sum(axis=every).reshape(1)) * masks[i]
         return tuple(gx) + tuple(gw)
 
     return T._emit(tuple(inputs) + tuple(scalars), out, grads)
@@ -234,7 +270,7 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     Node order: level-4 intermediate, its refinement, level-3 intermediate,
     its refinement, then outputs 2, 3, 4, 5.  Each refinement is computed
     once and reused by both consumers, so the routed-attention pass runs
-    exactly twice.
+    exactly twice.  The up2 resizes run inside their fusion nodes.
 
     kinks, a mutable level-keyed dict of dicts, freezes what a gradient
     check's perturbation could flip: kinks[level]["routing"] pins that
@@ -246,7 +282,15 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     token attention's stacks run on the pool's threads.
     """
     _validate_params(p)
-    _check_pyramid(inputs, "stage-I", PipelineError)
+    with T.one_blas_thread():
+        return _fuse_pyramid(dict(inputs), p, kinks)
+
+
+def _fuse_pyramid(maps: dict, p: PipelineParams, kinks: dict | None) -> dict:
+    """afbifpn_forward's nodes over a stage-I dict this call owns: each
+    level's map, and each intermediate, is dropped after its last
+    consumer, so an untaped forward frees it there."""
+    _check_pyramid(maps, "stage-I", PipelineError)
     fw = p.fusion
     eps = fw.epsilon
 
@@ -258,24 +302,22 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
         except PartitionError as exc:
             raise PartitionError(f"node {name}: {exc}") from exc
 
-    with T.one_blas_thread():
-        p4f = node("level-4 intermediate",
-                   lambda: fuse([inputs[4], resize(inputs[5], "up2")], fw.p4_mid, eps))
-        a4 = node("level-4 refinement",
-                  lambda: _refine(p4f, p, 4, _level_kinks(kinks, 4)))
-        p3f = node("level-3 intermediate",
-                   lambda: fuse([inputs[3], resize(a4, "up2")], fw.p3_mid, eps))
-        a3 = node("level-3 refinement",
-                  lambda: _refine(p3f, p, 3, _level_kinks(kinks, 3)))
-        p2o = node("level-2 output",
-                   lambda: fuse([inputs[2], resize(a3, "up2")], fw.p2_out, eps))
-        p3o = node("level-3 output",
-                   lambda: fuse([inputs[3], a3, resize(p2o, "down2")], fw.p3_out, eps))
-        p4o = node("level-4 output",
-                   lambda: fuse([inputs[4], a4, resize(p3o, "down2")], fw.p4_out, eps))
-        p5o = node("level-5 output",
-                   lambda: fuse([inputs[5], resize(p4o, "down2")], fw.p5_out, eps))
-        return {2: p2o, 3: p3o, 4: p4o, 5: p5o}
+    p4f = node("level-4 intermediate", lambda: fuse([maps[4], maps[5]], fw.p4_mid, eps, up2=(1,)))
+    a4 = node("level-4 refinement", lambda: _refine(p4f, p, 4, _level_kinks(kinks, 4)))
+    del p4f
+    p3f = node("level-3 intermediate", lambda: fuse([maps[3], a4], fw.p3_mid, eps, up2=(1,)))
+    a3 = node("level-3 refinement", lambda: _refine(p3f, p, 3, _level_kinks(kinks, 3)))
+    del p3f
+    p2o = node("level-2 output", lambda: fuse([maps.pop(2), a3], fw.p2_out, eps, up2=(1,)))
+    p3o = node("level-3 output",
+               lambda: fuse([maps.pop(3), a3, resize(p2o, "down2")], fw.p3_out, eps))
+    del a3
+    p4o = node("level-4 output",
+               lambda: fuse([maps.pop(4), a4, resize(p3o, "down2")], fw.p4_out, eps))
+    del a4
+    p5o = node("level-5 output",
+               lambda: fuse([maps.pop(5), resize(p4o, "down2")], fw.p5_out, eps))
+    return {2: p2o, 3: p3o, 4: p4o, 5: p5o}
 
 
 def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
@@ -295,7 +337,7 @@ def c_afbifpn_forward(backbone: dict, p: PipelineParams, *,
                 stage_i[lvl] = cfe_forward(backbone[lvl], p.cfe[lvl], _level_kinks(kinks, lvl))
             else:
                 stage_i[lvl] = conv2d(backbone[lvl], p.projection[lvl])
-        return afbifpn_forward(stage_i, p, kinks=kinks)
+        return _fuse_pyramid(stage_i, p, kinks)
 
 
 def build_pipeline_params(cfg, channels: dict) -> PipelineParams:

@@ -114,6 +114,8 @@ def check_op_gradients():
     # so its gradient goes through the clamp mask
     fused = [rng.tensor([2, 3, 2], -1.0, 1.0) for _ in range(3)]
     raw = [T.tensor([u]) for u in (0.9, 0.4, -0.3)]
+    # a fusion node that reads its second input at half extent
+    fine, coarse = rng.tensor([2, 4, 6], -1.0, 1.0), rng.tensor([2, 2, 3], -1.0, 1.0)
 
     cases = [("composite-op", graph, T.Rng(40).tensor([2, 3], -1.0, 1.0))] + [
         case for c in convs for case in (
@@ -138,7 +140,9 @@ def check_op_gradients():
     ] + [(f"fuse input {i}", lambda v, i=i: fuse(_swapped(fused, i, v), raw, 1e-4), t)
          for i, t in enumerate(fused)] + [
         (f"fuse weight {i}", lambda v, i=i: fuse(fused, _swapped(raw, i, v), 1e-4), u)
-        for i, u in enumerate(raw)] + _fused_cases()
+        for i, u in enumerate(raw)] + [
+        ("fuse upsampled input", lambda v: fuse([fine, v], raw[:2], 1e-4, up2=(1,)), coarse),
+    ] + _fused_cases()
     for what, op, x0 in cases:
         err = max_rel_err([("x", x0)], lambda v: _weighted_sum(op(v["x"])))[0]
         if not err <= TOL_GRAD:

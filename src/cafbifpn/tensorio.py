@@ -34,7 +34,7 @@ def tensor_write(path, t: T.Tensor) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BBBB", _VERSION, code, len(dims), 0))
         fh.write(struct.pack(f"<{len(dims)}Q", *dims))
-        fh.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPE[code]).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPE[code]).data)
 
 
 def tensor_read(path) -> T.Tensor:
@@ -68,7 +68,8 @@ def tensor_read(path) -> T.Tensor:
     if actual != expected:
         raise FormatError(f"offset {dims_end}: payload is {actual} bytes, want {expected}")
     arr = np.frombuffer(blob, dtype=dt, count=count, offset=dims_end)
-    return T.Tensor(arr.reshape(dims).astype(arr.dtype.newbyteorder("=")))
+    # astype makes the one native-order copy the tensor then owns
+    return T.Tensor(arr.reshape(dims).astype(arr.dtype.newbyteorder("=")), copy=False)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The fused tape nodes against the composed chains they replace: the
 relu-activated convolutions, the enhancement block's branch join, both
-resize directions, and routed token attention, whose backward recomputes
-the attention weights instead of keeping them.  Each records one tape
-node and gives the composed chain's forward bits and input-gradient bits,
-and token attention does so at every stacking of its blocks.
+resize directions, fusion with its up2 resizes inside, and routed token
+attention, whose backward recomputes the attention weights instead of
+keeping them.  Each records one tape node and gives the composed chain's
+forward bits and input-gradient bits; token attention does so at every
+stacking of its blocks, and the blocked fusion nodes at several blocks.
 Their gradients against central finite differences are selfcheck's
 op-gradients-match-finite-differences."""
 
@@ -13,11 +14,12 @@ import numpy as np
 import pytest
 
 from cafbifpn import attention as A
+from cafbifpn import pipeline as P
 from cafbifpn import tensor as T
 from cafbifpn.cfe import join_branches
 from cafbifpn.convops import Conv2dParams, conv2d, deformable_conv2d_with_offsets
-from cafbifpn.errors import NumericError
-from cafbifpn.pipeline import resize
+from cafbifpn.errors import NumericError, ShapeError
+from cafbifpn.pipeline import fuse, resize
 
 
 # -- the composed chains, rebuilt from the primitives they were made of --
@@ -129,6 +131,10 @@ _TOKENS = [_rng.tensor([4, 3, 4], -1.0, 1.0) for _ in range(3)]
 # region 3 is routed to three times, so its key and value gradients sum
 # over copies
 _ROUTING = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
+# a fusion node whose first and last inputs are at half extent; the middle
+# weight is clamped away
+_HALF = [_rng.tensor([3, 2, 3], -1.0, 1.0) for _ in range(2)]
+_FUSE_WEIGHTS = [T.tensor([u]) for u in (0.7, -0.3, 0.4)]
 
 
 def _conv(w, b):
@@ -154,6 +160,10 @@ CASES = {
              tuple(_PARTS) + (_RESIDUAL,)),
     "up2": (lambda f: resize(f, "up2"), lambda f: _composed_resize(f, "up2"), (_FINE,)),
     "down2": (lambda f: resize(f, "down2"), lambda f: _composed_resize(f, "down2"), (_FINE,)),
+    "fuse-up2": (
+        lambda a, b, c, *w: fuse([a, b, c], w, 1e-4, up2=(0, 2)),
+        lambda a, b, c, *w: fuse([resize(a, "up2"), b, resize(c, "up2")], w, 1e-4),
+        (_HALF[0], _FINE, _HALF[1]) + tuple(_FUSE_WEIGHTS)),
     "token-attention": (_attend(A.token_attention), _attend(_stored_weights_attention),
                         tuple(_TOKENS)),
 }
@@ -195,6 +205,21 @@ def test_fused_node_matches_composed_chain_bit_for_bit(name):
         assert np.array_equal(_bits(got), _bits(expect))
     # the untaped forward gives the same bits
     assert np.array_equal(_bits(fused(*operands)), _bits(want))
+
+
+@pytest.mark.parametrize("name", ["fuse-up2", "down2"])
+def test_blocked_node_matches_composed_chain_at_small_blocks(monkeypatch, name):
+    """Two channels per block over three channels: a full block, then a
+    short last one."""
+    monkeypatch.setattr(P, "_FUSE_BLOCK_BYTES", 2 * 8 * 4 * 6)
+    assert P._block_rows(T._val(_FINE).shape) == 2
+    test_fused_node_matches_composed_chain_bit_for_bit(name)
+
+
+@pytest.mark.parametrize("coarse", [[3, 2, 2], [3, 4, 6], [3, 3, 3], [2, 2, 3], [6, 4]])
+def test_fuse_rejects_up2_input_not_at_half_extent(coarse):
+    with pytest.raises(ShapeError, match="up2 input"):
+        fuse([_FINE, T.zeros(coarse)], [1.0, 1.0], 1e-4, up2=(1,))
 
 
 def test_attention_tape_keeps_no_weights():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -139,6 +141,29 @@ def test_every_tape_node_is_reachable_from_the_outputs():
     assert sorted(set(range(len(tape.nodes))) - reached) == []
 
 
+def test_untaped_forward_peak_under_three_and_a_half_level_2_maps():
+    """The attn256 shape (enhancement block off, S=8, k=4, 4 heads) with
+    level 2 at 128: the forward's traced peak, output maps included, stays
+    under 3.5 level-2 maps (about 3.0 measured).  Fusion with the up2
+    resize outside the node, down2's full-size temporary, attention's
+    token-layout intermediates kept to the end of the pass and stage-I
+    level 2 kept to the end of the forward peaked at 4.05."""
+    widths = {2: 16, 3: 32, 4: 64, 5: 128}
+    rng = T.Rng(31)
+    backbone = {lvl: rng.tensor([c, 128 >> (lvl - 2), 128 >> (lvl - 2)], -1.0, 1.0)
+                for lvl, c in widths.items()}
+    cfg = replace(RunConfig(), regions_s=8, topk_k=4, heads=4, cfe_enabled=False)
+    params = build_pipeline_params(cfg, widths)
+    c_afbifpn_forward(backbone, params)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        c_afbifpn_forward(backbone, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 48 * 128 * 128 * 8
+
+
 def test_plain_reduction_matches_reference():
     cfg = tiny_cfg(cfe_enabled=False, attention_fusion_enabled=False)
     assert plain_reduction_error(tiny_pyramid(88)[1], cfg) <= 1e-12
@@ -154,7 +179,9 @@ def test_fusion_stage_alone_matches_reference():
     stage_i = {lvl: rng.tensor([6, 16 >> (lvl - 2), 16 >> (lvl - 2)], -1.0, 1.0)
                for lvl in (2, 3, 4, 5)}
     params = build_pipeline_params(tiny_cfg(seed=95), {2: 3, 3: 3, 4: 4, 5: 4})
+    given = dict(stage_i)
     out = afbifpn_forward(stage_i, params)
+    assert stage_i == given  # the caller's maps are left in place
     ref = ref_afbifpn(stage_i, params)
     for lvl in (2, 3, 4, 5):
         assert max_abs_diff(out[lvl], ref[lvl]) <= 1e-10
