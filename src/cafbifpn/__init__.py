@@ -14,10 +14,10 @@ from .errors import (ConfigError, FormatError, GraphError, KernelError,
                      NumericError, PartitionError, PipelineError, ShapeError)
 from .instrumentation import count_macs
 from .pipeline import (FusionWeights, PipelineParams, afbifpn_forward,
-                       build_pipeline_params, c_afbifpn_forward, fuse, resize)
+                       build_pipeline_params, c_afbifpn_forward, fuse)
 # the tensor() factory stays in its submodule: re-exporting it here would
 # shadow the cafbifpn.tensor module attribute with a function
-from .tensor import Node, Rng, Tape, Tensor, from_flat, full, zeros
+from .tensor import Node, Rng, Tape, Tensor, full, zeros
 from .tensorio import (RunConfig, config_parse, gen_fixture, load_backbone,
                        tensor_read, tensor_write)
 
@@ -49,9 +49,9 @@ __all__ = [
     "count_macs",
     "attention_flops",
     "FusionWeights", "PipelineParams", "afbifpn_forward",
-    "build_pipeline_params", "c_afbifpn_forward", "fuse", "resize",
+    "build_pipeline_params", "c_afbifpn_forward", "fuse",
     "run_selfcheck",
-    "Node", "Rng", "Tape", "Tensor", "from_flat", "full", "zeros",
+    "Node", "Rng", "Tape", "Tensor", "full", "zeros",
     "RunConfig", "config_parse", "gen_fixture", "load_backbone",
     "tensor_read", "tensor_write",
     "__version__",

@@ -294,8 +294,6 @@ def ba_forward(f, p: BraParams, kinks: dict | None = None):
     """
     v = T._val(f)
     c = v.shape[0]
-    if c % p.heads:
-        raise ConfigError(f"head count {p.heads} does not divide channel width {c}")
     record = active_record()
     if record is not None:
         record.ba_invocations += 1

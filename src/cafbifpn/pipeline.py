@@ -32,7 +32,8 @@ class FusionWeights:
 
     mid nodes are the top-down intermediates, out nodes the final maps.
     Input order within each tuple follows the fuse call: same-level input
-    first, then the refined/lateral term, then the resized neighbour.
+    first, then the refined/lateral term, then the neighbouring level,
+    which fuse resamples to the node's extent.
     """
 
     p2_out: tuple = (1.0, 1.0)
@@ -42,9 +43,6 @@ class FusionWeights:
     p4_out: tuple = (1.0, 1.0, 1.0)
     p5_out: tuple = (1.0, 1.0)
     epsilon: float = 1e-4
-
-_WEIGHT_ARITY = {"p2_out": 2, "p3_mid": 2, "p3_out": 3,
-                 "p4_mid": 2, "p4_out": 3, "p5_out": 2}
 
 
 @dataclass(frozen=True)
@@ -60,47 +58,34 @@ class PipelineParams:
     fusion: FusionWeights
 
 
-def resize(f, direction: str):
-    """up2 replicates each pixel into a 2x2 block; down2 averages disjoint
-    2x2 blocks, rows first, then columns.  down2(up2(f)) == f exactly.
-
-    One tape node.  Both directions and their VJPs use the expressions of
-    the reshape, broadcast and mean ops they replace, so the bits match.
-    down2 runs over fuse's channel blocks, with one block-sized temporary.
-    """
-    v = T._val(f)
-    if v.ndim != 3:
-        raise ShapeError(f"resize wants [C,H,W], got {list(v.shape)}")
-    c, h, w = v.shape
-    if direction == "up2":
-        out = np.repeat(np.repeat(v, 2, axis=1), 2, axis=2)
-        return T._emit((f,), out, lambda g: (_blocks(g).sum(axis=(2, 4)),))
-    if direction == "down2":
-        if h % 2 or w % 2:
-            raise ShapeError(f"down2 needs even extents, got {h}x{w}")
-        n = _block_rows(v.shape)
-        out = np.empty((c, h // 2, w // 2))
-        rows = np.empty((min(n, c), h // 2, w))
-        for lo in range(0, c, n):
-            x, r, o = v[lo:lo + n], rows[:min(n, c - lo)], out[lo:lo + n]
-            np.add(x[:, 0::2], x[:, 1::2], out=r)
-            r /= 2
-            np.add(r[:, :, 0::2], r[:, :, 1::2], out=o)
-            o /= 2
-
-        def grads(g):
-            quarter = g / 2
-            quarter /= 2
-            return (np.repeat(np.repeat(quarter, 2, axis=2), 2, axis=1),)
-
-        return T._emit((f,), out, grads)
-    raise ConfigError(f"unknown resize direction {direction!r}")
-
-
 def _blocks(a):
     """The [C, H, 2, W, 2] view of a [C, 2H, 2W] array's 2x2 blocks."""
     c, h, w = a.shape
     return a.reshape(c, h // 2, 2, w // 2, 2)
+
+
+def _mean2(x, out, pairs):
+    """out = the means of x's disjoint 2x2 blocks, rows first, then
+    columns; pairs is a [len(x), H, 2W] scratch for a [len(x), H, W] out."""
+    np.add(x[:, 0::2], x[:, 1::2], out=pairs)
+    pairs /= 2
+    np.add(pairs[:, :, 0::2], pairs[:, :, 1::2], out=out)
+    out /= 2
+    return out
+
+
+def _reading(dims, shape) -> str:
+    """How fuse reads an input of these dims at output dims shape: as it
+    is, pixel-replicated from half the extent, or averaged from twice it."""
+    if dims == shape:
+        return "same"
+    if len(dims) == len(shape) == 3 and dims[0] == shape[0]:
+        if (2 * dims[1], 2 * dims[2]) == shape[1:]:
+            return "half"
+        if dims[1:] == (2 * shape[1], 2 * shape[2]):
+            return "double"
+    raise ShapeError(f"fuse input dims {list(dims)} are neither {list(shape)} nor a [C,H,W] "
+                     "map at half or twice its extent")
 
 
 def _as_scalar(w):
@@ -122,18 +107,22 @@ def _block_rows(shape) -> int:
     return max(1, _FUSE_BLOCK_BYTES // (8 * math.prod(shape[1:])))
 
 
-def fuse(inputs, raw_weights, epsilon: float, up2=()):
-    """sum(max(w_i,0) * x_i) / (sum(max(w_i,0)) + epsilon), elementwise.
+def fuse(inputs, raw_weights, epsilon: float):
+    """sum(max(w_i,0) * x_i) / (sum(max(w_i,0)) + epsilon), elementwise,
+    every input read at input 0's dims.
 
-    The inputs indexed by up2 are [C, H/2, W/2] maps read as
-    resize(x_i, "up2"), with the bits of that separate node.
+    An input of those dims is read as it is.  A [C, H, W] input at half
+    the extent is pixel-replicated into 2x2 blocks; one at twice the
+    extent is averaged over disjoint 2x2 blocks, rows first, then columns.
+    Any other dims, a different channel count included, raise ShapeError.
 
     One tape node.  The output is accumulated in place, one block of
-    leading-axis rows at a time, with one block-sized temporary:
-    ((u_0 x_0 + u_1 x_1) + u_2 x_2) / denom, u_i the clamped weights; a
-    half-extent input is pixel-replicated as it is multiplied.  The
-    backward recomputes the numerator for the weights' gradient instead of
-    keeping it.
+    leading-axis rows at a time, with one block-sized temporary (and one
+    for the averaging): ((u_0 x_0 + u_1 x_1) + u_2 x_2) / denom, u_i the
+    clamped weights.  A replicated input's VJP sums each 2x2 block of its
+    gradient; an averaged one's quarters its gradient and repeats it over
+    each block.  The backward recomputes the numerator for the weights'
+    gradient instead of keeping it.
     """
     if len(inputs) < 1:
         raise ShapeError("fuse needs at least one input")
@@ -142,14 +131,8 @@ def fuse(inputs, raw_weights, epsilon: float, up2=()):
     if not 0 <= epsilon < np.inf:
         raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     xs = [T._val(x) for x in inputs]
-    halves = [i in up2 for i in range(len(xs))]
-    full = [x.shape[:1] + tuple(2 * e for e in x.shape[1:]) if half else x.shape
-            for x, half in zip(xs, halves)]
-    shape = full[0]
-    for x, f, half in zip(xs, full, halves):
-        if f != shape or half and x.ndim != 3:
-            raise ShapeError(f"fuse up2 input dims {list(x.shape)} are not half of {list(shape)}"
-                             if half else f"fuse input dims {list(x.shape)} != {list(shape)}")
+    shape = xs[0].shape
+    kinds = [_reading(x.shape, shape) for x in xs]
     scalars = [_as_scalar(w) for w in raw_weights]
     for x in xs + [T._val(w) for w in scalars]:
         if x.dtype != np.float64:
@@ -171,23 +154,29 @@ def fuse(inputs, raw_weights, epsilon: float, up2=()):
 
     rows = _block_rows(shape)
 
-    def term(i, lo, out):
-        """out = u_i x_i over the block of rows from lo."""
+    def term(i, lo, out, pairs):
+        """out = u_i x_i over the block of rows from lo; pairs is the
+        averaging scratch."""
         x = xs[i][lo:lo + rows]
-        if halves[i]:
-            out, x = _blocks(out), x[:, :, None, :, None]
-        np.multiply(x, us[i], out=out)
+        if kinds[i] == "half":
+            np.multiply(x[:, :, None, :, None], us[i], out=_blocks(out))
+        elif kinds[i] == "double":
+            np.multiply(_mean2(x, out, pairs[:len(out)]), us[i], out=out)
+        else:
+            np.multiply(x, us[i], out=out)
 
     def numerator(out, divide: bool):
         """out = (u_0 x_0 + u_1 x_1) + ..., divided by denom if asked,
         block by block."""
-        tmp = np.empty((min(rows, shape[0]),) + shape[1:])
+        n = min(rows, shape[0])
+        tmp = np.empty((n,) + shape[1:])
+        pairs = np.empty((n, shape[1], 2 * shape[2])) if "double" in kinds else None
         for lo in range(0, shape[0], rows):
             o = out[lo:lo + rows]
             t = tmp[:len(o)]
-            term(0, lo, o)
+            term(0, lo, o, pairs)
             for i in range(1, len(xs)):
-                term(i, lo, t)
+                term(i, lo, t, pairs)
                 o += t
             if divide:
                 o /= denom
@@ -196,10 +185,20 @@ def fuse(inputs, raw_weights, epsilon: float, up2=()):
     out = numerator(np.empty(shape), divide=True)
     need_x, need_w = T._on_tape(*inputs), T._on_tape(*scalars)
 
+    def spread(g, kind):
+        """The gradient of an input read as kind, from g = d/d(what was read)."""
+        if kind == "half":
+            return _blocks(g).sum(axis=(2, 4))
+        if kind == "double":
+            g /= 2
+            g /= 2
+            return np.repeat(np.repeat(g, 2, axis=2), 2, axis=1)
+        return g
+
     def grads(g):
         gnum = g / denom
-        gx = [(_blocks(gnum * u).sum(axis=(2, 4)) if half else gnum * u) if need else None
-              for u, need, half in zip(us, need_x, halves)]
+        gx = [spread(gnum * u, kind) if need else None
+              for u, need, kind in zip(us, need_x, kinds)]
         gw = [None] * len(us)
         if any(need_w):
             every = tuple(range(g.ndim))
@@ -208,22 +207,22 @@ def fuse(inputs, raw_weights, epsilon: float, up2=()):
             gden /= denom * denom
             gden = gden.sum(axis=every).reshape(1)
             for i, need in enumerate(need_w):
-                if need:
-                    prod = ((_blocks(gnum) * xs[i][:, :, None, :, None]).reshape(shape)
-                            if halves[i] else gnum * xs[i])
-                    gw[i] = (gden + prod.sum(axis=every).reshape(1)) * masks[i]
+                if not need:
+                    continue
+                x = xs[i]
+                if kinds[i] == "half":
+                    prod = (_blocks(gnum) * x[:, :, None, :, None]).reshape(shape)
+                elif kinds[i] == "double":
+                    prod = gnum * _mean2(x, np.empty(shape), np.empty(x[:, 0::2].shape))
+                else:
+                    prod = gnum * x
+                gw[i] = (gden + prod.sum(axis=every).reshape(1)) * masks[i]
         return tuple(gx) + tuple(gw)
 
     return T._emit(tuple(inputs) + tuple(scalars), out, grads)
 
 
 def _validate_params(p: PipelineParams) -> None:
-    if not 0 <= p.fusion.epsilon < np.inf:
-        raise ConfigError(f"epsilon must be finite and >= 0, got {p.fusion.epsilon}")
-    for name, arity in _WEIGHT_ARITY.items():
-        got = len(getattr(p.fusion, name))
-        if got != arity:
-            raise ConfigError(f"fusion node {name} wants {arity} weights, got {got}")
     if (p.cfe is None) == (p.projection is None):
         raise ConfigError("want exactly one of feature-enhancement and projection params")
     if p.bra is not None and any(l not in p.bra for l in (3, 4)):
@@ -236,16 +235,10 @@ def _check_pyramid(maps: dict, stage: str, error: type) -> None:
         if lvl not in maps:
             raise error(f"{stage} level {lvl} missing")
     prev = None
-    width = None
     for lvl in LEVELS:
         v = T._val(maps[lvl])
         if v.ndim != 3:
             raise error(f"{stage} level {lvl} must be [C,H,W], got {list(v.shape)}")
-        if stage == "stage-I":
-            if width is None:
-                width = v.shape[0]
-            elif v.shape[0] != width:
-                raise error(f"{stage} level {lvl} width {v.shape[0]} != level 2 width {width}")
         if prev is not None:
             ph, pw = prev
             if ph % 2 or pw % 2 or v.shape[1] != ph // 2 or v.shape[2] != pw // 2:
@@ -270,7 +263,7 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     Node order: level-4 intermediate, its refinement, level-3 intermediate,
     its refinement, then outputs 2, 3, 4, 5.  Each refinement is computed
     once and reused by both consumers, so the routed-attention pass runs
-    exactly twice.  The up2 resizes run inside their fusion nodes.
+    exactly twice.  Each fusion node resamples its inputs to its own level.
 
     kinks, a mutable level-keyed dict of dicts, freezes what a gradient
     check's perturbation could flip: kinks[level]["routing"] pins that
@@ -302,21 +295,18 @@ def _fuse_pyramid(maps: dict, p: PipelineParams, kinks: dict | None) -> dict:
         except PartitionError as exc:
             raise PartitionError(f"node {name}: {exc}") from exc
 
-    p4f = node("level-4 intermediate", lambda: fuse([maps[4], maps[5]], fw.p4_mid, eps, up2=(1,)))
+    p4f = node("level-4 intermediate", lambda: fuse([maps[4], maps[5]], fw.p4_mid, eps))
     a4 = node("level-4 refinement", lambda: _refine(p4f, p, 4, _level_kinks(kinks, 4)))
     del p4f
-    p3f = node("level-3 intermediate", lambda: fuse([maps[3], a4], fw.p3_mid, eps, up2=(1,)))
+    p3f = node("level-3 intermediate", lambda: fuse([maps[3], a4], fw.p3_mid, eps))
     a3 = node("level-3 refinement", lambda: _refine(p3f, p, 3, _level_kinks(kinks, 3)))
     del p3f
-    p2o = node("level-2 output", lambda: fuse([maps.pop(2), a3], fw.p2_out, eps, up2=(1,)))
-    p3o = node("level-3 output",
-               lambda: fuse([maps.pop(3), a3, resize(p2o, "down2")], fw.p3_out, eps))
+    p2o = node("level-2 output", lambda: fuse([maps.pop(2), a3], fw.p2_out, eps))
+    p3o = node("level-3 output", lambda: fuse([maps.pop(3), a3, p2o], fw.p3_out, eps))
     del a3
-    p4o = node("level-4 output",
-               lambda: fuse([maps.pop(4), a4, resize(p3o, "down2")], fw.p4_out, eps))
+    p4o = node("level-4 output", lambda: fuse([maps.pop(4), a4, p3o], fw.p4_out, eps))
     del a4
-    p5o = node("level-5 output",
-               lambda: fuse([maps.pop(5), resize(p4o, "down2")], fw.p5_out, eps))
+    p5o = node("level-5 output", lambda: fuse([maps.pop(5), p4o], fw.p5_out, eps))
     return {2: p2o, 3: p3o, 4: p4o, 5: p5o}
 
 

@@ -12,6 +12,7 @@ import itertools
 import os
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .gradcheck import crosses_relu, first_smooth, max_rel_err, watched
 from .instrumentation import count_macs
 from .oracles import (conv2d_reference, dense_attention_reference,
                       finite_diff_grad, topk_reference)
-from .pipeline import (FusionWeights, build_pipeline_params, c_afbifpn_forward,
-                       fuse, resize)
+from .pipeline import FusionWeights, build_pipeline_params, c_afbifpn_forward, fuse
 from .reference import ref_conv2d
 
 TOL_TIGHT = 1e-12
@@ -114,7 +114,8 @@ def check_op_gradients():
     # so its gradient goes through the clamp mask
     fused = [rng.tensor([2, 3, 2], -1.0, 1.0) for _ in range(3)]
     raw = [T.tensor([u]) for u in (0.9, 0.4, -0.3)]
-    # a fusion node that reads its second input at half extent
+    # fusion nodes that read their second input at half and at twice the
+    # first's extent
     fine, coarse = rng.tensor([2, 4, 6], -1.0, 1.0), rng.tensor([2, 2, 3], -1.0, 1.0)
 
     cases = [("composite-op", graph, T.Rng(40).tensor([2, 3], -1.0, 1.0))] + [
@@ -141,7 +142,8 @@ def check_op_gradients():
          for i, t in enumerate(fused)] + [
         (f"fuse weight {i}", lambda v, i=i: fuse(fused, _swapped(raw, i, v), 1e-4), u)
         for i, u in enumerate(raw)] + [
-        ("fuse upsampled input", lambda v: fuse([fine, v], raw[:2], 1e-4, up2=(1,)), coarse),
+        ("fuse upsampled input", lambda v: fuse([fine, v], raw[:2], 1e-4), coarse),
+        ("fuse downsampled input", lambda v: fuse([coarse, v], raw[:2], 1e-4), fine),
     ] + _fused_cases()
     for what, op, x0 in cases:
         err = max_rel_err([("x", x0)], lambda v: _weighted_sum(op(v["x"])))[0]
@@ -150,11 +152,11 @@ def check_op_gradients():
 
 
 def _fused_cases() -> list:
-    """(name, op, operand) for the relu-activated convolutions, the
-    enhancement block's branch join and both resize directions.  The
-    activated cases come from the first seed whose pre-activations keep
-    the relu margin (and, for deformable sampling, the lattice margin);
-    each must cross the relu, with some outputs clamped and some not."""
+    """(name, op, operand) for the relu-activated convolutions and the
+    enhancement block's branch join.  The activated cases come from the
+    first seed whose pre-activations keep the relu margin (and, for
+    deformable sampling, the lattice margin); each must cross the relu,
+    with some outputs clamped and some not."""
     def draw(seed):
         rng = T.Rng(seed)
         x = rng.tensor([2, 5, 4], -1.0, 1.0)
@@ -180,7 +182,6 @@ def _fused_cases() -> list:
     rng = T.Rng(27)
     # three branches of widths 1, 2, 3 and the residual
     joined = [rng.tensor([c, 3, 4], -1.0, 1.0) for c in (1, 2, 3, 6)]
-    fine = rng.tensor([2, 4, 6], -1.0, 1.0)
 
     def join_with(i):
         def op(v):
@@ -203,10 +204,7 @@ def _fused_cases() -> list:
         ("relu deformable bias",
          lambda v: deformable_conv2d_with_offsets(x, replace(base, bias=v), offsets, "relu"),
          base.bias),
-    ] + [(f"join operand {i}", join_with(i), t) for i, t in enumerate(joined)] + [
-        ("resize up2", lambda v: resize(v, "up2"), fine),
-        ("resize down2", lambda v: resize(v, "down2"), fine),
-    ]
+    ] + [(f"join operand {i}", join_with(i), t) for i, t in enumerate(joined)]
 
 
 def check_softmax_rows():
@@ -634,10 +632,13 @@ def check_fusion_homogeneity():
 
 
 def check_resize_roundtrip():
+    """fuse pixel-replicates a half-extent input and averages it back
+    from twice the extent, exactly, when it is weighted alone."""
     x = T.Rng(57).tensor([3, 6, 6], -1.0, 1.0)
-    back = resize(resize(x, "up2"), "down2")
+    up = fuse([T.zeros([3, 12, 12]), x], [0.0, 1.0], 0.0)
+    back = fuse([T.zeros([3, 6, 6]), up], [0.0, 1.0], 0.0)
     if not np.array_equal(_arr(back), _arr(x)):
-        raise AssertionError("down2(up2(x)) is not x")
+        raise AssertionError("averaging the replicated x does not give x")
 
 
 # -- oracles and serialization ------------------------------------------
@@ -684,13 +685,13 @@ def check_tensor_roundtrip():
                 if mixed and i % 2:
                     t = t.astype("float32")
                 IO.tensor_write(path, t)
-                first = open(path, "rb").read()
+                first = Path(path).read_bytes()
                 back = IO.tensor_read(path)
                 if not (back.dims == t.dims and back.dtype == t.dtype
                         and np.array_equal(back.array, t.array)):
                     raise AssertionError(f"seed {seed} round-trip {i} not identical")
                 IO.tensor_write(path, back)
-                if open(path, "rb").read() != first:
+                if Path(path).read_bytes() != first:
                     raise AssertionError(f"seed {seed} round-trip {i} not byte-stable")
 
 
@@ -703,7 +704,7 @@ def check_malformed_rejected():
         for name, t, cut in (("pair", T.tensor([1.0, 2.0]), 4),
                              ("2x3", T.Rng(101).tensor([2, 3], -1.0, 1.0), 10)):
             IO.tensor_write(path, t)
-            good = open(path, "rb").read()
+            good = Path(path).read_bytes()
             bad.update({f"{name} bad-magic": b"NOPE" + good[4:],
                         f"{name} bad-dtype": good[:5] + b"\x09" + good[6:],
                         f"{name} payload-truncated": good[:-cut]})
@@ -724,12 +725,11 @@ def check_fixture_determinism():
         IO.gen_fixture(3, d1)
         IO.gen_fixture(3, d2)
         for name in sorted(os.listdir(d1)):
-            a = open(os.path.join(d1, name), "rb").read()
-            b = open(os.path.join(d2, name), "rb").read()
+            a, b = (Path(d, name).read_bytes() for d in (d1, d2))
             if a != b:
                 raise AssertionError(f"{name} differs between runs")
         IO.gen_fixture(4, d2)
-        c2 = [open(os.path.join(d, "backbone_c2.tnsr"), "rb").read() for d in (d1, d2)]
+        c2 = [Path(d, "backbone_c2.tnsr").read_bytes() for d in (d1, d2)]
         if c2[0] == c2[1]:
             raise AssertionError("seeds 3 and 4 give the same backbone_c2.tnsr")
 

@@ -34,7 +34,7 @@ import math
 import os
 import threading
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,20 +75,8 @@ class Tensor:
         return str(self.array.dtype)
 
     @property
-    def rank(self) -> int:
-        return self.array.ndim
-
-    @property
     def size(self) -> int:
         return self.array.size
-
-    def item(self) -> float:
-        if self.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got dims {self.dims}")
-        return float(self.array.reshape(-1)[0])
-
-    def tolist(self):
-        return self.array.tolist()
 
     def astype(self, dtype: str) -> "Tensor":
         return Tensor(self.array.astype(_DTYPES[dtype]), copy=False)
@@ -107,11 +95,6 @@ def zeros(dims: Sequence[int], dtype: str = "float64") -> Tensor:
 
 def full(dims: Sequence[int], value: float, dtype: str = "float64") -> Tensor:
     return Tensor(np.full(tuple(dims), value, dtype=_DTYPES[dtype]), copy=False)
-
-
-def from_flat(values: Iterable[float], dims: Sequence[int], dtype: str = "float64") -> Tensor:
-    arr = np.asarray(list(values), dtype=_DTYPES[dtype]).reshape(tuple(dims))
-    return Tensor(arr, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_heads_must_divide_width():
         A.make_bra_params(T.Rng(49), 5, 2, 2, heads=2)
     p = A.make_bra_params(T.Rng(49), 4, 2, 2)
     with pytest.raises(ConfigError):
-        A.ba_forward(T.zeros([6, 4, 4]), replace(p, heads=4))
+        A.ba_forward(T.zeros([4, 4, 4]), replace(p, heads=3))
 
 
 def test_routing_margin_recorded():

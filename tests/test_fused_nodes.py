@@ -1,11 +1,12 @@
 """The fused tape nodes against the composed chains they replace: the
-relu-activated convolutions, the enhancement block's branch join, both
-resize directions, fusion with its up2 resizes inside, and routed token
-attention, whose backward recomputes the attention weights instead of
-keeping them.  Each records one tape node and gives the composed chain's
-forward bits and input-gradient bits; token attention does so at every
-stacking of its blocks, and the blocked fusion nodes at several blocks.
-Their gradients against central finite differences are selfcheck's
+relu-activated convolutions, the enhancement block's branch join, fusion
+with the pixel replication (up2) or the 2x2 block means (down2) of its
+resampled inputs inside, and routed token attention, whose backward
+recomputes the attention weights instead of keeping them.  Each records
+one tape node and gives the composed chain's forward bits and
+input-gradient bits; token attention does so at every stacking of its
+blocks, and the blocked fusion nodes at several blocks.  Their gradients
+against central finite differences are selfcheck's
 op-gradients-match-finite-differences."""
 
 import tracemalloc
@@ -19,7 +20,7 @@ from cafbifpn import tensor as T
 from cafbifpn.cfe import join_branches
 from cafbifpn.convops import Conv2dParams, conv2d, deformable_conv2d_with_offsets
 from cafbifpn.errors import NumericError, ShapeError
-from cafbifpn.pipeline import fuse, resize
+from cafbifpn.pipeline import fuse
 
 
 # -- the composed chains, rebuilt from the primitives they were made of --
@@ -131,8 +132,8 @@ _TOKENS = [_rng.tensor([4, 3, 4], -1.0, 1.0) for _ in range(3)]
 # region 3 is routed to three times, so its key and value gradients sum
 # over copies
 _ROUTING = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
-# a fusion node whose first and last inputs are at half extent; the middle
-# weight is clamped away
+# fuse-up2 replicates its last two inputs and fuse-down2 averages its last;
+# the middle weight is clamped away
 _HALF = [_rng.tensor([3, 2, 3], -1.0, 1.0) for _ in range(2)]
 _FUSE_WEIGHTS = [T.tensor([u]) for u in (0.7, -0.3, 0.4)]
 
@@ -158,12 +159,15 @@ CASES = {
     "join": (lambda a, b, c, r: join_branches([a, b, c], r, 6),
              lambda a, b, c, r: T.add(_concat0([a, b, c]), r),
              tuple(_PARTS) + (_RESIDUAL,)),
-    "up2": (lambda f: resize(f, "up2"), lambda f: _composed_resize(f, "up2"), (_FINE,)),
-    "down2": (lambda f: resize(f, "down2"), lambda f: _composed_resize(f, "down2"), (_FINE,)),
     "fuse-up2": (
-        lambda a, b, c, *w: fuse([a, b, c], w, 1e-4, up2=(0, 2)),
-        lambda a, b, c, *w: fuse([resize(a, "up2"), b, resize(c, "up2")], w, 1e-4),
-        (_HALF[0], _FINE, _HALF[1]) + tuple(_FUSE_WEIGHTS)),
+        lambda a, b, c, *w: fuse([a, b, c], w, 1e-4),
+        lambda a, b, c, *w: fuse([a, _composed_resize(b, "up2"), _composed_resize(c, "up2")],
+                                 w, 1e-4),
+        (_FINE,) + tuple(_HALF) + tuple(_FUSE_WEIGHTS)),
+    "fuse-down2": (
+        lambda a, b, c, *w: fuse([a, b, c], w, 1e-4),
+        lambda a, b, c, *w: fuse([a, b, _composed_resize(c, "down2")], w, 1e-4),
+        tuple(_HALF) + (_FINE,) + tuple(_FUSE_WEIGHTS)),
     "token-attention": (_attend(A.token_attention), _attend(_stored_weights_attention),
                         tuple(_TOKENS)),
 }
@@ -207,19 +211,24 @@ def test_fused_node_matches_composed_chain_bit_for_bit(name):
     assert np.array_equal(_bits(fused(*operands)), _bits(want))
 
 
-@pytest.mark.parametrize("name", ["fuse-up2", "down2"])
+@pytest.mark.parametrize("name", ["fuse-up2", "fuse-down2"])
 def test_blocked_node_matches_composed_chain_at_small_blocks(monkeypatch, name):
     """Two channels per block over three channels: a full block, then a
     short last one."""
-    monkeypatch.setattr(P, "_FUSE_BLOCK_BYTES", 2 * 8 * 4 * 6)
-    assert P._block_rows(T._val(_FINE).shape) == 2
+    shape = T._val(CASES[name][2][0]).shape
+    monkeypatch.setattr(P, "_FUSE_BLOCK_BYTES", 2 * 8 * shape[1] * shape[2])
+    assert P._block_rows(shape) == 2
     test_fused_node_matches_composed_chain_bit_for_bit(name)
 
 
-@pytest.mark.parametrize("coarse", [[3, 2, 2], [3, 4, 6], [3, 3, 3], [2, 2, 3], [6, 4]])
-def test_fuse_rejects_up2_input_not_at_half_extent(coarse):
-    with pytest.raises(ShapeError, match="up2 input"):
-        fuse([_FINE, T.zeros(coarse)], [1.0, 1.0], 1e-4, up2=(1,))
+@pytest.mark.parametrize("first, other", [
+    ([3, 4, 6], [3, 3, 3]), ([3, 4, 6], [3, 2, 6]), ([3, 4, 6], [3, 8, 3]),  # extents
+    ([3, 8, 12], [3, 2, 3]),                                                 # a quarter
+    ([3, 4, 6], [2, 4, 6]), ([3, 4, 6], [2, 2, 3]), ([3, 4, 6], [6, 8, 12]),  # channels
+    ([3, 4, 6], [12, 2]), ([4, 6], [2, 3]), ([2, 3], [4, 6])])               # rank 2
+def test_fuse_rejects_inputs_neither_equal_half_nor_double(first, other):
+    with pytest.raises(ShapeError, match="fuse input dims"):
+        fuse([T.zeros(first), T.zeros(other)], [1.0, 1.0], 1e-4)
 
 
 def test_attention_tape_keeps_no_weights():

@@ -11,7 +11,7 @@ from cafbifpn.errors import (ConfigError, FormatError, NumericError, PipelineErr
                              ShapeError)
 from cafbifpn.instrumentation import count_macs
 from cafbifpn.pipeline import (build_pipeline_params, c_afbifpn_forward,
-                               afbifpn_forward, fuse, resize)
+                               afbifpn_forward, fuse)
 from cafbifpn.reference import ref_afbifpn
 from cafbifpn.tensorio import RunConfig, load_backbone
 
@@ -19,34 +19,35 @@ from conftest import (arr, assert_reruns_byte_identical, full_forward_error, max
                       plain_reduction_error, tiny_cfg, tiny_pyramid)
 
 
-# -- resize --------------------------------------------------------------
+# -- the resampling inside fuse --------------------------------------------
+
+def _resampled(x, dims):
+    """x read by fuse at dims, weighted alone."""
+    return fuse([T.zeros(dims), x], [0.0, 1.0], 0.0)
+
 
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32))
 @settings(max_examples=20, deadline=None)
 def test_resize_roundtrip(c, h, w, seed):
     x = T.Rng(seed).tensor([c, 2 * h, 2 * w], -1.0, 1.0)
-    assert np.array_equal(arr(resize(resize(x, "up2"), "down2")), arr(x))
+    assert np.array_equal(arr(_resampled(_resampled(x, [c, 4 * h, 4 * w]), x.dims)), arr(x))
 
 
 def test_up2_repeats_nearest():
     x = T.tensor([[[1.0, 2.0], [3.0, 4.0]]])
-    up = arr(resize(x, "up2"))
+    up = arr(_resampled(x, [1, 4, 4]))
     assert up[0].tolist() == [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
 
 
 def test_down2_averages_blocks():
     x = T.tensor([[[1.0, 3.0], [5.0, 7.0]]])
-    assert arr(resize(x, "down2"))[0].tolist() == [[4.0]]
+    assert arr(_resampled(x, [1, 1, 1]))[0].tolist() == [[4.0]]
 
 
 def test_resize_rejects_odd_extents():
-    with pytest.raises(ShapeError):
-        resize(T.zeros([1, 3, 4]), "down2")
-
-
-def test_resize_rejects_unknown_mode():
-    with pytest.raises(ConfigError):
-        resize(T.zeros([1, 2, 2]), "up3")
+    for dims in ([1, 1, 2], [1, 2, 2]):  # a height of 3 is neither twice nor half of 1 or 2
+        with pytest.raises(ShapeError):
+            _resampled(T.zeros([1, 3, 4]), dims)
 
 
 # -- fuse ----------------------------------------------------------------
@@ -205,6 +206,21 @@ def test_bad_halving_rejected():
     stage_i[3] = T.zeros([6, 7, 7])
     with pytest.raises(PipelineError, match="stage-I level 3"):  # an internal one
         afbifpn_forward(stage_i, params)
+
+
+def test_stage_i_width_mismatch_names_the_fusion_node():
+    """Each level meets another inside a fusion node, which rejects a map
+    of another width: attention off, so the level-4 intermediate is the
+    first node to see level 4 or 5, the level-3 one level 3, and the
+    level-2 output level 2."""
+    params = build_pipeline_params(tiny_cfg(attention_fusion_enabled=False),
+                                   {2: 3, 3: 3, 4: 4, 5: 4})
+    for lvl, name in ((2, "level-2 output"), (3, "level-3 intermediate"),
+                      (4, "level-4 intermediate"), (5, "level-4 intermediate")):
+        stage_i = {k: T.zeros([5 if k == lvl else 6, 16 >> (k - 2), 16 >> (k - 2)])
+                   for k in (2, 3, 4, 5)}
+        with pytest.raises(PipelineError, match=f"node {name}: fuse input dims"):
+            afbifpn_forward(stage_i, params)
 
 
 def test_stage_params_presence_enforced():
