@@ -4,12 +4,10 @@ routed attention, and weighted bidirectional feature fusion, all built on
 an explicit reverse-mode tape and checked against independent oracles.
 """
 
-from .attention import (BraParams, RegionTokens, RoutingResult, ba_forward,
-                        make_bra_params)
+from .attention import BraParams, RoutingResult, ba_forward, make_bra_params
 from .cfe import CfeParams, cfe_forward, cfe_receptive_probe, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
-                      deformable_conv2d, deformable_conv2d_with_offsets,
-                      depthwise_conv2d)
+                      deformable_conv2d, deformable_conv2d_with_offsets)
 from .errors import (ConfigError, FormatError, GraphError, KernelError,
                      NumericError, PartitionError, PipelineError, ShapeError)
 from .instrumentation import count_macs
@@ -38,11 +36,10 @@ def __getattr__(name):
     return value
 
 __all__ = [
-    "BraParams", "RegionTokens", "RoutingResult", "ba_forward",
-    "make_bra_params",
+    "BraParams", "RoutingResult", "ba_forward", "make_bra_params",
     "CfeParams", "cfe_forward", "cfe_receptive_probe", "make_cfe_params",
     "Conv2dParams", "DeformableParams", "conv2d", "deformable_conv2d",
-    "deformable_conv2d_with_offsets", "depthwise_conv2d",
+    "deformable_conv2d_with_offsets",
     "ConfigError", "FormatError", "GraphError", "KernelError",
     "NumericError", "PartitionError", "PipelineError", "ShapeError",
     "run_gradcheck",

@@ -1,32 +1,27 @@
-"""Bi-level routing attention: partition a feature map into a region grid,
-route each region to its top-k most affine peers via pooled queries/keys,
-run token-level attention against the routed regions' keys/values only,
-then add a depthwise local-context term.
+"""Bi-level routing attention over a [C, H, W] map, as three tape nodes.
+region_qkv reads the map in region order and projects every token to its
+query, key and value in one product; the routing picks each region's
+top-k most affine peers from the region means of the queries and keys,
+off the tape; token_attention attends each region's queries to its routed
+regions' keys and values only; merge_lce writes the attended tokens back
+in map order plus a depthwise local-context term of the values.
 
-Region index and in-region token index both follow row-major order, so
-partition followed by merge is the identity.
+Region index and in-region token index both follow row-major order: with
+identity projections, region_qkv's value columns are the map's tiles, and
+merge_lce of those tiles with a zero kernel is the map again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .convops import depthwise_conv2d
+from .convops import _depthwise
 from .errors import ConfigError, PartitionError, ShapeError
 from .instrumentation import active_record
-
-
-@dataclass(frozen=True)
-class RegionTokens:
-    """Token view [S^2, tokens_per_region, C] of a [C, H, W] map."""
-
-    data: object
-    height: int
-    width: int
-    regions_s: int
 
 
 @dataclass(frozen=True)
@@ -52,48 +47,61 @@ class RoutingResult:
     indices: np.ndarray
 
 
-def region_partition(f, regions_s: int) -> RegionTokens:
-    v = T._val(f)
-    if v.ndim != 3:
-        raise ShapeError(f"region_partition wants [C,H,W], got {list(v.shape)}")
-    c, h, w = v.shape
-    s = int(regions_s)
+def _tile(h: int, w: int, s: int) -> tuple[int, int]:
+    """A region's extents (th, tw) when an s x s grid tiles H x W."""
     if s < 1 or h % s or w % s:
         raise PartitionError(f"region grid {s}x{s} does not tile H={h}, W={w}")
-    th, tw = h // s, w // s
-    x = T.reshape(f, [c, s, th, s, tw])
-    x = T.permute(x, (1, 3, 2, 4, 0))          # [S, S, th, tw, C]
-    x = T.reshape(x, [s * s, th * tw, c])
-    return RegionTokens(x, h, w, s)
+    return h // s, w // s
 
 
-def region_merge(rt: RegionTokens):
-    v = T._val(rt.data)
-    s = rt.regions_s
-    th, tw = rt.height // s, rt.width // s
-    if v.ndim != 3 or v.shape[0] != s * s or v.shape[1] != th * tw:
-        raise ShapeError(f"region tokens {list(v.shape)} disagree with H={rt.height}, W={rt.width}, S={s}")
-    c = v.shape[2]
-    x = T.reshape(rt.data, [s, s, th, tw, c])
-    x = T.permute(x, (4, 0, 2, 1, 3))          # [C, S, th, S, tw]
-    return T.reshape(x, [c, rt.height, rt.width])
+def _to_regions(m: np.ndarray, s: int, th: int, tw: int) -> np.ndarray:
+    """A [C, H, W] map as a [S, S, th, tw, C] view, in region order."""
+    return m.reshape(m.shape[0], s, th, s, tw).transpose(1, 3, 2, 4, 0)
 
 
-def qkv_project(rt: RegionTokens, p: BraParams):
-    v = T._val(rt.data)
-    c = v.shape[2]
-    for name, w in (("w_q", p.w_q), ("w_k", p.w_k), ("w_v", p.w_v)):
-        wv = T._val(w)
+def _to_map(tokens: np.ndarray, s: int, th: int, tw: int) -> np.ndarray:
+    """[S^2, th*tw, C] tokens as a [C, S, th, S, tw] view, in map order."""
+    return tokens.reshape(s, s, th, tw, tokens.shape[-1]).transpose(4, 0, 2, 1, 3)
+
+
+def region_qkv(f, p: BraParams):
+    """[S^2, tokens, 3C]: the queries, keys and values, column blocks in
+    that order, of the [C, H, W] map f read in region order, by one
+    product against [w_q | w_k | w_v].
+
+    One tape node.  The region-order copy of f is a temporary; the
+    backward copies it again when a weight needs a gradient."""
+    v = T._val(f)
+    if v.ndim != 3:
+        raise ShapeError(f"region_qkv wants [C,H,W], got {list(v.shape)}")
+    c, h, w = v.shape
+    s = int(p.regions_s)
+    th, tw = _tile(h, w, s)
+    ws = [T._val(m) for m in (p.w_q, p.w_k, p.w_v)]
+    for name, wv in zip(("w_q", "w_k", "w_v"), ws):
         if wv.shape != (c, c):
             raise ShapeError(f"{name} dims {list(wv.shape)} != [{c}, {c}]")
-    n_regions, n_tokens = v.shape[0], v.shape[1]
-    flat = T.reshape(rt.data, [n_regions * n_tokens, c])
+    n = s * s * th * tw
 
-    def proj(w):
-        out = T.reshape(T.matmul(flat, w), [n_regions, n_tokens, c])
-        return RegionTokens(out, rt.height, rt.width, rt.regions_s)
+    def tokens():
+        return np.ascontiguousarray(_to_regions(v, s, th, tw)).reshape(n, c)
 
-    return proj(p.w_q), proj(p.w_k), proj(p.w_v)
+    out = (tokens() @ np.concatenate(ws, axis=1)).reshape(s * s, th * tw, 3 * c)
+    need_f, *need_w = T._on_tape(f, p.w_q, p.w_k, p.w_v)
+
+    def grads(g):
+        gq, gk, gv = (g.reshape(n, 3 * c)[:, i * c:(i + 1) * c] for i in range(3))
+        gf = None
+        if need_f:
+            # three products summed in the order a tape of one product per
+            # projection sums them: one [N, 3C] . [3C, C] product differs
+            gt = (gv @ ws[2].T + gk @ ws[1].T) + gq @ ws[0].T
+            gf = np.ascontiguousarray(_to_map(gt, s, th, tw)).reshape(c, h, w)
+        flat = tokens() if any(need_w) else None
+        return (gf,) + tuple(flat.T @ gb if need else None
+                             for gb, need in zip((gq, gk, gv), need_w))
+
+    return T._emit((f, p.w_q, p.w_k, p.w_v), out, grads)
 
 
 def _topk_indices_row(row: np.ndarray, k: int) -> np.ndarray:
@@ -101,20 +109,20 @@ def _topk_indices_row(row: np.ndarray, k: int) -> np.ndarray:
     return order[:k].astype(np.int64)
 
 
-def topk_routing(q_pooled, k_pooled, topk_k: int) -> RoutingResult:
-    qv = T._val(q_pooled)
-    n_regions = qv.shape[0]
+def topk_routing(q_pooled: np.ndarray, k_pooled: np.ndarray, topk_k: int) -> RoutingResult:
+    """Each region's topk_k most affine regions, from the region means
+    [S^2, C] of the queries and keys; plain numpy, off the tape."""
+    n_regions = q_pooled.shape[0]
     k = int(topk_k)
     if k < 1 or k > n_regions:
         raise ConfigError(f"routed-region count {k} outside [1, {n_regions}]")
-    affinity = T.matmul(q_pooled, T.permute(k_pooled, (1, 0)))
-    av = T._val(affinity)
-    indices = np.stack([_topk_indices_row(av[r], k) for r in range(n_regions)])
+    affinity = q_pooled @ np.ascontiguousarray(k_pooled.T)
+    indices = np.stack([_topk_indices_row(affinity[r], k) for r in range(n_regions)])
     record = active_record()
     if record is not None:
-        record.routing += n_regions * n_regions * qv.shape[1]
+        record.routing += n_regions * n_regions * q_pooled.shape[1]
         if k < n_regions:  # gap between each row's k-th and (k+1)-th affinity
-            ranked = np.sort(av, axis=1)
+            ranked = np.sort(affinity, axis=1)
             record.margin("routing", ranked[:, -k] - ranked[:, -k - 1])
     return RoutingResult(affinity, indices)
 
@@ -128,12 +136,12 @@ def topk_routing(q_pooled, k_pooled, topk_k: int) -> RoutingResult:
 _STACK_BYTES = 1 << 19
 
 
-def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: RegionTokens,
-                    routing: RoutingResult, heads: int) -> RegionTokens:
-    """Per region and head: softmax(q . k_g^T / sqrt(d_k)) applied to v_g,
-    where k_g and v_g stack the tokens of the region's routed regions,
-    highest affinity first; heads are contiguous channel groups
-    re-concatenated afterwards.
+def token_attention(qkv, routing: RoutingResult, heads: int):
+    """[S^2, tokens, C] from qkv [S^2, tokens, 3C], whose column blocks are
+    the queries, keys and values.  Per region and head: softmax(q . k_g^T /
+    sqrt(d_k)) applied to v_g, where k_g and v_g stack the tokens of the
+    region's routed regions, highest affinity first; heads are contiguous
+    channel groups of each block, re-concatenated afterwards.
 
     One tape node.  The (region, head) blocks go in stacks of consecutive
     regions, all heads of each, up to _STACK_BYTES of logits; a region
@@ -145,15 +153,14 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
     BLAS call per block as a loop over blocks, so the same bits.  The tape
     keeps no attention weights: the backward recomputes each stack with the
     same calls, so it sees the forward's bits.  Large calls run their
-    stacks on T._run_rows's worker threads.
+    stacks on T._run_rows's worker threads.  The gradient has the same
+    three column blocks: the queries' and the routed copies' of the keys
+    and values, each copy summed into its source region.
     """
-    qv = T._val(q_tokens.data)
-    n_regions, n_tokens, c = qv.shape
-    kv, vv = T._val(k_tokens.data), T._val(v_tokens.data)
-    if kv.shape[0] != n_regions or kv.shape[2] != c:
-        raise ShapeError(f"key tokens {list(kv.shape)} disagree with queries {list(qv.shape)}")
-    if vv.shape != kv.shape:
-        raise ShapeError(f"value tokens {list(vv.shape)} disagree with keys {list(kv.shape)}")
+    x = T._val(qkv)
+    if x.ndim != 3 or x.shape[2] % 3:
+        raise ShapeError(f"token_attention wants [S^2, tokens, 3C], got {list(x.shape)}")
+    n_regions, n_tokens, c = x.shape[0], x.shape[1], x.shape[2] // 3
     idx = np.asarray(routing.indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[0] != n_regions:
         raise ShapeError(f"index matrix dims {list(idx.shape)} disagree with {n_regions} regions")
@@ -162,7 +169,7 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
     if c % heads:
         raise ConfigError(f"head count {heads} does not divide channel width {c}")
     d = c // heads
-    n_gathered = idx.shape[1] * kv.shape[1]
+    n_gathered = idx.shape[1] * n_tokens
     inv_scale = 1.0 / np.sqrt(d)
     record = active_record()
     if record is not None:
@@ -174,8 +181,8 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
     span = max(1, min(n_regions, per_stack // heads))  # regions per stack
     width = max(1, min(heads, per_stack))              # heads per stack
     n_stacks = -(-n_regions // span)
-    # [regions, tokens, heads, d] views; a block is [r, :, h]
-    q4, k4, v4 = (a.reshape(a.shape[0], a.shape[1], heads, d) for a in (qv, kv, vv))
+    # [regions, tokens, heads, d] views of the column blocks; a block is [r, :, h]
+    q4, k4, v4 = (x.reshape(n_regions, n_tokens, 3, heads, d)[:, :, i] for i in range(3))
 
     def stacks(indices):
         """(rows, hs, q [R,H,n,d], k^T [R,H,d,G], v [R,H,G,d], weights
@@ -207,61 +214,72 @@ def token_attention(q_tokens: RegionTokens, k_tokens: RegionTokens, v_tokens: Re
             out4[rows, :, hs] = (s @ v).transpose(0, 2, 1, 3)
 
     T._run_rows(n_stacks, forward, work)
-    need_q, need_k, need_v = T._on_tape(q_tokens.data, k_tokens.data, v_tokens.data)
 
     def grads(g):
-        gq = np.zeros_like(qv) if need_q else None
-        gk = np.zeros((n_regions, n_gathered, c)) if need_k else None
-        gv = np.zeros((n_regions, n_gathered, c)) if need_v else None
+        gx = np.zeros_like(x)
+        gk, gv = (np.zeros((n_regions, n_gathered, c)) for _ in range(2))
         g4 = g.reshape(n_regions, n_tokens, heads, d)
-        gq4, gk4, gv4 = (None if a is None else a.reshape(a.shape[0], a.shape[1], heads, d)
-                         for a in (gq, gk, gv))
+        gq4 = gx.reshape(n_regions, n_tokens, 3, heads, d)[:, :, 0]
+        gk4, gv4 = (a.reshape(n_regions, n_gathered, heads, d) for a in (gk, gv))
 
         def backward(indices):
             for rows, hs, q, kt, v, s in stacks(indices):
                 go = np.ascontiguousarray(g4[rows, :, hs].transpose(0, 2, 1, 3))
-                if need_v:
-                    gv4[rows, :, hs] += (s.swapaxes(-1, -2) @ go).transpose(0, 2, 1, 3)
-                if not (need_q or need_k):
-                    continue
+                gv4[rows, :, hs] += (s.swapaxes(-1, -2) @ go).transpose(0, 2, 1, 3)
                 gs = go @ v.swapaxes(-1, -2)
                 gs -= (gs * s).sum(axis=-1, keepdims=True)
                 gs *= s
                 gs *= inv_scale
-                if need_q:
-                    gq4[rows, :, hs] += (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
-                if need_k:
-                    gk4[rows, :, hs] += (q.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2)
+                gq4[rows, :, hs] += (gs @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3)
+                gk4[rows, :, hs] += (q.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2)
 
         T._run_rows(n_stacks, backward, work)
-
-        def scatter(gathered_grad, like):
-            """Sum each routed copy's gradient into its source region, in
-            routing order, so a region routed to twice sums in that order."""
-            if gathered_grad is None:
-                return None
-            buf = np.zeros_like(like)
-            parts = gathered_grad.reshape((idx.size,) + like.shape[1:])
+        # each routed copy's gradient is summed into its source region in
+        # routing order, so a region routed to twice sums in that order
+        for block, gathered in ((1, gk), (2, gv)):
+            dest = gx[:, :, block * c:(block + 1) * c]
+            parts = gathered.reshape(idx.size, n_tokens, c)
             for j, r in enumerate(idx.reshape(-1)):
-                buf[r] += parts[j]
-            return buf
+                dest[r] += parts[j]
+        return (gx,)
 
-        return gq, scatter(gk, kv), scatter(gv, vv)
-
-    data = T._emit((q_tokens.data, k_tokens.data, v_tokens.data), out, grads)
-    return RegionTokens(data, q_tokens.height, q_tokens.width, q_tokens.regions_s)
+    return T._emit((qkv,), out, grads)
 
 
-def lce(v_tokens: RegionTokens, kernel):
-    """Depthwise local-context embedding of the re-spatialized value map."""
-    kv = T._val(kernel)
-    if kv.ndim != 3 or kv.shape[1] != kv.shape[2]:
-        raise ShapeError(f"local-context kernel must be [C,k,k], got {list(kv.shape)}")
-    spatial = region_merge(v_tokens)
+def merge_lce(attended, qkv, kernel, height: int, width: int):
+    """[C, H, W]: the attended tokens [S^2, tokens, C] written in map
+    order, plus the depthwise local-context term, by kernel [C, k, k], of
+    the value columns of qkv [S^2, tokens, 3C] in map order.
+
+    One tape node.  The depthwise term reads the value columns in map
+    order through a view, padding a few channels at a time, so no value
+    map is built."""
+    a, x, kv = T._val(attended), T._val(qkv), T._val(kernel)
+    n_regions, n_tokens, c = a.shape
+    s = math.isqrt(n_regions)
+    th, tw = _tile(height, width, s)
+    if s * s != n_regions or th * tw != n_tokens or x.shape != (n_regions, n_tokens, 3 * c):
+        raise ShapeError(f"tokens {list(a.shape)} and {list(x.shape)} do not tile "
+                         f"H={height}, W={width} as [S^2, tokens, C] and [S^2, tokens, 3C]")
+    out, vjp = _depthwise(_to_map(x[:, :, 2 * c:], s, th, tw), kv)
+    in_map = out.reshape(c, s, th, s, tw)
+    in_map += _to_map(a, s, th, tw)  # lce + merged, the same bits as merged + lce
     record = active_record()
     if record is not None:
-        record.lce += kv.shape[0] * v_tokens.height * v_tokens.width * kv.shape[1] * kv.shape[2]
-    return depthwise_conv2d(spatial, kernel)
+        record.lce += c * height * width * kv.shape[1] * kv.shape[2]
+    need_a, need_x, need_k = T._on_tape(attended, qkv, kernel)
+
+    def grads(g):
+        ga = gx = None
+        if need_a:
+            ga = np.ascontiguousarray(_to_regions(g, s, th, tw)).reshape(n_regions, n_tokens, c)
+        gv, gk = vjp(g, need_x, need_k)
+        if need_x:
+            gx = np.zeros_like(x)
+            gx.reshape(s, s, th, tw, 3 * c)[..., 2 * c:] = _to_regions(gv, s, th, tw)
+        return ga, gx, gk
+
+    return T._emit((attended, qkv, kernel), out, grads)
 
 
 def make_bra_params(rng, c: int, regions_s: int, topk_k: int, heads: int = 1,
@@ -290,26 +308,20 @@ def ba_forward(f, p: BraParams, kinks: dict | None = None):
     nothing of it is recorded.  kinks, a mutable dict, freezes the region
     selection: it is taken from kinks["routing"], or decided and stored
     there, which the gradient checks use to keep the function smooth under
-    perturbation.  Each token-layout map is dropped after its last use.
+    perturbation.
     """
-    v = T._val(f)
-    c = v.shape[0]
     record = active_record()
     if record is not None:
         record.ba_invocations += 1
-
-    q, k, vv = qkv_project(region_partition(f, p.regions_s), p)
+    qkv = region_qkv(f, p)
+    c, h, w = T._val(f).shape
     if kinks is not None and "routing" in kinks:
         routing = kinks["routing"]
     else:
         if record is not None:
-            record.routing += v.shape[1] * v.shape[2] * c  # pooling overhead
-        routing = topk_routing(T.Tensor(T._val(q.data).mean(axis=1), copy=False),
-                               T.Tensor(T._val(k.data).mean(axis=1), copy=False), p.topk_k)
+            record.routing += h * w * c  # pooling overhead
+        x = T._val(qkv)
+        routing = topk_routing(x[:, :, :c].mean(axis=1), x[:, :, c:2 * c].mean(axis=1), p.topk_k)
         if kinks is not None:
             kinks["routing"] = routing
-    attended = token_attention(q, k, vv, routing, p.heads)
-    del q, k
-    merged = region_merge(attended)
-    del attended
-    return T.add(merged, lce(vv, p.lce_kernel))
+    return merge_lce(token_attention(qkv, routing, p.heads), qkv, p.lce_kernel, h, w)

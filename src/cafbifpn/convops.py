@@ -1,12 +1,14 @@
 """Convolution variants for the feature-enhancement branches: standard
-(arbitrary kernel, stride, zero padding, dilation), depthwise, and
-deformable convolution with a learned offset field sampled bilinearly.
+(arbitrary kernel, stride, zero padding, dilation) and deformable
+convolution with a learned offset field sampled bilinearly, plus the
+depthwise kernel of attention's local-context term (a numpy-level
+helper; attention.merge_lce records its node).
 
 All spatial layouts are [channels, height, width], single image.  Every
-function accepts plain tensors or tape nodes.  Each convolution records
-one tape node whose hand-written vector-Jacobian product returns the
-gradients of every operand on the tape; gradients flow through values
-and sampling weights, never through integer sample indices.
+public function accepts plain tensors or tape nodes.  Each convolution
+records one tape node whose hand-written vector-Jacobian product returns
+the gradients of every operand on the tape; gradients flow through
+values and sampling weights, never through integer sample indices.
 
 conv2d and deformable convolution take an activation, "none" or "relu",
 applied inside the same node: the tape keeps only the activated output,
@@ -165,60 +167,70 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
 _DEPTHWISE_BLOCK_BYTES = 1 << 18
 
 
-def depthwise_conv2d(x, weights):
-    """Per-channel k x k convolution, spatial dims preserved; k must be odd."""
-    xv = T._val(x)
-    wv = T._val(weights)
-    if wv.ndim != 3 or wv.shape[1] != wv.shape[2]:
-        raise ShapeError(f"depthwise weights must be [C,k,k], got {list(wv.shape)}")
-    c, k = wv.shape[0], wv.shape[1]
+def _depthwise(x: np.ndarray, weights: np.ndarray):
+    """Per-channel k x k convolution of a map by weights [C, k, k], k odd,
+    zero-padded so that the map's extents are kept: (out [C, H, W], vjp).
+    x is the map as [C, H, W], or as a [C, S, th, S, tw] view of S x S
+    regions (H = S th, W = S tw).  vjp(g, need_x, need_w) gives the input
+    gradient [C, H, W] and the kernel gradient, None where not needed."""
+    if weights.ndim != 3 or weights.shape[1] != weights.shape[2]:
+        raise ShapeError(f"depthwise weights must be [C,k,k], got {list(weights.shape)}")
+    c, k = weights.shape[0], weights.shape[1]
     if k % 2 == 0:
         raise ConfigError(f"depthwise kernel extent must be odd, got {k}")
-    if xv.shape[0] != c:
-        raise ShapeError(f"depthwise channel mismatch: input {xv.shape[0]} vs weights {c}")
+    if x.shape[0] != c:
+        raise ShapeError(f"depthwise channel mismatch: input {x.shape[0]} vs weights {c}")
     pad = (k - 1) // 2
-    h, w = xv.shape[1], xv.shape[2]
+    h, w = (x.shape[1], x.shape[2]) if x.ndim == 3 else (x.shape[1] * x.shape[2],
+                                                          x.shape[3] * x.shape[4])
     taps = [divmod(t, k) for t in range(k * k)]
-
-    padded = _pad(xv, pad, pad)
-    padded_shape = padded.shape
-    # channels are independent, so each block of channels accumulates
-    # every tap in place while it is in cache
-    nb = max(1, _DEPTHWISE_BLOCK_BYTES // max(1, padded[:1].nbytes))
+    # channels are independent, so each block of channels is padded into
+    # a scratch buffer and accumulates every tap in place while in cache
+    nb = max(1, _DEPTHWISE_BLOCK_BYTES // ((h + 2 * pad) * (w + 2 * pad) * 8))
     blocks = [slice(lo, min(lo + nb, c)) for lo in range(0, c, nb)]
-    out = np.empty((c, h, w))
-    tmp = np.empty((min(nb, c), h, w))
-    for cb in blocks:
-        o, t = out[cb], tmp[:cb.stop - cb.start]
-        (i, j), rest = taps[0], taps[1:]
-        np.multiply(padded[cb, i:i + h, j:j + w], wv[cb, i:i + 1, j:j + 1], out=o)
-        for i, j in rest:
-            np.multiply(padded[cb, i:i + h, j:j + w], wv[cb, i:i + 1, j:j + 1], out=t)
-            o += t
-    need_x, need_w = T._on_tape(x, weights)
 
-    def grads(g):
+    def scratch():
+        return np.zeros((min(nb, c), h + 2 * pad, w + 2 * pad)), np.empty((min(nb, c), h, w))
+
+    def padded(cb, buf):
+        """Channels cb of x inside buf's zero border."""
+        p = buf[:cb.stop - cb.start]
+        # a view: splitting axes of the interior never needs a copy
+        p[:, pad:pad + h, pad:pad + w].reshape(p.shape[:1] + x.shape[1:])[...] = x[cb]
+        return p
+
+    out = np.empty((c, h, w))
+    buf, tmp = scratch()
+    for cb in blocks:
+        xp, o, t = padded(cb, buf), out[cb], tmp[:cb.stop - cb.start]
+        (i, j), rest = taps[0], taps[1:]
+        np.multiply(xp[:, i:i + h, j:j + w], weights[cb, i:i + 1, j:j + 1], out=o)
+        for i, j in rest:
+            np.multiply(xp[:, i:i + h, j:j + w], weights[cb, i:i + 1, j:j + 1], out=t)
+            o += t
+    del buf, tmp
+
+    def vjp(g, need_x, need_w):
         gx = gw = None
-        tmp = np.empty((min(nb, c), h, w))
+        buf, tmp = scratch()
         if need_x:
-            gpad = np.zeros(padded_shape)
+            gpad = np.zeros((c, h + 2 * pad, w + 2 * pad))
             for cb in blocks:
                 t = tmp[:cb.stop - cb.start]
                 for i, j in reversed(taps):
-                    np.multiply(g[cb], wv[cb, i:i + 1, j:j + 1], out=t)
+                    np.multiply(g[cb], weights[cb, i:i + 1, j:j + 1], out=t)
                     gpad[cb, i:i + h, j:j + w] += t
             gx = gpad[:, pad:pad + h, pad:pad + w]
         if need_w:
-            again = _pad(xv, pad, pad)
             gw = np.zeros((c, k, k))
             for cb in blocks:
-                t = tmp[:cb.stop - cb.start]
+                xp, t = padded(cb, buf), tmp[:cb.stop - cb.start]
                 for i, j in taps:
-                    np.multiply(g[cb], again[cb, i:i + h, j:j + w], out=t)
+                    np.multiply(g[cb], xp[:, i:i + h, j:j + w], out=t)
                     gw[cb, i, j] += t.sum(axis=(1, 2))
         return gx, gw
 
-    return T._emit((x, weights), out, grads)
+    return out, vjp
 
 
 def _corner_axis(offsets, lattice, extent: int, scale: int, record) -> tuple:

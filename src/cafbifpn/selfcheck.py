@@ -18,12 +18,11 @@ import numpy as np
 
 from . import tensor as T
 from . import tensorio as IO
-from .attention import (RegionTokens, RoutingResult, ba_forward, make_bra_params,
-                        token_attention)
+from .attention import (BraParams, RoutingResult, ba_forward, make_bra_params,
+                        merge_lce, region_qkv, token_attention)
 from .cfe import cfe_forward, cfe_receptive_probe, join_branches, make_cfe_params
 from .convops import (Conv2dParams, DeformableParams, conv2d,
-                      deformable_conv2d, deformable_conv2d_with_offsets,
-                      depthwise_conv2d)
+                      deformable_conv2d, deformable_conv2d_with_offsets)
 from .errors import FormatError
 from .gradcheck import crosses_relu, first_smooth, max_rel_err, watched
 from .instrumentation import count_macs
@@ -76,15 +75,10 @@ def _weighted_sum(out):
 
 
 def check_op_gradients():
-    w = T._val(T.Rng(5).tensor([3, 3], -1.0, 1.0))
-
     def graph(xt):
-        m = T.matmul(xt, T.tensor(w))
-        d = T.mul(m, T.add(T.mul(m, m), T.full([2, 3], 2.0)))
-        p = T.permute(T.reshape(d, [1, 2, 3]), (2, 0, 1))
-        # the row means broadcast back over the rows by an outer product
-        e = T.reshape(T.matmul(T.reduce_mean_axis(p, 2), T.full([1, 2], 1.0)), [3, 1, 2])
-        return T.add(T.sum_all(T.mul(e, p)), T.mul(T.sum_all(m), T.tensor([0.3])))
+        # x reaches the sum four ways, so backward sums its fan-out
+        d = T.mul(xt, T.add(T.mul(xt, xt), T.full([2, 3], 2.0)))
+        return T.add(T.sum_all(T.mul(d, d)), T.mul(T.sum_all(xt), T.tensor([0.3])))
 
     # the convolution, attention and fusion primitives, each operand on its own
     rng = T.Rng(26)
@@ -100,15 +94,11 @@ def check_op_gradients():
     # of up to 2 put some samples partly or wholly outside the map
     shift = np.floor(_arr(rng.tensor([18, 4, 4], -2.0, 3.0)))
     offsets = T.tensor(_arr(rng.tensor([18, 4, 4], -0.2, 0.2)) + 0.35 + shift)
-    # attention over 4 regions of 2 tokens, 2 routed regions each, 2
-    # heads; region 3 is routed to three times, so its key and value
-    # gradients sum over copies
-    queries = rng.tensor([4, 2, 4], -1.0, 1.0)
-    keys, values = rng.tensor([4, 2, 4], -1.0, 1.0), rng.tensor([4, 2, 4], -1.0, 1.0)
+    # token attention over 4 regions of 2 tokens of width 4, 2 routed
+    # regions each, 2 heads; region 3 is routed to three times, so its key
+    # and value gradients sum over copies
+    qkv_attend = rng.tensor([4, 2, 12], -1.0, 1.0)
     routing = RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
-
-    def attend(q, k, v):
-        return token_attention(*(RegionTokens(t, 2, 4, 2) for t in (q, k, v)), routing, 2).data
 
     # a three-input fusion node; the negative weight is clamped to zero,
     # so its gradient goes through the clamp mask
@@ -117,6 +107,11 @@ def check_op_gradients():
     # fusion nodes that read their second input at half and at twice the
     # first's extent
     fine, coarse = rng.tensor([2, 4, 6], -1.0, 1.0), rng.tensor([2, 2, 3], -1.0, 1.0)
+    # the attention pass's other two nodes on a 4x6 map of width 2 cut
+    # into 2x2 regions of 2x3 tokens, merge_lce with the kernel above
+    rng = T.Rng(28)
+    bra = make_bra_params(rng, 2, 2, 2)
+    xa, attended, qkv = (rng.tensor(dims, -1.0, 1.0) for dims in ([2, 4, 6], [4, 6, 2], [4, 6, 6]))
 
     cases = [("composite-op", graph, T.Rng(40).tensor([2, 3], -1.0, 1.0))] + [
         case for c in convs for case in (
@@ -126,8 +121,6 @@ def check_op_gradients():
             (f"conv2d stride {c.stride} bias",
              lambda v, c=c: conv2d(x, replace(c, bias=v)), c.bias),
         )] + [
-        ("depthwise input", lambda v: depthwise_conv2d(v, kernel), x),
-        ("depthwise kernel", lambda v: depthwise_conv2d(x, v), kernel),
         ("deformable input", lambda v: deformable_conv2d_with_offsets(v, base, offsets), xd),
         ("deformable offsets", lambda v: deformable_conv2d_with_offsets(xd, base, v), offsets),
         ("deformable weights",
@@ -135,9 +128,13 @@ def check_op_gradients():
          base.weights),
         ("deformable bias",
          lambda v: deformable_conv2d_with_offsets(xd, replace(base, bias=v), offsets), base.bias),
-        ("attention queries", lambda v: attend(v, keys, values), queries),
-        ("attention routed keys", lambda v: attend(queries, v, values), keys),
-        ("attention routed values", lambda v: attend(queries, keys, v), values),
+        ("region_qkv input", lambda v: region_qkv(v, bra), xa),
+    ] + [(f"region_qkv {name}", lambda v, name=name: region_qkv(xa, replace(bra, **{name: v})),
+          getattr(bra, name)) for name in ("w_q", "w_k", "w_v")] + [
+        ("merge_lce attended", lambda v: merge_lce(v, qkv, kernel, 4, 6), attended),
+        ("merge_lce qkv", lambda v: merge_lce(attended, v, kernel, 4, 6), qkv),
+        ("merge_lce kernel", lambda v: merge_lce(attended, qkv, v, 4, 6), kernel),
+        ("token_attention qkv", lambda v: token_attention(v, routing, 2), qkv_attend),
     ] + [(f"fuse input {i}", lambda v, i=i: fuse(_swapped(fused, i, v), raw, 1e-4), t)
          for i, t in enumerate(fused)] + [
         (f"fuse weight {i}", lambda v, i=i: fuse(fused, _swapped(raw, i, v), 1e-4), u)
@@ -217,14 +214,23 @@ def check_softmax_rows():
         _close(s.sum(axis=-1), np.ones(s.shape[:-1]), TOL_TIGHT, "row sums")
 
 
-def check_reshape_permute_roundtrip():
-    x = T.Rng(7).tensor([2, 3, 4], -1.0, 1.0)
-    back = T.permute(T.permute(x, (2, 0, 1)), (1, 2, 0))
+def check_region_layout_roundtrip():
+    """On a 4x10 map cut into 2x2 regions of 2x5 tokens (every pipeline
+    map is square, where a swap of the region's extents cannot show): with
+    identity projections each column block of region_qkv is the map's
+    tiles, and merge_lce of those tiles with a zero kernel is the map,
+    bit for bit."""
+    c, s = 3, 2
+    x = T.Rng(7).tensor([c, 4, 10], -1.0, 1.0)
+    eye = T.tensor(np.eye(c))
+    qkv = _arr(region_qkv(x, BraParams(eye, eye, eye, None, s, 1)))
+    tiles = _tiles(_arr(x), s)
+    for i, block in enumerate(("query", "key", "value")):
+        if not np.array_equal(qkv[:, :, i * c:(i + 1) * c], tiles):
+            raise AssertionError(f"{block} columns are not the map's tiles")
+    back = merge_lce(T.tensor(tiles), T.tensor(qkv), T.zeros([c, 3, 3]), 4, 10)
     if not np.array_equal(_arr(back), _arr(x)):
-        raise AssertionError("permute round-trip not bit-identical")
-    back2 = T.reshape(T.reshape(x, [4, 6]), [2, 3, 4])
-    if not np.array_equal(_arr(back2), _arr(x)):
-        raise AssertionError("reshape round-trip not bit-identical")
+        raise AssertionError("merging the tiles does not give the map back bit for bit")
 
 
 def check_rng_reference_stream():
@@ -737,7 +743,7 @@ def check_fixture_determinism():
 CHECKS = [
     ("op-gradients-match-finite-differences", check_op_gradients),
     ("softmax-rows-sum-to-one", check_softmax_rows),
-    ("reshape-permute-round-trip", check_reshape_permute_roundtrip),
+    ("region-layout-round-trip", check_region_layout_roundtrip),
     ("rng-reference-stream", check_rng_reference_stream),
     ("rng-uniform-bounds", check_rng_uniform_bounds),
     ("conv-matches-loop-oracle", check_conv_vs_loop_oracle),

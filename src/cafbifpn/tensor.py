@@ -250,20 +250,7 @@ def mul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra
-
-
-def matmul(a, b):
-    av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {list(av.shape)} and {list(bv.shape)}")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {list(av.shape)} x {list(bv.shape)}")
-    if av.dtype != bv.dtype:
-        raise ShapeError(f"matmul: dtype {av.dtype} vs {bv.dtype}")
-    need_a, need_b = _on_tape(a, b)
-    return _emit((a, b), av @ bv,
-                 lambda g: (g @ bv.T if need_a else None, av.T @ g if need_b else None))
+# Softmax and reductions
 
 
 def softmax_inplace(x: np.ndarray) -> np.ndarray:
@@ -280,52 +267,6 @@ def softmax_inplace(x: np.ndarray) -> np.ndarray:
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
-
-
-# ---------------------------------------------------------------------------
-# Structural ops
-
-
-def reshape(a, dims: Sequence[int]):
-    av = _val(a)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims) or not dims:
-        raise ShapeError(f"reshape target {list(dims)} has invalid extents")
-    if math.prod(dims) != av.size:
-        raise ShapeError(f"reshape {list(av.shape)} -> {list(dims)} changes element count")
-    old = av.shape
-    return _emit((a,), av.reshape(dims), lambda g: (g.reshape(old),))
-
-
-def permute(a, axes: Sequence[int]):
-    av = _val(a)
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(av.ndim)):
-        raise ShapeError(f"permute axes {list(axes)} is not a permutation of rank {av.ndim}")
-    inverse = np.argsort(axes)
-    return _emit((a,), np.ascontiguousarray(av.transpose(axes)),
-                 lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-
-
-def reduce_mean_axis(a, axis: int):
-    av = _val(a)
-    if axis < 0 or axis >= av.ndim:
-        raise ShapeError(f"mean axis {axis} out of range for rank {av.ndim}")
-    n = av.shape[axis]
-    out = av.mean(axis=axis)
-    if out.ndim == 0:
-        out = out.reshape(1)
-    shape = av.shape
-
-    def grads(g):
-        gg = g.reshape([e for i, e in enumerate(shape) if i != axis])
-        return (np.ascontiguousarray(np.broadcast_to(np.expand_dims(gg, axis), shape)) / n,)
-
-    return _emit((a,), out, grads)
 
 
 def sum_all(a):

@@ -19,24 +19,36 @@ def _tiles(x: np.ndarray, s: int) -> np.ndarray:
     return x.reshape(c, s, th, s, tw).transpose(1, 3, 2, 4, 0).reshape(s * s, th * tw, c)
 
 
-@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32))
+def _identity(c: int, s: int) -> A.BraParams:
+    """Identity projections and a zero local-context kernel."""
+    eye = T.tensor(np.eye(c))
+    return A.BraParams(eye, eye, eye, T.zeros([c, 3, 3]), s, 1)
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32))
 @settings(max_examples=25, deadline=None)
-def test_partition_merge_roundtrip(s, c, tile, seed):
-    x = T.Rng(seed).tensor([c, s * tile, s * tile], -1.0, 1.0)
-    rt = A.region_partition(x, s)
-    assert arr(rt.data).shape == (s * s, tile * tile, c)
-    assert np.array_equal(arr(A.region_merge(rt)), arr(x))
+def test_partition_merge_roundtrip(s, c, th, tw, seed):
+    """region_qkv's value columns under identity projections, merged with
+    a zero kernel, are the map again."""
+    x = T.Rng(seed).tensor([c, s * th, s * tw], -1.0, 1.0)
+    p = _identity(c, s)
+    qkv = A.region_qkv(x, p)
+    assert arr(qkv).shape == (s * s, th * tw, 3 * c)
+    values = T.tensor(arr(qkv)[:, :, 2 * c:])
+    assert np.array_equal(arr(A.merge_lce(values, qkv, p.lce_kernel, s * th, s * tw)), arr(x))
 
 
 def test_partition_rejects_indivisible():
     with pytest.raises(PartitionError):
-        A.region_partition(T.zeros([2, 5, 6]), 2)
+        A.region_qkv(T.zeros([2, 5, 6]), _identity(2, 2))
 
 
 def test_partition_matches_numpy_tiles():
-    x = T.Rng(41).tensor([3, 6, 6], -1.0, 1.0)
-    rt = A.region_partition(x, 2)
-    assert np.array_equal(arr(rt.data), _tiles(arr(x), 2))
+    x = T.Rng(41).tensor([3, 4, 6], -1.0, 1.0)
+    qkv = arr(A.region_qkv(x, _identity(3, 2)))
+    for block in range(3):
+        assert np.array_equal(qkv[:, :, 3 * block:3 * (block + 1)], _tiles(arr(x), 2))
 
 
 def test_routed_agrees_with_reference():
@@ -57,7 +69,7 @@ def test_corrupt_tiebreak_hook_changes_tied_selection(monkeypatch):
 
 
 def test_topk_rejects_out_of_range():
-    q = T.Rng(48).tensor([4, 6], -1.0, 1.0)
+    q = arr(T.Rng(48).tensor([4, 6], -1.0, 1.0))
     with pytest.raises(ConfigError):
         A.topk_routing(q, q, 0)
     with pytest.raises(ConfigError):
@@ -98,50 +110,42 @@ def test_frozen_routing_reused():
     assert np.array_equal(arr(a), arr(A.ba_forward(x, p)))
 
 
-def _tokens(*tensors):
-    return [A.RegionTokens(t, 2, 4, 2) for t in tensors]
-
-
 def test_token_attention_records_one_tape_node():
     rng = T.Rng(53)
     tape = T.Tape()
-    q = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
-    k = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
-    v = tape.leaf(rng.tensor([4, 2, 4], -1.0, 1.0))
+    qkv = tape.leaf(rng.tensor([4, 2, 12], -1.0, 1.0))
     routing = A.RoutingResult(None, np.array([[1, 3], [3, 0], [2, 3], [0, 1]]))
     before = len(tape.nodes)
-    out = A.token_attention(*_tokens(q, k, v), routing, heads=2)
+    out = A.token_attention(qkv, routing, heads=2)
     assert len(tape.nodes) == before + 1
-    assert out.data is tape.nodes[-1]
-    assert set(tape.backward(T.sum_all(out.data), T.tensor([1.0]))) == {q, k, v}
+    assert out is tape.nodes[-1]
+    assert set(tape.backward(T.sum_all(out), T.tensor([1.0]))) == {qkv}
 
 
 def test_token_attention_equals_attention_over_stacked_routed_regions():
-    rng = T.Rng(54)
-    q, k, v = (rng.tensor([4, 3, 4], -1.0, 1.0) for _ in range(3))
+    qkv = arr(T.Rng(54).tensor([4, 3, 12], -1.0, 1.0))
+    q, k, v = qkv[:, :, :4], qkv[:, :, 4:8], qkv[:, :, 8:]
     idx = np.array([[2, 0], [2, 3], [1, 2], [0, 3]])
-    out = arr(A.token_attention(*_tokens(q, k, v), A.RoutingResult(None, idx), heads=2).data)
+    out = arr(A.token_attention(T.tensor(qkv), A.RoutingResult(None, idx), heads=2))
     for r in range(4):
-        kg, vg = arr(k)[idx[r]].reshape(6, 4), arr(v)[idx[r]].reshape(6, 4)
+        kg, vg = k[idx[r]].reshape(6, 4), v[idx[r]].reshape(6, 4)
         for cols in (slice(0, 2), slice(2, 4)):
-            logits = arr(q)[r][:, cols] @ kg[:, cols].T / np.sqrt(2.0)
+            logits = q[r][:, cols] @ kg[:, cols].T / np.sqrt(2.0)
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             assert max_abs_diff(out[r][:, cols], w @ vg[:, cols]) <= 1e-14
 
 
 def test_token_attention_rejects_bad_routing():
-    q = T.zeros([4, 2, 4])
+    qkv = T.zeros([4, 2, 12])
     with pytest.raises(IndexError):
-        A.token_attention(*_tokens(q, q, q), A.RoutingResult(None, np.array([[4]] * 4)), 1)
+        A.token_attention(qkv, A.RoutingResult(None, np.array([[4]] * 4)), 1)
     with pytest.raises(ShapeError):
-        A.token_attention(*_tokens(q, q, q), A.RoutingResult(None, np.array([[0]] * 3)), 1)
+        A.token_attention(qkv, A.RoutingResult(None, np.array([[0]] * 3)), 1)
 
 
 def test_token_attention_rejects_non_finite_logits():
-    q = T.full([1, 2, 2], 1.0)
-    k = T.tensor(np.full((1, 3, 2), np.nan))
+    qkv = np.full((1, 2, 6), 1.0)
+    qkv[:, :, 2:4] = np.nan  # the keys
     with pytest.raises(NumericError, match="non-finite"):
-        A.token_attention(A.RegionTokens(q, 1, 2, 1), A.RegionTokens(k, 1, 3, 1),
-                          A.RegionTokens(k, 1, 3, 1), A.RoutingResult(None, np.array([[0]])),
-                          heads=1)
+        A.token_attention(T.tensor(qkv), A.RoutingResult(None, np.array([[0]])), heads=1)

@@ -113,14 +113,12 @@ def test_failing_share_raises_after_every_share_stopped(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(T, "softmax_inplace", slow_in_pool)
-    q = np.ones((4, 2, 2))
-    k = np.ones((4, 3, 2))
-    k[0] = np.nan
-    tokens = [A.RegionTokens(T.tensor(a), 2, 4, 2) for a in (q, k, k)]
+    qkv = np.ones((4, 2, 6))
+    qkv[0, :, 2:] = np.nan  # region 0's keys and values
     routing = A.RoutingResult(None, np.array([[0], [1], [2], [3]]))
     before = _blas_count()
     with pytest.raises(NumericError, match="softmax input contains non-finite values"):
-        A.token_attention(*tokens, routing, heads=1)
+        A.token_attention(T.tensor(qkv), routing, heads=1)
     assert _blas_count() == before
     if _pool_available():
         assert len(finished) == 2  # regions 1 and 3, both done before the raise

@@ -3,8 +3,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cafbifpn import tensor as T
 from cafbifpn.errors import GraphError, NumericError, ShapeError
@@ -62,26 +60,6 @@ def test_rng_randint_range():
     draws = [rng.randint(7) for _ in range(200)]
     assert min(draws) >= 0 and max(draws) < 7
     assert len(set(draws)) == 7
-
-
-@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 2**32))
-@settings(max_examples=30, deadline=None)
-def test_reshape_roundtrip(dims, seed):
-    x = T.Rng(seed).tensor(dims, -2.0, 2.0)
-    flat = T.reshape(x, [int(np.prod(dims))])
-    back = T.reshape(flat, dims)
-    assert np.array_equal(arr(back), arr(x))
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        T.matmul(T.zeros([2, 3]), T.zeros([4, 2]))
-
-
-def test_reduce_mean_values():
-    c = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert arr(T.reduce_mean_axis(c, 1)).tolist() == [1.5, 3.5]
-    assert arr(T.reduce_mean_axis(c, 0)).tolist() == [2.0, 3.0]
 
 
 def test_mul_rejects_mismatched_dims():
