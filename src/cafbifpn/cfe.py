@@ -27,7 +27,6 @@ class CfeParams:
     branch2: tuple
     branch3: tuple
     residual: Conv2dParams
-    width: int
     activation: str = "relu"
 
 
@@ -41,20 +40,19 @@ def _run_branch(f, stages: tuple, activation: str, kinks: dict | None):
     return x
 
 
-def join_branches(branches: list, residual, width: int):
+def join_branches(branches: list, residual):
     """Channel concatenation of the branches plus the residual, one tape
-    node.  Its VJP hands each branch its contiguous channel slice of the
-    output gradient and the residual the gradient itself."""
+    node; the branch widths must sum to the residual's.  Its VJP hands
+    each branch its contiguous channel slice of the output gradient and
+    the residual the gradient itself."""
     vals = [T._val(b) for b in branches]
     rv = T._val(residual)
     for v in vals:
         if v.ndim != 3 or v.shape[1:] != rv.shape[1:]:
             raise ShapeError(f"branch dims {list(v.shape)} disagree with residual {list(rv.shape)}")
     bounds = np.cumsum([0] + [v.shape[0] for v in vals])
-    if bounds[-1] != width:
-        raise ShapeError(f"branch concat width {bounds[-1]} != configured width {width}")
-    if rv.shape[0] != width:
-        raise ShapeError(f"residual width {rv.shape[0]} != configured width {width}")
+    if bounds[-1] != rv.shape[0]:
+        raise ShapeError(f"branch concat width {bounds[-1]} != residual width {rv.shape[0]}")
     out = np.concatenate(vals, axis=0)
     out += rv
 
@@ -65,13 +63,12 @@ def join_branches(branches: list, residual, width: int):
 
 
 def cfe_forward(f, p: CfeParams, kinks: dict | None = None):
-    """[C_in, H, W] -> [width, H, W]; no activation after the residual add.
-    kinks freezes the deformable stage's offsets (deformable_conv2d)."""
-    if p.width % 3:
-        raise ConfigError(f"fusion width {p.width} not divisible by 3")
+    """[C_in, H, W] -> [width, H, W], width the residual's output width;
+    no activation after the residual add.  kinks freezes the deformable
+    stage's offsets (deformable_conv2d)."""
     branches = [_run_branch(f, stages, p.activation, kinks)
                 for stages in (p.branch1, p.branch2, p.branch3)]
-    return join_branches(branches, conv2d(f, p.residual), p.width)
+    return join_branches(branches, conv2d(f, p.residual))
 
 
 def _surrogate_stage(stage):
@@ -98,8 +95,7 @@ def cfe_receptive_probe(p: CfeParams) -> int:
     q = CfeParams(branch1=tuple(_surrogate_stage(s) for s in p.branch1),
                   branch2=tuple(_surrogate_stage(s) for s in p.branch2),
                   branch3=tuple(_surrogate_stage(s) for s in p.branch3),
-                  residual=_surrogate_stage(p.residual),
-                  width=p.width, activation="none")
+                  residual=_surrogate_stage(p.residual), activation="none")
     c_in = T._val(p.residual.weights).shape[1]
     extent = 13
     center = extent // 2
@@ -146,4 +142,4 @@ def make_cfe_params(rng: T.Rng, c_in: int, width: int, activation: str = "relu",
                _rand_conv(rng, wb, wb, 1, 3, (0, 1)),
                DeformableParams(base, predictor))
     residual = _rand_conv(rng, width, c_in, 1, 1, 0)
-    return CfeParams(branch1, branch2, branch3, residual, width, activation)
+    return CfeParams(branch1, branch2, branch3, residual, activation)

@@ -161,12 +161,6 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
     return T._emit((x, p.weights, p.bias), out, grads)
 
 
-# Channels per depthwise block: about this many bytes of padded input, so
-# a block's input, output and product temporary stay in L2 (swept against
-# 128 KB to 1 MB at 48x64x64 and 48x128x128; see CHANGES.md)
-_DEPTHWISE_BLOCK_BYTES = 1 << 18
-
-
 def _depthwise(x: np.ndarray, weights: np.ndarray):
     """Per-channel k x k convolution of a map by weights [C, k, k], k odd,
     zero-padded so that the map's extents are kept: (out [C, H, W], vjp).
@@ -186,7 +180,7 @@ def _depthwise(x: np.ndarray, weights: np.ndarray):
     taps = [divmod(t, k) for t in range(k * k)]
     # channels are independent, so each block of channels is padded into
     # a scratch buffer and accumulates every tap in place while in cache
-    nb = max(1, _DEPTHWISE_BLOCK_BYTES // ((h + 2 * pad) * (w + 2 * pad) * 8))
+    nb = T._block_rows((c, h + 2 * pad, w + 2 * pad))
     blocks = [slice(lo, min(lo + nb, c)) for lo in range(0, c, nb)]
 
     def scratch():
@@ -236,11 +230,10 @@ def _depthwise(x: np.ndarray, weights: np.ndarray):
 def _corner_axis(offsets, lattice, extent: int, scale: int, record) -> tuple:
     """One axis of sampling at positions offsets + lattice [taps, H, W]: the
     lower and upper corners' weights, in-map masks and clipped coordinates
-    times scale, each [taps, H*W].  Lattice margins are recorded per tap."""
+    times scale, each [taps, H*W]; the lattice margin goes to record."""
     pos = offsets + lattice
     if record is not None:
-        for row in np.abs(pos - np.round(pos)):
-            record.margin("lattice", row)
+        record.margin("lattice", np.abs(pos - np.round(pos)))
     lo = np.floor(pos)
     weights = [u.reshape(len(pos), -1) for u in ((lo + 1.0) - pos, pos - lo)]
     i = lo.astype(np.int64).reshape(len(pos), -1)

@@ -104,19 +104,6 @@ def _map_leaves(record, fn, path=()):
     return record
 
 
-def _replaced(record, path, value):
-    """record with the item at path set to value; the dicts, tuples and
-    dataclasses along the path are rebuilt, everything else is shared."""
-    if not path:
-        return value
-    key, rest = path[0], path[1:]
-    if isinstance(record, dict):
-        return {**record, key: _replaced(record[key], rest, value)}
-    if isinstance(record, tuple):
-        return record[:key] + (_replaced(record[key], rest, value),) + record[key + 1:]
-    return replace(record, **{key: _replaced(getattr(record, key), rest, value)})
-
-
 def _compare(record, loss, directions) -> dict:
     """{path: relative errors} for every float leaf of record, one per
     array v that directions(leaf) yields: <gradient, v>, the gradient from
@@ -133,8 +120,8 @@ def _compare(record, loss, directions) -> dict:
     for path, t in found:
         vs = list(directions(t))
         g = T._val(grads[nodes[path]]) if nodes[path] in grads else np.zeros(t.dims)
-        fd = directional_diffs(lambda u, path=path: T._val(loss(_replaced(record, path, u)))[0],
-                               t, vs, FD_STEP)
+        fd = directional_diffs(lambda u, path=path: T._val(loss(_map_leaves(
+            record, lambda p, leaf: u if p == path else leaf)))[0], t, vs, FD_STEP)
         along = np.array([np.vdot(g, v) for v in vs])
         errs[path] = np.abs(along - fd) / np.maximum(np.maximum(np.abs(along), np.abs(fd)),
                                                      REL_FLOOR)
@@ -155,7 +142,7 @@ def walk(record, loss, rng: T.Rng) -> dict:
     one direction drawn from rng, uniform in [-1, 1] per coordinate: one
     backward, then two forwards per leaf."""
     return {path: float(rel[0]) for path, rel in
-            _compare(record, loss, lambda t: [T._val(rng.symmetric_unit(t.dims))]).items()}
+            _compare(record, loss, lambda t: [T._val(rng.tensor(t.dims, -1.0, 1.0))]).items()}
 
 
 def _walked(errs: dict) -> dict:

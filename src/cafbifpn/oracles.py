@@ -136,14 +136,6 @@ def directional_diffs(scalar_fn, x, directions, h: float = 1e-5) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def finite_diff_grad(scalar_fn, x, h: float = 1e-5):
-    """The gradient shaped like x, from directional_diffs along each unit
-    vector: coordinate i steps h * max(1, |x_i|)."""
-    shape = T._val(x).shape
-    units = np.eye(T._val(x).size).reshape((-1,) + shape)
-    return T.tensor(directional_diffs(scalar_fn, x, units, h).reshape(shape))
-
-
 @dataclass(frozen=True)
 class FlopCount:
     """Exact multiply-accumulate tallies per attention stage; gather is

@@ -10,15 +10,14 @@ tape leaves interchangeably.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import ba_forward, make_bra_params
-from .cfe import cfe_forward, make_cfe_params
-from .convops import Conv2dParams, conv2d
+from .cfe import _rand_conv, cfe_forward, make_cfe_params
+from .convops import conv2d
 from .errors import (ConfigError, FormatError, NumericError, PartitionError,
                      PipelineError, ShapeError)
 from .instrumentation import active_record
@@ -96,17 +95,6 @@ def _as_scalar(w):
     return T.tensor([float(w)])
 
 
-# Leading-axis rows per in-place fusion block: about this many bytes of one
-# input, so a block's output and temporary stay in L2 (swept against
-# 128 KB to 4 MB at 48 channels, 64 to 256 square)
-_FUSE_BLOCK_BYTES = 1 << 18
-
-
-def _block_rows(shape) -> int:
-    """Leading-axis rows per block of a float64 array of this shape."""
-    return max(1, _FUSE_BLOCK_BYTES // (8 * math.prod(shape[1:])))
-
-
 def fuse(inputs, raw_weights, epsilon: float):
     """sum(max(w_i,0) * x_i) / (sum(max(w_i,0)) + epsilon), elementwise,
     every input read at input 0's dims.
@@ -152,7 +140,7 @@ def fuse(inputs, raw_weights, epsilon: float):
     if denom[0] == 0.0:
         raise NumericError("fusion denominator is zero: all weights clamped away and epsilon is 0")
 
-    rows = _block_rows(shape)
+    rows = T._block_rows(shape)
 
     def term(i, lo, out, pairs):
         """out = u_i x_i over the block of rows from lo; pairs is the
@@ -354,9 +342,7 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
                                            offset_scale=1.0)
                       for lvl in LEVELS}
     else:
-        projections = {lvl: Conv2dParams(weights=rng.tensor([width, channels[lvl], 1, 1], -0.1, 0.1),
-                                         bias=rng.tensor([width], -0.1, 0.1))
-                       for lvl in LEVELS}
+        projections = {lvl: _rand_conv(rng, width, channels[lvl], 1, 1, 0) for lvl in LEVELS}
     bra = None
     if cfg.attention_fusion_enabled:
         bra = {4: make_bra_params(rng, width, cfg.regions_s, cfg.topk_k, cfg.heads,

@@ -24,11 +24,11 @@ from .cfe import cfe_forward, cfe_receptive_probe, join_branches, make_cfe_param
 from .convops import (Conv2dParams, DeformableParams, conv2d,
                       deformable_conv2d, deformable_conv2d_with_offsets)
 from .errors import FormatError
-from .gradcheck import crosses_relu, first_smooth, max_rel_err, watched
+from .gradcheck import _map_leaves, crosses_relu, first_smooth, max_rel_err, watched
 from .instrumentation import count_macs
-from .oracles import (conv2d_reference, dense_attention_reference,
-                      finite_diff_grad, topk_reference)
-from .pipeline import FusionWeights, build_pipeline_params, c_afbifpn_forward, fuse
+from .oracles import (conv2d_reference, dense_attention_reference, directional_diffs,
+                      topk_reference)
+from .pipeline import build_pipeline_params, c_afbifpn_forward, fuse
 from .reference import ref_conv2d
 
 TOL_TIGHT = 1e-12
@@ -183,7 +183,7 @@ def _fused_cases() -> list:
     def join_with(i):
         def op(v):
             args = _swapped(joined, i, v)
-            return join_branches(args[:3], args[3], 6)
+            return join_branches(args[:3], args[3])
         return op
 
     return [
@@ -248,7 +248,7 @@ def check_rng_uniform_bounds():
     vals = [rng.next_float() for _ in range(1000)]
     if not (min(vals) >= 0.0 and max(vals) < 1.0):
         raise AssertionError("unit draw outside [0, 1)")
-    sym = _arr(T.Rng(12).symmetric_unit([64]))
+    sym = _arr(T.Rng(12).tensor([64], -1.0, 1.0))
     if not (sym.min() > -1.0 and sym.max() < 1.0):
         raise AssertionError("symmetric draw outside (-1, 1)")
 
@@ -611,9 +611,9 @@ def check_fusion_weight_gradients():
     a1, a2 = _arr(x1), _arr(x2)
     denom = w1 + w2 + eps
     hand = float(((a1 * denom - (w1 * a1 + w2 * a2)) / denom**2).sum())
-    fd = _arr(finite_diff_grad(
+    fd = directional_diffs(
         lambda v: float(_arr(T.sum_all(fuse([x1, x2], [v, w2], eps))).reshape(-1)[0]),
-        T.tensor([w1]))).reshape(-1)[0]
+        T.tensor([w1]), [np.ones(1)])[0]
     if not (abs(analytic - hand) <= 1e-10 and abs(analytic - fd) / max(abs(fd), 1e-3) <= TOL_GRAD):
         raise AssertionError(f"analytic {analytic}, hand {hand}, fd {fd}")
 
@@ -623,14 +623,7 @@ def check_fusion_homogeneity():
     cfg = _tiny_cfg(cfe_enabled=False, attention_fusion_enabled=False, epsilon=0.0)
     params = build_pipeline_params(cfg, channels)
     out1 = c_afbifpn_forward(backbone, params)
-    scaled = FusionWeights(
-        p2_out=tuple(4.0 * w for w in params.fusion.p2_out),
-        p3_mid=tuple(4.0 * w for w in params.fusion.p3_mid),
-        p3_out=tuple(4.0 * w for w in params.fusion.p3_out),
-        p4_mid=tuple(4.0 * w for w in params.fusion.p4_mid),
-        p4_out=tuple(4.0 * w for w in params.fusion.p4_out),
-        p5_out=tuple(4.0 * w for w in params.fusion.p5_out),
-        epsilon=0.0)
+    scaled = _map_leaves(params.fusion, lambda _, w: 4.0 * w)
     out2 = c_afbifpn_forward(backbone, replace(params, fusion=scaled))
     for lvl in (2, 3, 4, 5):
         if not np.array_equal(_arr(out1[lvl]), _arr(out2[lvl])):

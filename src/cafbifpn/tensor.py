@@ -277,7 +277,7 @@ def sum_all(a):
 
 
 # ---------------------------------------------------------------------------
-# Worker pool for token attention's stacks
+# Work sizes, and the worker pool for token attention's stacks
 
 # A token-attention call with less work than this runs its stacks inline:
 # handing them to the pool costs more than a second core returns.  The
@@ -285,6 +285,19 @@ def sum_all(a):
 # value comes from a sweep of pooled against inline attention calls
 # (CHANGES.md).
 _POOL_MIN_WORK = 1 << 23
+
+# Blocked sweeps (fuse's rows, the depthwise kernel's channels) take about
+# this many bytes of one float64 operand per block, so a block's operand,
+# output and temporary stay in L2.  Swept against 128 KB to 4 MB for fuse
+# at 48 channels, 64 to 256 square, and 128 KB to 1 MB for the depthwise
+# kernel at 48x64x64 and 48x128x128 (CHANGES.md).
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(shape) -> int:
+    """Leading-axis rows per block of a float64 array of this shape."""
+    return max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
+
 
 _hold_lock = threading.Lock()  # guards _holds, _saved_threads and _pool
 _holds = 0            # holds open in this process, over all threads
@@ -427,21 +440,16 @@ def rng_next_raw(state: int) -> tuple[int, int]:
     return state, z
 
 
-def rng_next(state: int) -> tuple[int, float]:
-    """One step yielding a float64 uniform in [0, 1)."""
-    state, z = rng_next_raw(state)
-    return state, (z >> 11) * _TO_UNIT
-
-
 class Rng:
-    """Convenience stream over rng_next with a mutable cursor."""
+    """Convenience stream over rng_next_raw with a mutable cursor."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_float(self) -> float:
-        self.state, u = rng_next(self.state)
-        return u
+        """One step yielding a float64 uniform in [0, 1)."""
+        self.state, z = rng_next_raw(self.state)
+        return (z >> 11) * _TO_UNIT
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
@@ -459,11 +467,6 @@ class Rng:
 
     def tensor(self, dims: Sequence[int], low: float = 0.0, high: float = 1.0) -> Tensor:
         vals = low + (high - low) * self.floats(math.prod(dims))
-        return Tensor(vals.reshape(tuple(dims)), copy=False)
-
-    def symmetric_unit(self, dims: Sequence[int]) -> Tensor:
-        """Values 2u - 1, filling row-major."""
-        vals = 2.0 * self.floats(math.prod(dims)) - 1.0
         return Tensor(vals.reshape(tuple(dims)), copy=False)
 
     def randint(self, bound: int) -> int:

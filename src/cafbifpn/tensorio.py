@@ -91,10 +91,6 @@ class RunConfig:
 # in a signed pointer-sized integer.
 _MAX_VALUES = np.iinfo(np.intp).max // 8
 
-_INT_FIELDS = {"regions_s", "topk_k", "heads", "fusion_width", "dilation", "lce_kernel", "seed"}
-_BOOL_FIELDS = {"cfe_enabled", "attention_fusion_enabled"}
-_STR_FIELDS = {"activation"}
-
 
 def config_validate(cfg: RunConfig) -> RunConfig:
     def want(cond: bool, rule: str):
@@ -154,19 +150,19 @@ def config_parse(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a flat JSON object, got {type(raw).__name__}")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     vals = {}
     for key, value in raw.items():
-        if key in _INT_FIELDS:
+        if kinds[key] is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"config key {key} must be an integer, got {value!r}")
-        elif key in _BOOL_FIELDS:
+        elif kinds[key] is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"config key {key} must be a boolean, got {value!r}")
-        elif key in _STR_FIELDS:
+        elif kinds[key] is str:
             if not isinstance(value, str):
                 raise ConfigError(f"config key {key} must be a string, got {value!r}")
         else:  # epsilon
@@ -194,7 +190,7 @@ def gen_fixture(seed: int, out_dir) -> dict:
     entries = []
     for lvl in (2, 3, 4, 5):
         dims = FIXTURE_DIMS[lvl]
-        t = rng.symmetric_unit(list(dims))
+        t = rng.tensor(dims, -1.0, 1.0)
         name = _FIXTURE_NAMES[lvl]
         tensor_write(out / name, t)
         entries.append({"name": name, "level": lvl, "dims": list(dims)})

@@ -22,28 +22,25 @@ def test_spatial_dims_preserved(h, w, seed):
 def test_width_not_divisible_rejected():
     with pytest.raises(ConfigError):
         make_cfe_params(T.Rng(61), 3, 7)
-    p = make_cfe_params(T.Rng(61), 3, 6)
-    with pytest.raises(ConfigError):
-        cfe_forward(T.zeros([3, 4, 4]), replace(p, width=7))
 
 
 def test_concat_width_mismatch_rejected():
     p = make_cfe_params(T.Rng(62), 3, 6)
     with pytest.raises(ShapeError):
-        cfe_forward(T.zeros([3, 4, 4]), replace(p, width=9,
-                                                residual=make_cfe_params(T.Rng(62), 3, 9).residual))
+        cfe_forward(T.zeros([3, 4, 4]),
+                    replace(p, residual=make_cfe_params(T.Rng(62), 3, 9).residual))
 
 
 def test_join_concatenates_branches_then_adds_residual():
     a = T.tensor([[[1.0, 2.0]]])
     b = T.tensor([[[3.0, 4.0]], [[5.0, 6.0]]])
     residual = T.tensor([[[0.5, 0.5]], [[1.0, 1.0]], [[-1.0, 0.0]]])
-    out = join_branches([a, b], residual, 3)
+    out = join_branches([a, b], residual)
     assert arr(out).tolist() == [[[1.5, 2.5]], [[4.0, 5.0]], [[4.0, 6.0]]]
+    with pytest.raises(ShapeError, match="branch concat width 1 != residual width 3"):
+        join_branches([a], residual)
     with pytest.raises(ShapeError):
-        join_branches([a, b], residual, 4)
-    with pytest.raises(ShapeError):
-        join_branches([a, T.tensor([[[3.0, 4.0, 5.0]]])], residual, 2)
+        join_branches([a, T.tensor([[[3.0, 4.0, 5.0]]])], residual)
 
 
 def test_agrees_with_vectorized_reference():

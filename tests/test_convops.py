@@ -37,6 +37,26 @@ def test_depthwise_same_padding():
     assert max_abs_diff(out, ref_depthwise(x, kernel)) <= 1e-13
 
 
+def test_depthwise_channel_blocks_change_no_bit(monkeypatch):
+    """Channels are independent, so cutting them into blocks of two over
+    five channels (the last block short) changes no bit of the output,
+    the input gradient or the kernel gradient."""
+    rng = T.Rng(34)
+    x, kernel, g = (arr(rng.tensor(dims, -1.0, 1.0)) for dims in ([5, 6, 7], [5, 5, 5], [5, 6, 7]))
+
+    def run():
+        out, vjp = _depthwise(x, kernel)
+        return (out,) + vjp(g, True, True)
+
+    whole = run()
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 8 * (6 + 4) * (7 + 4))
+    assert T._block_rows((5, 6 + 4, 7 + 4)) == 2
+    blocked = run()
+    for name, a, b in zip(("output", "input gradient", "kernel gradient"), whole, blocked):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert max_abs_diff(blocked[0], ref_depthwise(x, kernel)) <= 1e-13
+
+
 def test_deformable_agrees_with_reference():
     rng = T.Rng(35)
     x = rng.tensor([3, 6, 6], -1.0, 1.0)

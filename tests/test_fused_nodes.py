@@ -232,7 +232,7 @@ CASES = {
         lambda x, w, b, o: deformable_conv2d_with_offsets(x, _conv(w, b), o, "relu"),
         lambda x, w, b, o: _relu(deformable_conv2d_with_offsets(x, _conv(w, b), o)),
         (_X,) + _BASE + (_OFFSETS,)),
-    "join": (lambda a, b, c, r: join_branches([a, b, c], r, 6),
+    "join": (lambda a, b, c, r: join_branches([a, b, c], r),
              lambda a, b, c, r: T.add(_concat([a, b, c]), r),
              tuple(_PARTS) + (_RESIDUAL,)),
     "fuse-up2": (
@@ -294,8 +294,8 @@ def test_blocked_node_matches_composed_chain_at_small_blocks(monkeypatch, name):
     """Two channels per block over three channels: a full block, then a
     short last one."""
     shape = T._val(CASES[name][2][0]).shape
-    monkeypatch.setattr(P, "_FUSE_BLOCK_BYTES", 2 * 8 * shape[1] * shape[2])
-    assert P._block_rows(shape) == 2
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 8 * shape[1] * shape[2])
+    assert T._block_rows(shape) == 2
     test_fused_node_matches_composed_chain_bit_for_bit(name)
 
 

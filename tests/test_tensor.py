@@ -52,7 +52,8 @@ def test_rng_floats_equal_stepwise_draws(n, seed):
     if n:
         lo, hi = -0.3, 0.7
         assert arr(T.Rng(seed).tensor([n], lo, hi)).tolist() == [lo + (hi - lo) * u for u in want]
-        assert arr(T.Rng(seed).symmetric_unit([n])).tolist() == [2.0 * u - 1.0 for u in want]
+        # -1 + 2u and 2u - 1 are the same IEEE sum: the fixture's values
+        assert arr(T.Rng(seed).tensor([n], -1.0, 1.0)).tolist() == [2.0 * u - 1.0 for u in want]
 
 
 def test_rng_randint_range():
