@@ -283,7 +283,7 @@ def merge_lce(attended, qkv, kernel, height: int, width: int):
 
 
 def make_bra_params(rng, c: int, regions_s: int, topk_k: int, heads: int = 1,
-                    lce_kernel: int = 5, zero_lce: bool = False) -> BraParams:
+                    lce_kernel: int = 5) -> BraParams:
     """Seeded projections and local-context kernel, drawn q, k, v, lce."""
     if c % heads:
         raise ConfigError(f"head count {heads} does not divide channel width {c}")
@@ -292,11 +292,7 @@ def make_bra_params(rng, c: int, regions_s: int, topk_k: int, heads: int = 1,
     w_q = rng.tensor([c, c], -0.1, 0.1)
     w_k = rng.tensor([c, c], -0.1, 0.1)
     w_v = rng.tensor([c, c], -0.1, 0.1)
-    if zero_lce:
-        rng.tensor([c, lce_kernel, lce_kernel])  # keep the draw stream stable
-        lce_k = T.zeros([c, lce_kernel, lce_kernel])
-    else:
-        lce_k = rng.tensor([c, lce_kernel, lce_kernel], -0.1, 0.1)
+    lce_k = rng.tensor([c, lce_kernel, lce_kernel], -0.1, 0.1)
     return BraParams(w_q, w_k, w_v, lce_k, regions_s, topk_k, heads)
 
 

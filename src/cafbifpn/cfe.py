@@ -75,7 +75,7 @@ def _surrogate_stage(stage):
     """Positive-weight, bias-free copy so responses cannot cancel."""
     def strip(c: Conv2dParams) -> Conv2dParams:
         return replace(c, weights=T.tensor(np.abs(T._val(c.weights))),
-                       bias=T.zeros([T._val(c.bias).shape[0]], dtype=str(T._val(c.bias).dtype)))
+                       bias=T.zeros([T._val(c.bias).shape[0]]))
 
     if isinstance(stage, DeformableParams):
         pred = stage.offset_predictor
@@ -110,17 +110,15 @@ def cfe_receptive_probe(p: CfeParams) -> int:
 
 
 def _rand_conv(rng: T.Rng, c_out: int, c_in: int, kh: int, kw: int,
-               padding, dilation: int = 1, weight_scale: float = 1.0,
-               bias_scale: float = 0.1) -> Conv2dParams:
-    w = rng.tensor([c_out, c_in, kh, kw], -0.1 * weight_scale, 0.1 * weight_scale)
+               padding, dilation: int = 1, bias_scale: float = 0.1) -> Conv2dParams:
+    w = rng.tensor([c_out, c_in, kh, kw], -0.1, 0.1)
     b = rng.tensor([c_out], -bias_scale, bias_scale)
     return Conv2dParams(weights=w, bias=b, padding=padding, dilation=dilation)
 
 
 def make_cfe_params(rng: T.Rng, c_in: int, width: int, activation: str = "relu",
-                    dilation: int = 2, offset_scale: float = 0.25) -> CfeParams:
-    """Seeded random parameters; offset_scale 0 gives a zero offset
-    predictor, collapsing the deformable stage to its standard counterpart."""
+                    dilation: int = 2) -> CfeParams:
+    """Seeded random parameters; the offset predictor has no bias."""
     if width % 3:
         raise ConfigError(f"fusion width {width} not divisible by 3")
     wb = width // 3
@@ -135,8 +133,7 @@ def make_cfe_params(rng: T.Rng, c_in: int, width: int, activation: str = "relu",
                _rand_conv(rng, wb, wb, 5, 1, (2, 0)),
                _rand_conv(rng, wb, wb, 3, 3, (pad_d, pad_d), dilation=dilation))
     base = _rand_conv(rng, wb, wb, 3, 3, (1, 1))
-    predictor = _rand_conv(rng, 18, wb, 3, 3, (1, 1),
-                           weight_scale=offset_scale, bias_scale=0.0)
+    predictor = _rand_conv(rng, 18, wb, 3, 3, (1, 1), bias_scale=0.0)
     branch3 = (_rand_conv(rng, wb, c_in, 1, 1, 0),
                _rand_conv(rng, wb, wb, 3, 1, (1, 0)),
                _rand_conv(rng, wb, wb, 1, 3, (0, 1)),

@@ -42,7 +42,7 @@ def _json_text(report: dict) -> str:
 
 
 def _level_stats(t: T.Tensor) -> dict:
-    v = np.asarray(T._val(t), dtype=np.float64)
+    v = T._val(t)
     return {"dims": list(v.shape),
             "min": float(v.min()),
             "max": float(v.max()),

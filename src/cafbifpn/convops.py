@@ -106,20 +106,23 @@ def _columns(padded: np.ndarray, kh: int, kw: int, s: int, d: int,
     return windows.reshape(kh * kw * c, h_out * w_out)
 
 
+def _operands(x, p: Conv2dParams, op: str) -> tuple:
+    """The input [C,H,W], weights [O,C,kh,kw] and bias [O] arrays of
+    convolution op, checked against each other."""
+    xv, wv, bv = T._val(x), T._val(p.weights), T._val(p.bias)
+    if xv.ndim != 3 or wv.ndim != 4:
+        raise ShapeError(f"{op} wants [C,H,W] input and [O,C,kh,kw] weights, got {list(xv.shape)} / {list(wv.shape)}")
+    if xv.shape[0] != wv.shape[1]:
+        raise ShapeError(f"{op} channel mismatch: input {xv.shape[0]} vs weights {wv.shape[1]}")
+    if bv.shape != wv.shape[:1]:
+        raise ShapeError(f"{op} bias dims {list(bv.shape)} != [{wv.shape[0]}]")
+    return xv, wv, bv
+
+
 def conv2d(x, p: Conv2dParams, activation: str = "none"):
     """out[o,y,x] = act(bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y*s + d*i, x*s + d*j])."""
-    xv = T._val(x)
-    wv = T._val(p.weights)
-    bv = T._val(p.bias)
-    if xv.ndim != 3 or wv.ndim != 4:
-        raise ShapeError(f"conv2d wants [C,H,W] input and [O,C,kh,kw] weights, got {list(xv.shape)} / {list(wv.shape)}")
+    xv, wv, bv = _operands(x, p, "conv2d")
     c_out, c_in, kh, kw = wv.shape
-    if xv.shape[0] != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {xv.shape[0]} vs weights {c_in}")
-    if bv.shape != (c_out,):
-        raise ShapeError(f"conv2d bias dims {list(bv.shape)} != [{c_out}]")
-    if xv.dtype != wv.dtype:
-        raise ShapeError(f"conv2d: input dtype {xv.dtype} vs weights {wv.dtype}")
     ph, pw = p.pad_hw
     s, d = p.stride, p.dilation
     h, w = xv.shape[1], xv.shape[2]
@@ -164,9 +167,10 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
 def _depthwise(x: np.ndarray, weights: np.ndarray):
     """Per-channel k x k convolution of a map by weights [C, k, k], k odd,
     zero-padded so that the map's extents are kept: (out [C, H, W], vjp).
-    x is the map as [C, H, W], or as a [C, S, th, S, tw] view of S x S
-    regions (H = S th, W = S tw).  vjp(g, need_x, need_w) gives the input
-    gradient [C, H, W] and the kernel gradient, None where not needed."""
+    x is the map as a [C, S, th, S, tw] view of S x S regions (H = S th,
+    W = S tw; a plain map is x.reshape(C, 1, H, 1, W)).  vjp(g, need_x,
+    need_w) gives the input gradient [C, H, W] and the kernel gradient,
+    None where not needed."""
     if weights.ndim != 3 or weights.shape[1] != weights.shape[2]:
         raise ShapeError(f"depthwise weights must be [C,k,k], got {list(weights.shape)}")
     c, k = weights.shape[0], weights.shape[1]
@@ -175,8 +179,7 @@ def _depthwise(x: np.ndarray, weights: np.ndarray):
     if x.shape[0] != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape[0]} vs weights {c}")
     pad = (k - 1) // 2
-    h, w = (x.shape[1], x.shape[2]) if x.ndim == 3 else (x.shape[1] * x.shape[2],
-                                                          x.shape[3] * x.shape[4])
+    h, w = x.shape[1] * x.shape[2], x.shape[3] * x.shape[4]
     taps = [divmod(t, k) for t in range(k * k)]
     # channels are independent, so each block of channels is padded into
     # a scratch buffer and accumulates every tap in place while in cache
@@ -230,10 +233,13 @@ def _depthwise(x: np.ndarray, weights: np.ndarray):
 def _corner_axis(offsets, lattice, extent: int, scale: int, record) -> tuple:
     """One axis of sampling at positions offsets + lattice [taps, H, W]: the
     lower and upper corners' weights, in-map masks and clipped coordinates
-    times scale, each [taps, H*W]; the lattice margin goes to record."""
+    times scale, each [taps, H*W]; the lattice margin goes to record.
+    Positions are then clipped to [-2, extent + 1], which moves only those
+    whose corners are all off the map, so the integer cast stays defined."""
     pos = offsets + lattice
     if record is not None:
         record.margin("lattice", np.abs(pos - np.round(pos)))
+    np.clip(pos, -2.0, extent + 1.0, out=pos)
     lo = np.floor(pos)
     weights = [u.reshape(len(pos), -1) for u in ((lo + 1.0) - pos, pos - lo)]
     i = lo.astype(np.int64).reshape(len(pos), -1)
@@ -297,12 +303,11 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: s
     the geometry and gathers each tap's corners once, for both the weight
     and the offset gradients.
     """
-    xv = T._val(x)
-    wv = T._val(base.weights)
-    bv = T._val(base.bias)
+    xv, wv, bv = _operands(x, base, "deformable")
     c_out, c_in, kh, kw = wv.shape
-    if xv.shape[0] != c_in:
-        raise ShapeError(f"deformable channel mismatch: input {xv.shape[0]} vs weights {c_in}")
+    if (base.stride, base.dilation, base.pad_hw) != (1, 1, ((kh - 1) // 2, (kw - 1) // 2)):
+        raise ConfigError("the deformable sampling lattice takes stride 1, dilation 1 and padding "
+                          f"of half the kernel extents, got {base.stride}, {base.dilation}, {base.pad_hw}")
     ov = T._val(offsets)
     if ov.shape != (2 * kh * kw, xv.shape[1], xv.shape[2]):
         raise ShapeError(f"offset dims {list(ov.shape)} != [{2 * kh * kw}, {xv.shape[1]}, {xv.shape[2]}]")
@@ -358,12 +363,8 @@ def deformable_conv2d(x, p: DeformableParams, activation: str = "none",
     this identical to conv2d(x, p.base, activation).
 
     kinks, a mutable dict, freezes the sampling offsets: they are taken
-    from kinks["offsets"] as a constant, or predicted and stored there."""
-    wv = T._val(p.base.weights)
-    kh, kw = wv.shape[2], wv.shape[3]
-    opv = T._val(p.offset_predictor.weights)
-    if opv.shape[0] != 2 * kh * kw:
-        raise ShapeError(f"offset predictor emits {opv.shape[0]} channels, base needs {2 * kh * kw}")
+    from kinks["offsets"] as a constant, or predicted and stored there.  A
+    predictor of the wrong width fails the offset dims check."""
     if kinks is not None and "offsets" in kinks:
         return deformable_conv2d_with_offsets(x, p.base, kinks["offsets"], activation)
     offsets = conv2d(x, p.offset_predictor)

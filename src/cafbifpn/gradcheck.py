@@ -2,14 +2,15 @@
 
 A case's parameters are walked leaf by leaf (walk): one taped backward
 gives every gradient, and each leaf is differenced along one random
-direction.  Small operands are differenced in every coordinate
-(max_rel_err).  One kinks record, filled on the unperturbed forward,
-freezes what a perturbation could flip: each refined level's routing and
-each deformable stage's sampling offsets.  A case is accepted only when
-its forward keeps a margin from every other non-smooth point (watched);
-a violated margin reseeds the case and the event is reported, not failed.
-The pipeline case runs with activation "none"; a small dedicated case
-covers the relu path, where the margin is achievable at desk scale.
+direction.  selfcheck's small operands are differenced in every
+coordinate (max_rel_err).  One kinks record, filled on the unperturbed
+forward, freezes what a perturbation could flip: each refined level's
+routing and each deformable stage's sampling offsets.  A case is accepted
+only when its forward keeps a margin from every other non-smooth point
+(watched); a violated margin reseeds the case and the event is reported,
+not failed.  The pipeline case runs with activation "none"; a small
+dedicated case covers the relu path, where the margin is achievable at
+desk scale.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .convops import (Conv2dParams, DeformableParams, conv2d, deformable_conv2d,
-                      deformable_conv2d_with_offsets)
+from .convops import Conv2dParams, DeformableParams, conv2d, deformable_conv2d
 from .errors import ConfigError, NumericError
 from .cfe import cfe_forward, make_cfe_params
 from .instrumentation import count_macs
@@ -48,7 +48,7 @@ def watched(run, lattice: bool = False):
     or None).  A margin is demanded only for kinks whose argument can move
     under the perturbations the case applies.  Sampling positions move only
     when offset-making parameters are differenced, so the lattice margin
-    is enforced just in the dedicated offset cases; positions exactly on
+    is enforced just in the cases that move offsets; positions exactly on
     the lattice (identically zero offsets) stay put and are exempt."""
     with count_macs() as record:
         out = run()
@@ -193,23 +193,6 @@ def _pipeline_case(cfg, case_seed: int):
     return (params, backbone, kinks), reason
 
 
-def _offsets_case(seed: int):
-    """Gradient through the sampling positions themselves, with an explicit
-    offset field held strictly off the lattice."""
-    rng = T.Rng(seed ^ 0x0FF5E75)
-    x = rng.tensor([3, 5, 5], -1.0, 1.0)
-    base = Conv2dParams(weights=rng.tensor([2, 3, 3, 3], -0.5, 0.5),
-                        bias=rng.tensor([2], -0.1, 0.1), padding=1)
-    off = T._val(rng.tensor([18, 5, 5], -0.2, 0.2)) + 0.35  # fractions in [0.15, 0.55]
-
-    def loss(offsets):
-        return T.sum_all(deformable_conv2d_with_offsets(x, base, offsets))
-
-    if watched(lambda: loss(T.tensor(off)), lattice=True)[1] is not None:
-        raise NumericError("constructed offsets sit near the lattice")
-    return T.tensor(off), loss
-
-
 def _predictor_case(case_seed: int):
     """Gradient through the offset-predicting convolution, the one chain
     where differencing a weight moves the sampling positions.  Kept at
@@ -235,7 +218,7 @@ def _relu_case(case_seed: int):
     crosses the relu, so its walked parameters are differenced through a
     relu that clamps some outputs and passes others."""
     rng = T.Rng(case_seed)
-    record = make_cfe_params(rng, 3, 6, activation="relu", offset_scale=1.0)
+    record = make_cfe_params(rng, 3, 6, activation="relu")
     x = rng.tensor([3, 4, 4], -1.0, 1.0)
     kinks = {}
 
@@ -250,9 +233,9 @@ def _relu_case(case_seed: int):
 
 def run_gradcheck(cfg, seed: int) -> dict:
     """Check every parameter the config builds; returns a report with the
-    worst relative error of each group of leaves.  The offset, predictor
-    and relu cases exercise the enhancement block, so they run only when it
-    is enabled.  Groups the config leaves out are listed under "skipped", a
+    worst relative error of each group of leaves.  The predictor and relu
+    cases exercise the enhancement block, so they run only when it is
+    enabled.  Groups the config leaves out are listed under "skipped", a
     key the report carries only when some group is absent."""
     events = []
     (params, backbone, kinks), case_seed = first_smooth(
@@ -265,10 +248,6 @@ def run_gradcheck(cfg, seed: int) -> dict:
     groups = {name: _walked(by_group[name]) for name in PIPELINE_GROUPS if name in by_group}
     skipped = [name for name in PIPELINE_GROUPS if name not in by_group]
     if params.cfe is not None:
-        # every coordinate: a fault confined to one tap's offsets shows
-        offsets, loss = _offsets_case(seed)
-        worst, count = max_rel_err([("offsets", offsets)], lambda v: loss(v["offsets"]))
-        groups["offsets"] = {"max_rel_err": worst, "coords": count, "pass": worst <= PASS_THRESHOLD}
         predictor, _ = first_smooth(_predictor_case,
                                     range(seed + 2000, seed + 2000 + MAX_RESEEDS), events)
         groups["offset-predictor"] = _walked(walk(*predictor, directions))
@@ -279,7 +258,7 @@ def run_gradcheck(cfg, seed: int) -> dict:
             groups["relu-path"].update({"pass": False,
                                         "reason": "a branch's leading stage does not cross the relu"})
     else:
-        skipped += ["offsets", "offset-predictor", "relu-path"]
+        skipped += ["offset-predictor", "relu-path"]
 
     ok = all(g["pass"] for g in groups.values())
     report = {"seed": seed, "case_seed": case_seed, "threshold": PASS_THRESHOLD,

@@ -122,9 +122,6 @@ def fuse(inputs, raw_weights, epsilon: float):
     shape = xs[0].shape
     kinds = [_reading(x.shape, shape) for x in xs]
     scalars = [_as_scalar(w) for w in raw_weights]
-    for x in xs + [T._val(w) for w in scalars]:
-        if x.dtype != np.float64:
-            raise ShapeError(f"fuse: dtype {x.dtype} vs float64")
     record = active_record()
     masks, us = [], []
     for w in scalars:
@@ -336,10 +333,8 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
     cfe_params = None
     projections = None
     if cfg.cfe_enabled:
-        cfe_params = {lvl: make_cfe_params(rng, channels[lvl], width,
-                                           activation=cfg.activation,
-                                           dilation=cfg.dilation,
-                                           offset_scale=1.0)
+        cfe_params = {lvl: make_cfe_params(rng, channels[lvl], width, activation=cfg.activation,
+                                           dilation=cfg.dilation)
                       for lvl in LEVELS}
     else:
         projections = {lvl: _rand_conv(rng, width, channels[lvl], 1, 1, 0) for lvl in LEVELS}

@@ -38,7 +38,7 @@ TOL_GRAD = 1e-5
 
 def _arr(x) -> np.ndarray:
     if isinstance(x, (T.Tensor, T.Node)):
-        return np.asarray(T._val(x), dtype=np.float64)
+        return T._val(x)
     return np.asarray(x, dtype=np.float64)
 
 
@@ -60,6 +60,11 @@ def _tiles(x: np.ndarray, s: int) -> np.ndarray:
 def _untiles(t: np.ndarray, c: int, h: int, w: int, s: int) -> np.ndarray:
     th, tw = h // s, w // s
     return t.reshape(s, s, th, tw, c).transpose(4, 0, 2, 1, 3).reshape(c, h, w)
+
+
+def _no_lce(p: BraParams) -> BraParams:
+    """p with its drawn local-context kernel replaced by zeros."""
+    return replace(p, lce_kernel=T.zeros(list(p.lce_kernel.dims)))
 
 
 # -- tensor core ---------------------------------------------------------
@@ -329,13 +334,12 @@ def check_sparse_equals_dense():
     cases, rng = [], T.Rng(31)
     for s, heads in ((2, 1), (2, 2), (1, 1), (4, 1)):
         x = rng.tensor([6, 8, 8], -1.0, 1.0)
-        cases.append((x, make_bra_params(T.Rng(310 + s + heads), 6, s, s * s, heads=heads,
-                                         zero_lce=True)))
+        cases.append((x, _no_lce(make_bra_params(T.Rng(310 + s + heads), 6, s, s * s, heads))))
     for i in range(20):
         s, heads = (1, 2, 4)[i % 3], (1, 2)[i % 2]
         c, hw = heads * (2 + i % 4), s * (2 + i % 3)
         draw = T.Rng(31000 + i)
-        p = make_bra_params(draw, c, s, s * s, heads, 3, zero_lce=True)
+        p = _no_lce(make_bra_params(draw, c, s, s * s, heads, 3))
         cases.append((draw.tensor([c, hw, hw], -1.0, 1.0), p))
     for x, p in cases:
         _close(ba_forward(x, p), dense_attention_reference(x, p), TOL_ORACLE,
@@ -371,7 +375,7 @@ def check_convex_combination():
     rng = T.Rng(33)
     c, s, k, heads = 4, 2, 2, 2
     x = rng.tensor([c, 8, 8], -1.0, 1.0)
-    p = make_bra_params(T.Rng(330), c, s, k, heads=heads, zero_lce=True)
+    p = _no_lce(make_bra_params(T.Rng(330), c, s, k, heads=heads))
     kinks = {}
     out = _arr(ba_forward(x, p, kinks))
     tok = _tiles(_arr(x), s)
@@ -411,7 +415,7 @@ def check_routing_permutation_equivariance():
     rng = T.Rng(35)
     c, s, k = 4, 2, 2
     x = _arr(rng.tensor([c, 8, 8], -1.0, 1.0))
-    p = make_bra_params(T.Rng(350), c, s, k, zero_lce=True)
+    p = _no_lce(make_bra_params(T.Rng(350), c, s, k))
     sigma = np.array([2, 0, 3, 1])
     inv = np.empty_like(sigma)
     inv[sigma] = np.arange(sigma.size)
@@ -460,8 +464,10 @@ def check_enh_zero_branch():
 def check_enh_deformable_degeneracy():
     rng = T.Rng(43)
     x = rng.tensor([4, 6, 6], -1.0, 1.0)
-    p = make_cfe_params(T.Rng(430), 4, 6, offset_scale=0.0)
-    q = replace(p, branch3=p.branch3[:3] + (p.branch3[3].base,))
+    p = make_cfe_params(T.Rng(430), 4, 6)
+    base, predictor = p.branch3[3].base, _zero_stage(p.branch3[3].offset_predictor)
+    p = replace(p, branch3=p.branch3[:3] + (DeformableParams(base, predictor),))
+    q = replace(p, branch3=p.branch3[:3] + (base,))
     _close(cfe_forward(x, p), cfe_forward(x, q), TOL_TIGHT, "zero-predictor collapse")
 
 
@@ -515,7 +521,7 @@ def check_fuse_bounded():
     cases = []
     for _ in range(5):
         inputs = [rng.tensor([2, 3], -2.0, 2.0) for _ in range(3)]
-        cases.append((inputs, [rng.uniform(0.1, 2.0) for _ in range(3)]))
+        cases.append((inputs, rng.tensor([3], 0.1, 2.0).array.tolist()))
     for seed in (90, 91, 92):
         inputs = [T.Rng(seed * 7 + j).tensor([2, 2], -2.0, 2.0) for j in range(3)]
         cases += [(inputs, list(ws)) for ws in itertools.product((0.0, 0.25, 1.0, 2.0), repeat=3)]
@@ -651,7 +657,7 @@ def check_oracle_determinism():
         raise AssertionError("loop convolution oracle not deterministic")
     y = rng.tensor([4, 4, 4], -1.0, 1.0)
     for heads in (1, 2):
-        bp = make_bra_params(T.Rng(610), 4, 2, 4, heads=heads, zero_lce=True)
+        bp = _no_lce(make_bra_params(T.Rng(610), 4, 2, 4, heads=heads))
         if not np.array_equal(_arr(dense_attention_reference(y, bp)),
                               _arr(dense_attention_reference(y, bp))):
             raise AssertionError(f"dense attention oracle not deterministic at {heads} heads")
@@ -679,7 +685,8 @@ def check_tensor_roundtrip():
                                                         (100, 1000, 4, 5, 4.0, True)):
             rng = T.Rng(seed)
             for i in range(count):
-                dims = [int(rng.randint(extent)) + 1 for _ in range(int(rng.randint(rank)) + 1)]
+                n = int(rng.tensor([1], 0.0, rank).array[0]) + 1
+                dims = (rng.tensor([n], 0.0, extent).array.astype(int) + 1).tolist()
                 t = rng.tensor(dims, -bound, bound)
                 if mixed and i % 2:
                     t = t.astype("float32")
@@ -768,16 +775,14 @@ CHECKS = [
 ]
 
 
-def run_selfcheck(stream=None) -> int:
-    import sys
-    out = stream if stream is not None else sys.stdout
+def run_selfcheck() -> int:
     failures = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # a failed property must not stop the suite
             failures += 1
-            print(f"FAIL {name}: {exc}", file=out)
+            print(f"FAIL {name}: {exc}")
         else:
-            print(f"PASS {name}", file=out)
+            print(f"PASS {name}")
     return 0 if failures == 0 else 1

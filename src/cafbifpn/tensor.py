@@ -21,8 +21,9 @@ returns only after every share of its own has stopped, and the run record
 call made outside a forward or backward holds for its own duration.  A
 forked child starts with no hold open and a pool of its own.
 
-Verification arithmetic is float64; float32 exists as a storage dtype and
-is rejected on tapes.
+Arithmetic is float64.  float32 exists as a storage dtype only: `_val`,
+through which every kernel and every tape leaf reads an operand, refuses
+it.
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ class Tape:
         self.nodes: list[Node] = []
 
     def leaf(self, t: Tensor) -> Node:
-        if t.dtype != "float64":
-            raise NumericError("tape arithmetic is float64-only; convert leaves first")
-        return self._record(np.array(t.array, dtype=np.float64), (), None)
+        return self._record(np.array(_val(t)), (), None)
 
     def _record(self, value: np.ndarray, parents, grads_fn) -> Node:
         node = Node(weakref.ref(self), len(self.nodes), np.ascontiguousarray(value), parents, grads_fn)
@@ -197,6 +196,8 @@ def _val(a) -> np.ndarray:
     if isinstance(a, Node):
         return a.value
     if isinstance(a, Tensor):
+        if a.array.dtype != np.float64:
+            raise NumericError(f"tape and kernel arithmetic is float64-only, got {a.dtype}")
         return a.array
     raise TypeError(f"expected Tensor or Node, got {type(a).__name__}")
 
@@ -228,8 +229,6 @@ def _same_layout(a, b, op: str) -> None:
     av, bv = _val(a), _val(b)
     if av.shape != bv.shape:
         raise ShapeError(f"{op}: dims {list(av.shape)} vs {list(bv.shape)}")
-    if av.dtype != bv.dtype:
-        raise ShapeError(f"{op}: dtype {av.dtype} vs {bv.dtype}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +450,6 @@ class Rng:
         self.state, z = rng_next_raw(self.state)
         return (z >> 11) * _TO_UNIT
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.next_float()
-
     def floats(self, n: int) -> np.ndarray:
         """The next n next_float draws as one array, computed in wrapping
         uint64 arithmetic; the cursor advances by n steps."""
@@ -468,6 +464,3 @@ class Rng:
     def tensor(self, dims: Sequence[int], low: float = 0.0, high: float = 1.0) -> Tensor:
         vals = low + (high - low) * self.floats(math.prod(dims))
         return Tensor(vals.reshape(tuple(dims)), copy=False)
-
-    def randint(self, bound: int) -> int:
-        return int(self.next_float() * bound)

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from cafbifpn import tensor as T
 from cafbifpn.convops import (Conv2dParams, DeformableParams, _depthwise, conv2d,
                               conv_output_extent, deformable_conv2d,
                               deformable_conv2d_with_offsets)
+from cafbifpn.errors import ConfigError, ShapeError
 from cafbifpn.reference import ref_conv2d, ref_deformable, ref_depthwise
 
 from conftest import arr, max_abs_diff
@@ -32,7 +34,7 @@ def test_depthwise_same_padding():
     rng = T.Rng(33)
     x = rng.tensor([4, 6, 6], -1.0, 1.0)
     kernel = rng.tensor([4, 5, 5], -1.0, 1.0)
-    out, _ = _depthwise(arr(x), arr(kernel))
+    out, _ = _depthwise(arr(x).reshape(4, 1, 6, 1, 6), arr(kernel))
     assert out.shape == (4, 6, 6)
     assert max_abs_diff(out, ref_depthwise(x, kernel)) <= 1e-13
 
@@ -45,7 +47,7 @@ def test_depthwise_channel_blocks_change_no_bit(monkeypatch):
     x, kernel, g = (arr(rng.tensor(dims, -1.0, 1.0)) for dims in ([5, 6, 7], [5, 5, 5], [5, 6, 7]))
 
     def run():
-        out, vjp = _depthwise(x, kernel)
+        out, vjp = _depthwise(x.reshape(5, 1, 6, 1, 7), kernel)
         return (out,) + vjp(g, True, True)
 
     whole = run()
@@ -65,6 +67,29 @@ def test_deformable_agrees_with_reference():
                         bias=rng.tensor([18], -0.2, 0.2), padding=1)
     p = DeformableParams(base, pred)
     assert max_abs_diff(deformable_conv2d(x, p), T.tensor(ref_deformable(x, p))) <= 1e-12
+
+
+@pytest.mark.parametrize("conv", [
+    pytest.param(conv2d, id="conv2d"),
+    pytest.param(lambda x, p: deformable_conv2d_with_offsets(x, p, T.zeros([18, 5, 5])),
+                 id="deformable"),
+])
+@pytest.mark.parametrize("weights, bias", [
+    ([2, 3, 3, 3], [1]), ([2, 3, 3], [2]), ([2, 4, 3, 3], [2]),
+], ids=["bias-width", "rank-3-weights", "input-channels"])
+def test_both_convolutions_refuse_mismatched_operands(conv, weights, bias):
+    p = Conv2dParams(weights=T.zeros(weights), bias=T.zeros(bias), padding=1)
+    with pytest.raises(ShapeError):
+        conv(T.zeros([3, 5, 5]), p)
+
+
+@pytest.mark.parametrize("geometry", [
+    {"stride": 2, "padding": 1}, {"dilation": 2, "padding": 1}, {"padding": 0}, {"padding": (1, 2)},
+], ids=["stride", "dilation", "no-padding", "wide-padding"])
+def test_deformable_refuses_a_base_off_its_sampling_lattice(geometry):
+    base = Conv2dParams(weights=T.zeros([2, 3, 3, 3]), bias=T.zeros([2]), **geometry)
+    with pytest.raises(ConfigError, match="sampling lattice"):
+        deformable_conv2d_with_offsets(T.zeros([3, 5, 5]), base, T.zeros([18, 5, 5]))
 
 
 def test_bilinear_out_of_bounds_reads_zero():

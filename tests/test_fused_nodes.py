@@ -79,7 +79,8 @@ def _mean_axis(a, axis):
 
 
 def _depthwise_node(x, kernel):
-    out, vjp = _depthwise(T._val(x), T._val(kernel))
+    c, h, w = T._val(x).shape
+    out, vjp = _depthwise(T._val(x).reshape(c, 1, h, 1, w), T._val(kernel))
     return T._emit((x, kernel), out, lambda g: vjp(g, True, True))
 
 

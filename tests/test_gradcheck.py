@@ -1,6 +1,6 @@
 """The shared gradient comparison that selfcheck and gradcheck both rely on:
 it must report agreement on an exact gradient and must report a VJP that
-is off by a relative 1e-4, in any coordinate of the offsets group.  The
+is off by a relative 1e-4, also in one tap of the sampling offsets.  The
 pipeline walk must direct one difference at every leaf of the parameters."""
 
 from dataclasses import replace
@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cafbifpn import convops, gradcheck
+from cafbifpn import convops, gradcheck, selfcheck
 from cafbifpn import tensor as T
 from cafbifpn.errors import NumericError
 from cafbifpn.gradcheck import first_smooth, max_rel_err
@@ -57,19 +57,23 @@ def test_first_smooth_records_rejected_seeds():
 
 
 
-def test_offsets_group_fails_a_fault_confined_to_tap_zero(monkeypatch):
-    real = gradcheck.deformable_conv2d_with_offsets
+def test_tap_zero_offset_fault_fails_op_gradients_and_offset_predictor(monkeypatch):
+    """A fault confined to tap 0's offset gradient fails selfcheck's
+    every-coordinate deformable offset cases and gradcheck's predictor
+    walk, and no other gradcheck group."""
+    real = convops.deformable_conv2d_with_offsets
     tap0 = np.ones((18, 1, 1))
     tap0[:2] = 1.0001  # tap 0's y and x offsets
 
     def faulty(x, base, offsets, activation="none"):
         return real(x, base, scaled_vjp(offsets, tap0), activation)
 
-    for module in (gradcheck, convops):
+    for module in (selfcheck, convops):
         monkeypatch.setattr(module, "deformable_conv2d_with_offsets", faulty)
+    with pytest.raises(AssertionError, match="^deformable offsets gradient rel err"):
+        selfcheck.check_op_gradients()
     groups = gradcheck.run_gradcheck(RunConfig(), 7)["groups"]
-    assert groups["offsets"]["pass"] is False
-    assert [name for name, g in groups.items() if not g["pass"]] == ["offsets", "offset-predictor"]
+    assert [name for name, g in groups.items() if not g["pass"]] == ["offset-predictor"]
 
 
 def test_relu_path_fails_a_relu_that_never_clamps(monkeypatch):

@@ -131,9 +131,9 @@ def test_dense_attention_uniform_when_query_key_zero():
     # with identity w_v that is the per-channel token mean everywhere
     c, h, w = 3, 3, 2
     x = T.Rng(31).tensor([c, h, w], -1.0, 1.0)
-    p = make_bra_params(T.Rng(32), c, 1, 1, 1, 3, zero_lce=True)
+    p = make_bra_params(T.Rng(32), c, 1, 1, 1, 3)
     p = type(p)(w_q=T.zeros([c, c]), w_k=T.zeros([c, c]),
-                w_v=T.tensor(np.eye(c)), lce_kernel=p.lce_kernel,
+                w_v=T.tensor(np.eye(c)), lce_kernel=T.zeros([c, 3, 3]),
                 regions_s=p.regions_s, topk_k=p.topk_k, heads=p.heads)
     out = arr(dense_attention_reference(x, p))
     means = arr(x).reshape(c, -1).mean(axis=1)

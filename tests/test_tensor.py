@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from cafbifpn import tensor as T
+from cafbifpn.attention import (RoutingResult, make_bra_params, merge_lce, region_qkv,
+                                token_attention)
+from cafbifpn.convops import Conv2dParams, conv2d, deformable_conv2d_with_offsets
 from cafbifpn.errors import GraphError, NumericError, ShapeError
+from cafbifpn.pipeline import fuse
 
 from conftest import arr
 
@@ -56,11 +60,36 @@ def test_rng_floats_equal_stepwise_draws(n, seed):
         assert arr(T.Rng(seed).tensor([n], -1.0, 1.0)).tolist() == [2.0 * u - 1.0 for u in want]
 
 
-def test_rng_randint_range():
-    rng = T.Rng(12)
-    draws = [rng.randint(7) for _ in range(200)]
-    assert min(draws) >= 0 and max(draws) < 7
-    assert len(set(draws)) == 7
+def _narrow(*dims):
+    return T.Rng(5).tensor(list(dims), -1.0, 1.0).astype("float32")
+
+
+_CONV = Conv2dParams(weights=T.Rng(6).tensor([3, 2, 3, 3], -1.0, 1.0), bias=T.zeros([3]), padding=1)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda: T.add(T.zeros([2]), _narrow(2)), id="add"),
+    pytest.param(lambda: T.mul(_narrow(2), T.zeros([2])), id="mul"),
+    pytest.param(lambda: T.sum_all(_narrow(2)), id="sum_all"),
+    pytest.param(lambda: conv2d(_narrow(2, 4, 4), Conv2dParams(
+        weights=_CONV.weights.astype("float32"), bias=_CONV.bias, padding=1)), id="conv2d"),
+    pytest.param(lambda: deformable_conv2d_with_offsets(T.zeros([2, 4, 4]), _CONV, _narrow(18, 4, 4)),
+                 id="deformable"),
+    pytest.param(lambda: region_qkv(_narrow(2, 4, 4), make_bra_params(T.Rng(7), 2, 2, 2)),
+                 id="region_qkv"),
+    pytest.param(lambda: token_attention(_narrow(4, 4, 6), RoutingResult(None, np.zeros((4, 1))), 1),
+                 id="token_attention"),
+    pytest.param(lambda: merge_lce(T.zeros([4, 4, 2]), T.zeros([4, 4, 6]), _narrow(2, 3, 3), 4, 4),
+                 id="merge_lce"),
+    pytest.param(lambda: fuse([T.zeros([2, 2]), _narrow(2, 2)], [1.0, 1.0], 1e-4), id="fuse-input"),
+    pytest.param(lambda: fuse([T.zeros([2, 2])] * 2, [1.0, _narrow(1)], 1e-4), id="fuse-weight"),
+])
+def test_every_kernel_refuses_a_float32_operand(kernel):
+    """float32 is a storage dtype: every kernel reads its operands as
+    float64 or raises, even when all of them are float32.  Tape leaves are
+    test_leaf_rejects_float32's."""
+    with pytest.raises(NumericError, match="float64-only"):
+        kernel()
 
 
 def test_mul_rejects_mismatched_dims():
