@@ -116,14 +116,17 @@ def topk_routing(q_pooled: np.ndarray, k_pooled: np.ndarray, topk_k: int) -> Rou
     k = int(topk_k)
     if k < 1 or k > n_regions:
         raise ConfigError(f"routed-region count {k} outside [1, {n_regions}]")
-    affinity = q_pooled @ np.ascontiguousarray(k_pooled.T)
-    indices = np.stack([_topk_indices_row(affinity[r], k) for r in range(n_regions)])
-    record = active_record()
-    if record is not None:
-        record.routing += n_regions * n_regions * q_pooled.shape[1]
-        if k < n_regions:  # gap between each row's k-th and (k+1)-th affinity
-            ranked = np.sort(affinity, axis=1)
-            record.margin("routing", ranked[:, -k] - ranked[:, -k - 1])
+    # an overflow here is not an error of its own: softmax_inplace
+    # classifies the logits that follow
+    with np.errstate(over="ignore", invalid="ignore"):
+        affinity = q_pooled @ np.ascontiguousarray(k_pooled.T)
+        indices = np.stack([_topk_indices_row(affinity[r], k) for r in range(n_regions)])
+        record = active_record()
+        if record is not None:
+            record.routing += n_regions * n_regions * q_pooled.shape[1]
+            if k < n_regions:  # gap between each row's k-th and (k+1)-th affinity
+                ranked = np.sort(affinity, axis=1)
+                record.margin("routing", ranked[:, -k] - ranked[:, -k - 1])
     return RoutingResult(affinity, indices)
 
 
@@ -176,7 +179,8 @@ def token_attention(qkv, routing: RoutingResult, heads: int):
         record.gather += 2 * n_regions * n_gathered * c
         record.qk += n_regions * heads * n_tokens * d * n_gathered
         record.av += n_regions * heads * n_tokens * n_gathered * d
-    work = n_regions * heads * n_tokens * n_gathered  # logits, for T._run_rows
+    # element operations: the scale and softmax's in-place passes, four per logit
+    work = 4 * n_regions * heads * n_tokens * n_gathered
     per_stack = _STACK_BYTES // max(1, n_tokens * n_gathered * 8)  # blocks
     span = max(1, min(n_regions, per_stack // heads))  # regions per stack
     width = max(1, min(heads, per_stack))              # heads per stack
@@ -201,7 +205,8 @@ def token_attention(qkv, routing: RoutingResult, heads: int):
                 q = np.ascontiguousarray(q4[rows, :, hs].transpose(0, 2, 1, 3))
                 kt = np.ascontiguousarray(kg[:, :, hs].transpose(0, 2, 3, 1))
                 s = buf[:n_r * n_h * n_tokens * n_gathered].reshape(n_r, n_h, n_tokens, n_gathered)
-                np.matmul(q, kt, out=s)
+                with np.errstate(over="ignore", invalid="ignore"):  # per thread
+                    np.matmul(q, kt, out=s)
                 s *= inv_scale
                 T.softmax_inplace(s)
                 yield rows, hs, q, kt, np.ascontiguousarray(vg[:, :, hs].transpose(0, 2, 1, 3)), s
@@ -253,7 +258,8 @@ def merge_lce(attended, qkv, kernel, height: int, width: int):
 
     One tape node.  The depthwise term reads the value columns in map
     order through a view, padding a few channels at a time, so no value
-    map is built."""
+    map is built; each block of channels adds its attended tokens after
+    its taps, so large calls run whole blocks on the worker pool."""
     a, x, kv = T._val(attended), T._val(qkv), T._val(kernel)
     n_regions, n_tokens, c = a.shape
     s = math.isqrt(n_regions)
@@ -261,9 +267,8 @@ def merge_lce(attended, qkv, kernel, height: int, width: int):
     if s * s != n_regions or th * tw != n_tokens or x.shape != (n_regions, n_tokens, 3 * c):
         raise ShapeError(f"tokens {list(a.shape)} and {list(x.shape)} do not tile "
                          f"H={height}, W={width} as [S^2, tokens, C] and [S^2, tokens, 3C]")
-    out, vjp = _depthwise(_to_map(x[:, :, 2 * c:], s, th, tw), kv)
-    in_map = out.reshape(c, s, th, s, tw)
-    in_map += _to_map(a, s, th, tw)  # lce + merged, the same bits as merged + lce
+    # lce + merged, the same bits as merged + lce
+    out, vjp = _depthwise(_to_map(x[:, :, 2 * c:], s, th, tw), kv, add=_to_map(a, s, th, tw))
     record = active_record()
     if record is not None:
         record.lce += c * height * width * kv.shape[1] * kv.shape[2]

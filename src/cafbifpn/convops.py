@@ -164,13 +164,13 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
     return T._emit((x, p.weights, p.bias), out, grads)
 
 
-def _depthwise(x: np.ndarray, weights: np.ndarray):
+def _depthwise(x: np.ndarray, weights: np.ndarray, add: np.ndarray | None = None):
     """Per-channel k x k convolution of a map by weights [C, k, k], k odd,
-    zero-padded so that the map's extents are kept: (out [C, H, W], vjp).
-    x is the map as a [C, S, th, S, tw] view of S x S regions (H = S th,
-    W = S tw; a plain map is x.reshape(C, 1, H, 1, W)).  vjp(g, need_x,
-    need_w) gives the input gradient [C, H, W] and the kernel gradient,
-    None where not needed."""
+    zero-padded so that the map's extents are kept, plus add when given:
+    (out [C, H, W], vjp).  x, and add, are the map as a [C, S, th, S, tw]
+    view of S x S regions (H = S th, W = S tw; a plain map is
+    x.reshape(C, 1, H, 1, W)).  vjp(g, need_x, need_w) gives the input
+    gradient [C, H, W] and the kernel gradient, None where not needed."""
     if weights.ndim != 3 or weights.shape[1] != weights.shape[2]:
         raise ShapeError(f"depthwise weights must be [C,k,k], got {list(weights.shape)}")
     c, k = weights.shape[0], weights.shape[1]
@@ -182,9 +182,15 @@ def _depthwise(x: np.ndarray, weights: np.ndarray):
     h, w = x.shape[1] * x.shape[2], x.shape[3] * x.shape[4]
     taps = [divmod(t, k) for t in range(k * k)]
     # channels are independent, so each block of channels is padded into
-    # a scratch buffer and accumulates every tap in place while in cache
+    # a scratch buffer and accumulates every tap in place while in cache;
+    # the blocks are T._run_rows's rows, each share with scratch of its own
     nb = T._block_rows((c, h + 2 * pad, w + 2 * pad))
-    blocks = [slice(lo, min(lo + nb, c)) for lo in range(0, c, nb)]
+    n_blocks = -(-c // nb)
+    work = 2 * k * k * c * h * w  # element operations: a multiply and an add per tap
+
+    def blocks(claimed):
+        for b in claimed:
+            yield slice(b * nb, min((b + 1) * nb, c))
 
     def scratch():
         return np.zeros((min(nb, c), h + 2 * pad, w + 2 * pad)), np.empty((min(nb, c), h, w))
@@ -197,34 +203,49 @@ def _depthwise(x: np.ndarray, weights: np.ndarray):
         return p
 
     out = np.empty((c, h, w))
-    buf, tmp = scratch()
-    for cb in blocks:
-        xp, o, t = padded(cb, buf), out[cb], tmp[:cb.stop - cb.start]
-        (i, j), rest = taps[0], taps[1:]
-        np.multiply(xp[:, i:i + h, j:j + w], weights[cb, i:i + 1, j:j + 1], out=o)
-        for i, j in rest:
-            np.multiply(xp[:, i:i + h, j:j + w], weights[cb, i:i + 1, j:j + 1], out=t)
-            o += t
-    del buf, tmp
+
+    def forward(claimed):
+        buf, tmp = scratch()
+        for cb in blocks(claimed):
+            xp, o, t = padded(cb, buf), out[cb], tmp[:cb.stop - cb.start]
+            (i, j), rest = taps[0], taps[1:]
+            np.multiply(xp[:, i:i + h, j:j + w], weights[cb, i:i + 1, j:j + 1], out=o)
+            for i, j in rest:
+                np.multiply(xp[:, i:i + h, j:j + w], weights[cb, i:i + 1, j:j + 1], out=t)
+                o += t
+            if add is not None:
+                in_x = o.reshape(o.shape[:1] + x.shape[1:])
+                in_x += add[cb]
+
+    T._run_rows(n_blocks, forward, work)
 
     def vjp(g, need_x, need_w):
         gx = gw = None
-        buf, tmp = scratch()
         if need_x:
             gpad = np.zeros((c, h + 2 * pad, w + 2 * pad))
-            for cb in blocks:
-                t = tmp[:cb.stop - cb.start]
-                for i, j in reversed(taps):
-                    np.multiply(g[cb], weights[cb, i:i + 1, j:j + 1], out=t)
-                    gpad[cb, i:i + h, j:j + w] += t
+
+            def input_grad(claimed):
+                tmp = np.empty((min(nb, c), h, w))
+                for cb in blocks(claimed):
+                    t = tmp[:cb.stop - cb.start]
+                    for i, j in reversed(taps):
+                        np.multiply(g[cb], weights[cb, i:i + 1, j:j + 1], out=t)
+                        gpad[cb, i:i + h, j:j + w] += t
+
+            T._run_rows(n_blocks, input_grad, work)
             gx = gpad[:, pad:pad + h, pad:pad + w]
         if need_w:
             gw = np.zeros((c, k, k))
-            for cb in blocks:
-                xp, t = padded(cb, buf), tmp[:cb.stop - cb.start]
-                for i, j in taps:
-                    np.multiply(g[cb], xp[:, i:i + h, j:j + w], out=t)
-                    gw[cb, i, j] += t.sum(axis=(1, 2))
+
+            def kernel_grad(claimed):
+                buf, tmp = scratch()
+                for cb in blocks(claimed):
+                    xp, t = padded(cb, buf), tmp[:cb.stop - cb.start]
+                    for i, j in taps:
+                        np.multiply(g[cb], xp[:, i:i + h, j:j + w], out=t)
+                        gw[cb, i, j] += t.sum(axis=(1, 2))
+
+            T._run_rows(n_blocks, kernel_grad, work)
         return gx, gw
 
     return out, vjp

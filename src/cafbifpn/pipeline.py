@@ -106,7 +106,8 @@ def fuse(inputs, raw_weights, epsilon: float):
 
     One tape node.  The output is accumulated in place, one block of
     leading-axis rows at a time, with one block-sized temporary (and one
-    for the averaging): ((u_0 x_0 + u_1 x_1) + u_2 x_2) / denom, u_i the
+    for the averaging) per share of the blocks, which large calls run on
+    the worker pool: ((u_0 x_0 + u_1 x_1) + u_2 x_2) / denom, u_i the
     clamped weights.  A replicated input's VJP sums each 2x2 block of its
     gradient; an averaged one's quarters its gradient and repeats it over
     each block.  The backward recomputes the numerator for the weights'
@@ -138,6 +139,8 @@ def fuse(inputs, raw_weights, epsilon: float):
         raise NumericError("fusion denominator is zero: all weights clamped away and epsilon is 0")
 
     rows = T._block_rows(shape)
+    n_blocks = -(-shape[0] // rows)
+    work = 2 * len(xs) * xs[0].size  # element operations: a multiply and an add per input
 
     def term(i, lo, out, pairs):
         """out = u_i x_i over the block of rows from lo; pairs is the
@@ -152,19 +155,24 @@ def fuse(inputs, raw_weights, epsilon: float):
 
     def numerator(out, divide: bool):
         """out = (u_0 x_0 + u_1 x_1) + ..., divided by denom if asked,
-        block by block."""
-        n = min(rows, shape[0])
-        tmp = np.empty((n,) + shape[1:])
-        pairs = np.empty((n, shape[1], 2 * shape[2])) if "double" in kinds else None
-        for lo in range(0, shape[0], rows):
-            o = out[lo:lo + rows]
-            t = tmp[:len(o)]
-            term(0, lo, o, pairs)
-            for i in range(1, len(xs)):
-                term(i, lo, t, pairs)
-                o += t
-            if divide:
-                o /= denom
+        block by block; the blocks are T._run_rows's rows, each share
+        with scratch of its own."""
+        def blocks(claimed):
+            n = min(rows, shape[0])
+            tmp = np.empty((n,) + shape[1:])
+            pairs = np.empty((n, shape[1], 2 * shape[2])) if "double" in kinds else None
+            for b in claimed:
+                lo = b * rows
+                o = out[lo:lo + rows]
+                t = tmp[:len(o)]
+                term(0, lo, o, pairs)
+                for i in range(1, len(xs)):
+                    term(i, lo, t, pairs)
+                    o += t
+                if divide:
+                    o /= denom
+
+        T._run_rows(n_blocks, blocks, work)
         return out
 
     out = numerator(np.empty(shape), divide=True)
@@ -256,8 +264,9 @@ def afbifpn_forward(inputs: dict, p: PipelineParams, *,
     its attention pass decided (attention.ba_forward).
 
     The forward holds OpenBLAS at one thread until it returns
-    (tensor.one_blas_thread), whatever other threads are running; only
-    token attention's stacks run on the pool's threads.
+    (tensor.one_blas_thread), whatever other threads are running; the
+    blocks of large fusions, attention stacks and local-context terms run
+    on the pool's threads (tensor._run_rows).
     """
     _validate_params(p)
     with T.one_blas_thread():
@@ -279,6 +288,8 @@ def _fuse_pyramid(maps: dict, p: PipelineParams, kinks: dict | None) -> dict:
             raise PipelineError(f"node {name}: {exc}") from exc
         except PartitionError as exc:
             raise PartitionError(f"node {name}: {exc}") from exc
+        except NumericError as exc:
+            raise NumericError(f"node {name}: {exc}") from exc
 
     p4f = node("level-4 intermediate", lambda: fuse([maps[4], maps[5]], fw.p4_mid, eps))
     a4 = node("level-4 refinement", lambda: _refine(p4f, p, 4, _level_kinks(kinks, 4)))

@@ -58,8 +58,13 @@ def ref_depthwise(x, kernel) -> np.ndarray:
 
 
 def _ref_bilinear(xa: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Sample every channel at fractional positions; outside contributes 0."""
+    """Sample every channel at fractional positions; outside contributes 0.
+    A position more than one pixel outside the map has no corner on it, so
+    it is moved to one pixel outside before the integer cast, which is
+    then defined however far it lay."""
     _, h, w = xa.shape
+    py = np.clip(py, -2.0, h + 1.0)
+    px = np.clip(px, -2.0, w + 1.0)
     y0 = np.floor(py).astype(np.int64)
     x0 = np.floor(px).astype(np.int64)
     fy = py - y0

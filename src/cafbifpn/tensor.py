@@ -12,11 +12,12 @@ count and sets it to 1, the last to leave restores it, so concurrent and
 nested holds all run at one BLAS thread and leave the count as they found
 it.  OpenBLAS sums some products in an order that depends on its thread
 count, so at one thread the bits depend on neither that count, the CPU
-count, nor who else is running.  The one loop that uses a second core is
-routed token attention's stacks of blocks, run by `_run_rows` on a small
-pool of worker threads, one per CPU this process may use, shared by every
-caller.  The pool is private: a caller never sees its threads, a call
-returns only after every share of its own has stopped, and the run record
+count, nor who else is running.  The large blocked kernels (fuse's row
+blocks, the depthwise term's channel blocks, token attention's stacks)
+run their blocks as rows of `_run_rows` on a small pool of worker
+threads, one per CPU this process may use, shared by every caller.  The
+pool is private: a caller never sees its threads, a call returns only
+after every share of its own has stopped, and the run record
 (instrumentation.py) is only touched on the calling thread.  A pooled
 call made outside a forward or backward holds for its own duration.  A
 forked child starts with no hold open and a pool of its own.
@@ -31,11 +32,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import threading
 import weakref
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -276,14 +278,18 @@ def sum_all(a):
 
 
 # ---------------------------------------------------------------------------
-# Work sizes, and the worker pool for token attention's stacks
+# Work sizes, and the worker pool for the blocked kernels
 
-# A token-attention call with less work than this runs its stacks inline:
-# handing them to the pool costs more than a second core returns.  The
-# work is the logits count, regions * heads * queries * gathered keys; the
-# value comes from a sweep of pooled against inline attention calls
-# (CHANGES.md).
-_POOL_MIN_WORK = 1 << 23
+# A call with less work than this runs its rows inline: handing them to
+# the pool costs more than a second core returns.  Work is counted in
+# element operations, one per float64 element written by one elementwise
+# numpy pass (a multiply, an add, an exp); products inside BLAS are not
+# counted.  Each pooled kernel states its count where it calls _run_rows.
+# From a sweep of pooled against inline calls inside forwards at fixture
+# and benchmark scale (CHANGES.md): every fixture-scale call, at most
+# 2.46 M, stays inline, and the benchmark's level-3 fusions, from 3.15 M,
+# reach the pool.
+_POOL_MIN_WORK = 2_800_000
 
 # Blocked sweeps (fuse's rows, the depthwise kernel's channels) take about
 # this many bytes of one float64 operand per block, so a block's operand,
@@ -388,30 +394,42 @@ def one_blas_thread():
                 put(_saved_threads)
 
 
-def _run_rows(n_rows: int, body: Callable[[range], None], work: int) -> None:
-    """Run body over rows 0..n_rows-1 in interleaved shares
-    range(i, n_rows, shares), one share per allowed CPU, at once: the
-    calling thread takes share 0 and pool threads the rest, under
-    one_blas_thread.  Shares must write disjoint outputs and must not
-    touch the run record.  Concurrent callers share the pool's threads.
+def _run_rows(n_rows: int, body: Callable[[Iterable[int]], None], work: int) -> None:
+    """Run body over rows 0..n_rows-1 in shares, one per allowed CPU, at
+    once: the calling thread runs one share and pool threads the rest,
+    under one_blas_thread.  A share is body(rows), rows an iterator that
+    claims the next unclaimed row from one counter shared by the call, so
+    a share that is slowed down takes fewer rows.  Shares must write
+    disjoint outputs and must not touch the run record.  Concurrent
+    callers share the pool's threads.
 
     body(range(n_rows)) runs inline instead, before any hold is taken,
     when work is below _POOL_MIN_WORK or there are fewer than two shares.
-    Returns only once every share has stopped; the first failed share's
-    exception, in share order, is then re-raised.
+    Returns only once every share has stopped; the calling thread's
+    exception, else the first failed pool share's, is then re-raised.
     """
     shares = min(_allowed_cpus(), n_rows) if work >= _POOL_MIN_WORK else 1
     if shares < 2:
         body(range(n_rows))
         return
     from concurrent.futures import wait
+    claims, claim_lock = itertools.count(), threading.Lock()
+
+    def rows():
+        while True:
+            with claim_lock:
+                i = next(claims)
+            if i >= n_rows:
+                return
+            yield i
+
     with one_blas_thread():
         pool = _executor(_allowed_cpus())
         futures = []
         try:
-            for i in range(1, shares):
-                futures.append(pool.submit(body, range(i, n_rows, shares)))
-            body(range(0, n_rows, shares))
+            for _ in range(1, shares):
+                futures.append(pool.submit(body, rows()))
+            body(rows())
         finally:
             wait(futures)
         errors = [e for e in (f.exception() for f in futures) if e is not None]

@@ -359,22 +359,55 @@ def test_forward_upcasts_float32_input_maps(capsys, tmp_path, default_cfg, fixtu
             (tmp_path / "out-float64" / name).read_bytes()
 
 
+def _scaled_fixture(fixture_dir, out: Path, factor: float) -> Path:
+    """The fixture's four maps times factor, written to out."""
+    out.mkdir()
+    for lvl in (2, 3, 4, 5):
+        name = f"backbone_c{lvl}.tnsr"
+        IO.tensor_write(out / name, T.tensor(IO.tensor_read(fixture_dir / name).array * factor))
+    return out
+
+
 def test_forward_of_huge_maps_casts_no_far_sampling_position(capsys, tmp_path, default_cfg,
                                                              fixture_dir):
     """The fixture times 1e150 predicts sampling positions near 1e149, far
     off every map; they are clipped before the cast to integer corners, so
     the forward exits 0 without a RuntimeWarning, even as an error."""
-    maps = tmp_path / "huge"
-    maps.mkdir()
-    for lvl in (2, 3, 4, 5):
-        name = f"backbone_c{lvl}.tnsr"
-        IO.tensor_write(maps / name, T.tensor(IO.tensor_read(fixture_dir / name).array * 1e150))
+    maps = _scaled_fixture(fixture_dir, tmp_path / "huge", 1e150)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["forward", "--config", default_cfg, "--input", str(maps),
                    "--output", str(tmp_path / "out")])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["ba_invocations"] == 2
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+def test_forward_of_overflowing_maps_names_the_node(capsys, tmp_path, default_cfg, fixture_dir,
+                                                    monkeypatch, pooled):
+    """The fixture times 1e200 overflows the level-4 routing affinity and
+    attention logits.  With every warning raised as an error, forward
+    exits 1 with one classified line naming the node, and no traceback;
+    with every warning recorded, no thread has issued one.  Pooled, with
+    one attention block per stack, most logits are computed on worker
+    threads, whose numpy error state is their own."""
+    if pooled:
+        monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(T, "_allowed_cpus", lambda: 3)
+        monkeypatch.setattr(attention, "_STACK_BYTES", 0)
+    maps = _scaled_fixture(fixture_dir, tmp_path / "huge", 1e200)
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action)
+            rc = main(["forward", "--config", default_cfg, "--input", str(maps),
+                       "--output", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: node level-4 refinement: softmax input contains non-finite values"]
+        assert seen == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_forward_non_finite_report_exits_1_without_writing(capsys, tmp_path, default_cfg,

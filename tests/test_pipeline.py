@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cafbifpn.errors import (ConfigError, FormatError, NumericError, PipelineErr
 from cafbifpn.instrumentation import count_macs
 from cafbifpn.pipeline import (build_pipeline_params, c_afbifpn_forward,
                                afbifpn_forward, fuse)
-from cafbifpn.reference import ref_afbifpn
+from cafbifpn.reference import ref_afbifpn, ref_c_afbifpn
 from cafbifpn.tensorio import RunConfig, load_backbone
 
 from conftest import (arr, assert_reruns_byte_identical, full_forward_error, max_abs_diff,
@@ -172,6 +173,21 @@ def test_plain_reduction_matches_reference():
 
 def test_full_forward_matches_reference():
     assert full_forward_error(tiny_pyramid(89)[1], tiny_cfg()) <= 1e-10
+
+
+def test_reference_casts_no_far_sampling_position(fixture_dir):
+    """The fixture times 1e150 predicts sampling positions near 1e149, far
+    off every map.  The reference route clips them before its own cast to
+    integer corners, so with every warning raised as an error it runs, and
+    it still agrees with the forward."""
+    maps = {lvl: T.tensor(t.array * 1e150) for lvl, t in load_backbone(fixture_dir).items()}
+    params = build_pipeline_params(RunConfig(), {lvl: t.dims[0] for lvl, t in maps.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = ref_c_afbifpn(maps, params)
+    out = c_afbifpn_forward(maps, params)
+    for lvl in (2, 3, 4, 5):
+        assert max_abs_diff(out[lvl], ref[lvl]) <= 1e-10 * np.abs(ref[lvl]).max()
 
 
 def test_fusion_stage_alone_matches_reference():

@@ -1,17 +1,19 @@
-"""The worker pool behind large token-attention calls, and the counted
-hold that keeps OpenBLAS at one thread: pooled and inline runs give the
-same bits, a failing share stops the call only after every share has
-stopped, concurrent callers and forked children are safe, and the OpenBLAS
-thread count is always restored.  Every forward and every backward holds
-BLAS at one thread, a lone caller setting the count once each way, so
-outputs and gradients do not depend on that count; overlapping holds see
-one thread until the last of them leaves.
+"""The worker pool behind the large blocked kernels (token attention,
+fusion, the local-context term), and the counted hold that keeps OpenBLAS
+at one thread: pooled and inline runs give the same bits however unevenly
+the shares claim rows, a failing share stops the call only after every
+share has stopped, concurrent callers and forked children are safe, and
+the OpenBLAS thread count is always restored.  Every forward and every
+backward holds BLAS at one thread, a lone caller setting the count once
+each way, so outputs and gradients do not depend on that count;
+overlapping holds see one thread until the last of them leaves.
 
 The pool threshold is lowered so desk-scale calls reach the pool.
 Assertions that the pool actually ran skip when only one CPU is allowed
 (for example under `taskset -c 0`) or no OpenBLAS is loaded; the rest
 then check the inline path.  The hold tests stand in a recording BLAS
-and two allowed CPUs, so they run the pooled path everywhere."""
+and two allowed CPUs, and the uneven-claim tests three allowed CPUs, so
+they run the pooled path everywhere."""
 
 import multiprocessing
 import os
@@ -48,10 +50,12 @@ def _blas_count():
 @pytest.fixture()
 def pooled(monkeypatch):
     """Every call reaches the pool, with one attention block per stack so
-    that a call has stacks to share out; the names of the threads that ran
-    a softmax block are collected."""
+    that a call has stacks to share out, and the pool threads run all but
+    one row of each call (_hold_first_row); the names of the threads that
+    ran a softmax block are collected."""
     monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(A, "_STACK_BYTES", 0)
+    _hold_first_row(monkeypatch)
     names = set()
     real = T.softmax_inplace
 
@@ -70,14 +74,15 @@ def _bra_case(seed=60):
     return x, p
 
 
-def _taped_run(x, p):
+def _taped_bits(fn, operands):
+    """fn's output and the gradient of a weighted sum of it with respect to
+    every operand, each operand a leaf of one tape."""
     tape = T.Tape()
-    leaf = tape.leaf(x)
-    wq = tape.leaf(p.w_q)
-    out = A.ba_forward(leaf, replace(p, w_q=wq))
+    leaves = [tape.leaf(x) for x in operands]
+    out = fn(*leaves)
     mix = T.Rng(7).tensor(list(out.dims), -1.0, 1.0)
     grads = tape.backward(T.sum_all(T.mul(out, mix)), T.tensor([1.0]))
-    return out.value.copy(), grads[leaf].array, grads[wq].array
+    return [out.value.copy()] + [grads[leaf].array for leaf in leaves]
 
 
 def _same_bits(a, b):
@@ -86,11 +91,15 @@ def _same_bits(a, b):
 
 def test_pool_and_inline_give_the_same_bits(monkeypatch, pooled):
     x, p = _bra_case()
+
+    def taped(f, wq):
+        return A.ba_forward(f, replace(p, w_q=wq))
+
     before = _blas_count()
-    pool_out = [np.asarray(T._val(A.ba_forward(x, p)))] + list(_taped_run(x, p))
+    pool_out = [np.asarray(T._val(A.ba_forward(x, p)))] + _taped_bits(taped, [x, p.w_q])
     assert _blas_count() == before
     monkeypatch.setattr(T, "_POOL_MIN_WORK", float("inf"))
-    inline_out = [np.asarray(T._val(A.ba_forward(x, p)))] + list(_taped_run(x, p))
+    inline_out = [np.asarray(T._val(A.ba_forward(x, p)))] + _taped_bits(taped, [x, p.w_q])
     for a, b in zip(pool_out, inline_out):
         assert _same_bits(a, b)
     if _pool_available():
@@ -98,9 +107,10 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, pooled):
 
 
 def test_failing_share_raises_after_every_share_stopped(monkeypatch):
-    """Region 0 (the caller's share) holds a NaN and fails at once; the
-    other share is slowed down, and must have finished when the call
-    raises.  Each region is a stack of its own."""
+    """Region 0 holds a NaN and fails the share that claims it at once;
+    pool shares are slowed down.  The other shares claim every remaining
+    region, and all three must be done when the call raises.  Each region
+    is a stack of its own."""
     monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(A, "_STACK_BYTES", 0)
     real = T.softmax_inplace
@@ -109,8 +119,9 @@ def test_failing_share_raises_after_every_share_stopped(monkeypatch):
     def slow_in_pool(x):
         if threading.current_thread().name.startswith(POOL_NAME):
             time.sleep(0.05)
-            finished.append(threading.current_thread().name)
-        return real(x)
+        out = real(x)
+        finished.append(threading.current_thread().name)
+        return out
 
     monkeypatch.setattr(T, "softmax_inplace", slow_in_pool)
     qkv = np.ones((4, 2, 6))
@@ -121,7 +132,118 @@ def test_failing_share_raises_after_every_share_stopped(monkeypatch):
         A.token_attention(T.tensor(qkv), routing, heads=1)
     assert _blas_count() == before
     if _pool_available():
-        assert len(finished) == 2  # regions 1 and 3, both done before the raise
+        assert len(finished) == 3  # regions 1 to 3, all done before the raise
+
+
+def test_every_row_is_claimed_once_under_contention(monkeypatch):
+    """Six shares on however few cores, switching threads often and
+    yielding after every row: each of 5000 rows runs exactly once, however
+    the shares interleave their claims."""
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(T, "_allowed_cpus", lambda: 6)
+    seen = []
+
+    def body(rows):
+        for r in rows:
+            seen.append(r)
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        T._run_rows(5000, body, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(5000))
+
+
+def _hold_first_row(monkeypatch):
+    """Wrap T._run_rows so that in every call that runs in shares, the
+    calling thread's share holds its first row until the pool threads have
+    claimed every other row or stopped: the claims come out as uneven as
+    they can, and the pool threads run every row but at most one, however
+    the threads are scheduled.  Each call checks that every row ran once;
+    the returned list gets (rows, rows the calling thread claimed) per
+    call."""
+    calls = []
+    real = T._run_rows
+
+    def run_rows(n_rows, body, work):
+        caller = threading.current_thread()
+        shares = min(T._allowed_cpus(), n_rows) if work >= T._POOL_MIN_WORK else 1
+        claimed, stopped = [], []  # appended atomically
+
+        def share(rows):
+            mine = threading.current_thread() is caller
+
+            def claims():
+                for r in rows:
+                    claimed.append((r, mine))
+                    deadline = time.monotonic() + 60
+                    while (mine and len(claimed) < n_rows and len(stopped) < shares - 1
+                           and time.monotonic() < deadline):
+                        time.sleep(0.001)
+                    yield r
+            try:
+                body(claims())
+            finally:
+                if not mine:
+                    stopped.append(True)
+
+        real(n_rows, share, work)
+        assert sorted(r for r, _ in claimed) == list(range(n_rows))
+        calls.append((n_rows, sum(mine for _, mine in claimed)))
+
+    monkeypatch.setattr(T, "_run_rows", run_rows)
+    return calls
+
+
+@pytest.fixture()
+def uneven(monkeypatch):
+    """Every call with two or more rows runs in shares, up to three
+    whatever the host's CPU count, the calling thread's share holding its
+    first row (_hold_first_row)."""
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(T, "_allowed_cpus", lambda: 3)
+    return _hold_first_row(monkeypatch)
+
+
+def _pooled_and_inline(monkeypatch, calls, fn, operands):
+    """Taped bits of fn through the uneven pool, then inline; every pooled
+    call with two or more rows left the calling thread at most one."""
+    pooled = _taped_bits(fn, operands)
+    assert calls and all(mine <= 1 for rows, mine in calls if rows > 1)
+    assert any(rows > 2 for rows, _ in calls)
+    monkeypatch.setattr(T, "_POOL_MIN_WORK", float("inf"))
+    inline = _taped_bits(fn, operands)
+    return pooled, inline
+
+
+@pytest.mark.parametrize("reading", ["same", "half", "double"])
+def test_fuse_pooled_and_inline_give_the_same_bits(monkeypatch, uneven, reading):
+    """Five channels in blocks of two rows, the last block short: the
+    output and the gradients of both inputs and both weights, which
+    recompute the numerator on the pool, match inline bit for bit."""
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 8 * 12 * 12)
+    extent = {"same": 12, "half": 6, "double": 24}[reading]
+    rng = T.Rng(41)
+    operands = [rng.tensor([5, 12, 12], -1.0, 1.0), rng.tensor([5, extent, extent], -1.0, 1.0),
+                T.tensor([0.7]), T.tensor([1.3])]
+    pooled, inline = _pooled_and_inline(
+        monkeypatch, uneven, lambda x0, x1, w0, w1: P.fuse([x0, x1], [w0, w1], 1e-4), operands)
+    assert all(_same_bits(a, b) for a, b in zip(pooled, inline))
+
+
+def test_merge_lce_pooled_and_inline_give_the_same_bits(monkeypatch, uneven):
+    """Seven channels in blocks of two, the last block short: the output
+    and the attended, qkv and kernel gradients match inline bit for bit."""
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 8 * 10 * 10)  # 8x8 padded by 1
+    rng = T.Rng(43)
+    operands = [rng.tensor([16, 4, 7], -1.0, 1.0), rng.tensor([16, 4, 21], -1.0, 1.0),
+                rng.tensor([7, 3, 3], -0.5, 0.5)]
+    pooled, inline = _pooled_and_inline(
+        monkeypatch, uneven, lambda a, qkv, k: A.merge_lce(a, qkv, k, 8, 8), operands)
+    assert all(_same_bits(a, b) for a, b in zip(pooled, inline))
 
 
 def _pyramid():
@@ -229,7 +351,8 @@ def _sets(calls):
 
 def test_pooled_forward_sets_blas_threads_once_each_way(monkeypatch, pooled, recorded):
     """The hold spans the whole forward, the stage-I projections included,
-    and only the two attention calls reach the pool."""
+    and the pool is offered exactly the six fusions, the two token
+    attention calls and the two local-context terms."""
     runs, held = [], []
     real = T._run_rows
     monkeypatch.setattr(T, "_run_rows", lambda n_rows, body, work: (runs.append(n_rows),
@@ -239,7 +362,7 @@ def test_pooled_forward_sets_blas_threads_once_each_way(monkeypatch, pooled, rec
     backbone, params = _pyramid()
     c_afbifpn_forward(backbone, params)
     assert any(n.startswith(POOL_NAME) for n in pooled)
-    assert len(runs) == 2
+    assert len(runs) == 10
     assert held == [1] * 4
     assert _sets(recorded) == [1, 3]
     assert T._holds == 0
