@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .convops import Conv2dParams, DeformableParams, conv2d, deformable_conv2d
+from .convops import Conv2dParams, DeformableParams, _same_pad, conv2d, deformable_conv2d
 from .errors import ConfigError, ShapeError
 
 @dataclass(frozen=True)
@@ -85,21 +85,27 @@ def _surrogate_stage(stage):
     return strip(stage)
 
 
+def _reach(stage) -> int:
+    """How far a stage can spread a response: its (deformable base's) larger padding."""
+    c = stage.base if isinstance(stage, DeformableParams) else stage
+    return max(_same_pad(k, c.dilation) for k in T._val(c.weights).shape[2:])
+
+
 def cfe_receptive_probe(p: CfeParams) -> int:
     """Chebyshev support radius of the response to a centered unit impulse.
 
     Measured on a magnitude surrogate (absolute kernels, zero biases, zero
     offsets, no activation) so the radius reflects connectivity rather than
-    sign cancellation; a single 3x3 scores 1 under the same procedure.
+    sign cancellation; a single 3x3 scores 1 under the same procedure.  The
+    map reaches one pixel beyond the furthest any branch can spread it.
     """
     q = CfeParams(branch1=tuple(_surrogate_stage(s) for s in p.branch1),
                   branch2=tuple(_surrogate_stage(s) for s in p.branch2),
                   branch3=tuple(_surrogate_stage(s) for s in p.branch3),
                   residual=_surrogate_stage(p.residual), activation="none")
     c_in = T._val(p.residual.weights).shape[1]
-    extent = 13
-    center = extent // 2
-    buf = np.zeros((c_in, extent, extent))
+    center = 1 + max(sum(_reach(s) for s in branch) for branch in (p.branch1, p.branch2, p.branch3))
+    buf = np.zeros((c_in, 2 * center + 1, 2 * center + 1))
     buf[:, center, center] = 1.0
     out = T._val(cfe_forward(T.tensor(buf), q))
     support = np.abs(out).max(axis=0) > 1e-12
@@ -110,10 +116,10 @@ def cfe_receptive_probe(p: CfeParams) -> int:
 
 
 def _rand_conv(rng: T.Rng, c_out: int, c_in: int, kh: int, kw: int,
-               padding, dilation: int = 1, bias_scale: float = 0.1) -> Conv2dParams:
+               dilation: int = 1, bias_scale: float = 0.1) -> Conv2dParams:
     w = rng.tensor([c_out, c_in, kh, kw], -0.1, 0.1)
     b = rng.tensor([c_out], -bias_scale, bias_scale)
-    return Conv2dParams(weights=w, bias=b, padding=padding, dilation=dilation)
+    return Conv2dParams(weights=w, bias=b, dilation=dilation)
 
 
 def make_cfe_params(rng: T.Rng, c_in: int, width: int, activation: str = "relu",
@@ -122,21 +128,19 @@ def make_cfe_params(rng: T.Rng, c_in: int, width: int, activation: str = "relu",
     if width % 3:
         raise ConfigError(f"fusion width {width} not divisible by 3")
     wb = width // 3
-    pad_d = dilation  # same-padding for a dilated 3x3
-
-    branch1 = (_rand_conv(rng, wb, c_in, 1, 1, 0),
-               _rand_conv(rng, wb, wb, 1, 3, (0, 1)),
-               _rand_conv(rng, wb, wb, 3, 1, (1, 0)),
-               _rand_conv(rng, wb, wb, 3, 3, (pad_d, pad_d), dilation=dilation))
-    branch2 = (_rand_conv(rng, wb, c_in, 1, 1, 0),
-               _rand_conv(rng, wb, wb, 1, 5, (0, 2)),
-               _rand_conv(rng, wb, wb, 5, 1, (2, 0)),
-               _rand_conv(rng, wb, wb, 3, 3, (pad_d, pad_d), dilation=dilation))
-    base = _rand_conv(rng, wb, wb, 3, 3, (1, 1))
-    predictor = _rand_conv(rng, 18, wb, 3, 3, (1, 1), bias_scale=0.0)
-    branch3 = (_rand_conv(rng, wb, c_in, 1, 1, 0),
-               _rand_conv(rng, wb, wb, 3, 1, (1, 0)),
-               _rand_conv(rng, wb, wb, 1, 3, (0, 1)),
+    branch1 = (_rand_conv(rng, wb, c_in, 1, 1),
+               _rand_conv(rng, wb, wb, 1, 3),
+               _rand_conv(rng, wb, wb, 3, 1),
+               _rand_conv(rng, wb, wb, 3, 3, dilation=dilation))
+    branch2 = (_rand_conv(rng, wb, c_in, 1, 1),
+               _rand_conv(rng, wb, wb, 1, 5),
+               _rand_conv(rng, wb, wb, 5, 1),
+               _rand_conv(rng, wb, wb, 3, 3, dilation=dilation))
+    base = _rand_conv(rng, wb, wb, 3, 3)
+    predictor = _rand_conv(rng, 18, wb, 3, 3, bias_scale=0.0)
+    branch3 = (_rand_conv(rng, wb, c_in, 1, 1),
+               _rand_conv(rng, wb, wb, 3, 1),
+               _rand_conv(rng, wb, wb, 1, 3),
                DeformableParams(base, predictor))
-    residual = _rand_conv(rng, width, c_in, 1, 1, 0)
+    residual = _rand_conv(rng, width, c_in, 1, 1)
     return CfeParams(branch1, branch2, branch3, residual, activation)

@@ -1,8 +1,9 @@
 """Convolution variants for the feature-enhancement branches: standard
-(arbitrary kernel, stride, zero padding, dilation) and deformable
-convolution with a learned offset field sampled bilinearly, plus the
-depthwise kernel of attention's local-context term (a numpy-level
-helper; attention.merge_lce records its node).
+(any odd kernel extents, dilation) and deformable convolution with a
+learned offset field sampled bilinearly, plus the depthwise kernel of
+attention's local-context term (a numpy-level helper; attention.merge_lce
+records its node).  Every convolution keeps its map's extents: the zero
+padding follows from kernel extent and dilation (_same_pad).
 
 All spatial layouts are [channels, height, width], single image.  Every
 public function accepts plain tensors or tape nodes.  Each convolution
@@ -29,19 +30,11 @@ from .instrumentation import active_record
 
 @dataclass(frozen=True)
 class Conv2dParams:
-    """weights [C_out, C_in, k_h, k_w], bias [C_out]; symmetric zero padding
-    given as one int or a (pad_h, pad_w) pair."""
+    """weights [C_out, C_in, k_h, k_w] with k_h and k_w odd, bias [C_out]."""
 
     weights: object
     bias: object
-    stride: int = 1
-    padding: int | tuple[int, int] = 0
     dilation: int = 1
-
-    @property
-    def pad_hw(self) -> tuple[int, int]:
-        p = self.padding
-        return (p, p) if isinstance(p, int) else (int(p[0]), int(p[1]))
 
 
 @dataclass(frozen=True)
@@ -74,8 +67,12 @@ def _deactivate(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
     return g * (out > 0) if activation == "relu" else g
 
 
-def conv_output_extent(extent: int, pad: int, kernel: int, stride: int, dilation: int) -> int:
-    return (extent + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
+def _same_pad(kernel: int, dilation: int) -> int:
+    """The zero padding per side that keeps a map's extent under an odd
+    kernel extent at a dilation of at least 1; an even extent has no centre tap."""
+    if kernel % 2 == 0 or dilation < 1:
+        raise ConfigError(f"want an odd kernel extent at dilation >= 1, got {kernel} at {dilation}")
+    return dilation * (kernel - 1) // 2
 
 
 def _pad(v: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
@@ -87,23 +84,14 @@ def _pad(v: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     return buf
 
 
-def _window(i: int, j: int, d: int, s: int, h_out: int, w_out: int) -> tuple:
-    """Padded-map slice read by tap (i, j) for every output position."""
-    return (slice(None),
-            slice(i * d, i * d + (h_out - 1) * s + 1, s),
-            slice(j * d, j * d + (w_out - 1) * s + 1, s))
-
-
-def _columns(padded: np.ndarray, kh: int, kw: int, s: int, d: int,
-             h_out: int, w_out: int) -> np.ndarray:
+def _columns(padded: np.ndarray, kh: int, kw: int, d: int, h: int, w: int) -> np.ndarray:
     """im2col in one copy: rows tap-major, channel-minor, one column per
-    output position.  An unpadded 1x1, stride-1 input needs no copy."""
+    output position.  An unpadded 1x1 input needs no copy."""
     c = padded.shape[0]
     sc, sh, sw = padded.strides
     windows = np.lib.stride_tricks.as_strided(
-        padded, (kh, kw, c, h_out, w_out), (d * sh, d * sw, sc, s * sh, s * sw),
-        writeable=False)
-    return windows.reshape(kh * kw * c, h_out * w_out)
+        padded, (kh, kw, c, h, w), (d * sh, d * sw, sc, sh, sw), writeable=False)
+    return windows.reshape(kh * kw * c, h * w)
 
 
 def _operands(x, p: Conv2dParams, op: str) -> tuple:
@@ -120,16 +108,13 @@ def _operands(x, p: Conv2dParams, op: str) -> tuple:
 
 
 def conv2d(x, p: Conv2dParams, activation: str = "none"):
-    """out[o,y,x] = act(bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y*s + d*i, x*s + d*j])."""
+    """out[o,y,x] = act(bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y + d*i, x + d*j]),
+    out of the extents of x."""
     xv, wv, bv = _operands(x, p, "conv2d")
     c_out, c_in, kh, kw = wv.shape
-    ph, pw = p.pad_hw
-    s, d = p.stride, p.dilation
+    d = p.dilation
+    ph, pw = _same_pad(kh, d), _same_pad(kw, d)
     h, w = xv.shape[1], xv.shape[2]
-    h_out = conv_output_extent(h, ph, kh, s, d)
-    w_out = conv_output_extent(w, pw, kw, s, d)
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"conv2d output extent non-positive: {h_out}x{w_out}")
 
     # grads closes over shapes, never over padded or the columns, so a
     # tape keeps neither alive
@@ -137,25 +122,25 @@ def conv2d(x, p: Conv2dParams, activation: str = "none"):
     padded_shape = padded.shape
     # weight matrix rows follow the columns' tap-major, channel-minor order
     wmat = np.ascontiguousarray(wv.transpose(0, 2, 3, 1)).reshape(c_out, kh * kw * c_in)
-    out = wmat @ _columns(padded, kh, kw, s, d, h_out, w_out)
+    out = wmat @ _columns(padded, kh, kw, d, h, w)
     out += bv.reshape(c_out, 1)
-    out = _activate(out, activation).reshape(c_out, h_out, w_out)
+    out = _activate(out, activation).reshape(c_out, h, w)
     need_x, need_w, need_b = T._on_tape(x, p.weights, p.bias)
 
     def grads(g):
-        g2 = _deactivate(g, out, activation).reshape(c_out, h_out * w_out)
+        g2 = _deactivate(g, out, activation).reshape(c_out, h * w)
         gx = gw = gb = None
         if need_x:
             # col2im; taps are summed in reverse, the order backward sums
             # per-tap slice nodes in, so the bits equal that composition's
-            gcols = (wmat.T @ g2).reshape(kh, kw, c_in, h_out, w_out)
+            gcols = (wmat.T @ g2).reshape(kh, kw, c_in, h, w)
             gpad = np.zeros(padded_shape)
             for t in reversed(range(kh * kw)):
                 i, j = divmod(t, kw)
-                gpad[_window(i, j, d, s, h_out, w_out)] += gcols[i, j]
+                gpad[:, i * d:i * d + h, j * d:j * d + w] += gcols[i, j]
             gx = gpad[:, ph:ph + h, pw:pw + w]
         if need_w:
-            cols = _columns(_pad(xv, ph, pw), kh, kw, s, d, h_out, w_out)
+            cols = _columns(_pad(xv, ph, pw), kh, kw, d, h, w)
             gw = (g2 @ cols.T).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         if need_b:
             gb = g2.sum(axis=1)
@@ -174,11 +159,9 @@ def _depthwise(x: np.ndarray, weights: np.ndarray, add: np.ndarray | None = None
     if weights.ndim != 3 or weights.shape[1] != weights.shape[2]:
         raise ShapeError(f"depthwise weights must be [C,k,k], got {list(weights.shape)}")
     c, k = weights.shape[0], weights.shape[1]
-    if k % 2 == 0:
-        raise ConfigError(f"depthwise kernel extent must be odd, got {k}")
+    pad = _same_pad(k, 1)
     if x.shape[0] != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape[0]} vs weights {c}")
-    pad = (k - 1) // 2
     h, w = x.shape[1] * x.shape[2], x.shape[3] * x.shape[4]
     taps = [divmod(t, k) for t in range(k * k)]
     # channels are independent, so each block of channels is padded into
@@ -280,8 +263,8 @@ class _Bilinear:
     def __init__(self, ov: np.ndarray, kh: int, kw: int, record=None):
         h, w = ov.shape[1], ov.shape[2]
         ry, rx = np.divmod(np.arange(kh * kw), kw)
-        lattice_y = np.arange(h, dtype=np.float64)[:, None] + (ry - (kh - 1) // 2)[:, None, None]
-        lattice_x = np.arange(w, dtype=np.float64) + (rx - (kw - 1) // 2)[:, None, None]
+        lattice_y = np.arange(h, dtype=np.float64)[:, None] + (ry - _same_pad(kh, 1))[:, None, None]
+        lattice_x = np.arange(w, dtype=np.float64) + (rx - _same_pad(kw, 1))[:, None, None]
         self.wy, y_in, (y0, y1) = _corner_axis(ov[0::2], lattice_y, h, w, record)
         self.wx, x_in, (x0, x1) = _corner_axis(ov[1::2], lattice_x, w, 1, record)
         # left to right, each coordinate array is overwritten after its last read
@@ -326,9 +309,8 @@ def deformable_conv2d_with_offsets(x, base: Conv2dParams, offsets, activation: s
     """
     xv, wv, bv = _operands(x, base, "deformable")
     c_out, c_in, kh, kw = wv.shape
-    if (base.stride, base.dilation, base.pad_hw) != (1, 1, ((kh - 1) // 2, (kw - 1) // 2)):
-        raise ConfigError("the deformable sampling lattice takes stride 1, dilation 1 and padding "
-                          f"of half the kernel extents, got {base.stride}, {base.dilation}, {base.pad_hw}")
+    if base.dilation != 1:
+        raise ConfigError(f"the deformable sampling lattice takes dilation 1, got {base.dilation}")
     ov = T._val(offsets)
     if ov.shape != (2 * kh * kw, xv.shape[1], xv.shape[2]):
         raise ShapeError(f"offset dims {list(ov.shape)} != [{2 * kh * kw}, {xv.shape[1]}, {xv.shape[2]}]")

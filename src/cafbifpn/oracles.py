@@ -14,14 +14,9 @@ from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError
 
 
-def _pad_pair(padding) -> tuple:
-    if isinstance(padding, tuple):
-        return int(padding[0]), int(padding[1])
-    return int(padding), int(padding)
-
-
 def conv2d_reference(x, p):
-    """Direct six-loop evaluation of the convolution contract."""
+    """Direct six-loop evaluation of the convolution contract: odd kernel
+    extents, zero padding that keeps the input's extents."""
     xa = T._val(x)
     wa = T._val(p.weights)
     ba = T._val(p.bias)
@@ -32,24 +27,21 @@ def conv2d_reference(x, p):
         raise ShapeError(f"input channels {xa.shape[0]} != kernel channels {c_in}")
     if ba.shape != (c_out,):
         raise ShapeError(f"bias dims {list(ba.shape)} != [{c_out}]")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ConfigError(f"reference conv wants odd kernel extents, got {kh}x{kw}")
     h, w = xa.shape[1], xa.shape[2]
-    ph, pw = _pad_pair(p.padding)
-    s = int(p.stride)
     d = int(p.dilation)
-    out_h = (h + 2 * ph - d * (kh - 1) - 1) // s + 1
-    out_w = (w + 2 * pw - d * (kw - 1) - 1) // s + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"kernel does not fit: output extents {out_h}x{out_w}")
-    out = np.empty((c_out, out_h, out_w), dtype=np.float64)
+    ph, pw = d * (kh - 1) // 2, d * (kw - 1) // 2
+    out = np.empty((c_out, h, w), dtype=np.float64)
     for o in range(c_out):
-        for oy in range(out_h):
-            for ox in range(out_w):
+        for oy in range(h):
+            for ox in range(w):
                 acc = float(ba[o])
                 for c in range(c_in):
                     for i in range(kh):
                         for j in range(kw):
-                            iy = oy * s - ph + i * d
-                            ix = ox * s - pw + j * d
+                            iy = oy - ph + i * d
+                            ix = ox - pw + j * d
                             if 0 <= iy < h and 0 <= ix < w:
                                 acc += float(wa[o, c, i, j]) * float(xa[c, iy, ix])
                 out[o, oy, ox] = acc

@@ -348,7 +348,7 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
                                            dilation=cfg.dilation)
                       for lvl in LEVELS}
     else:
-        projections = {lvl: _rand_conv(rng, width, channels[lvl], 1, 1, 0) for lvl in LEVELS}
+        projections = {lvl: _rand_conv(rng, width, channels[lvl], 1, 1) for lvl in LEVELS}
     bra = None
     if cfg.attention_fusion_enabled:
         bra = {4: make_bra_params(rng, width, cfg.regions_s, cfg.topk_k, cfg.heads,

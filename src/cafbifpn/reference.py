@@ -37,13 +37,12 @@ def ref_conv2d(x, p: Conv2dParams) -> np.ndarray:
     c_out, c_in, kh, kw = wa.shape
     if xa.shape[0] != c_in:
         raise ShapeError(f"channel mismatch: input {xa.shape[0]} vs weights {c_in}")
-    ph, pw = p.pad_hw
-    s, d = int(p.stride), int(p.dilation)
-    xp = np.pad(xa, ((0, 0), (ph, ph), (pw, pw)))
-    kh_eff = (kh - 1) * d + 1
-    kw_eff = (kw - 1) * d + 1
+    # the window spans d (k - 1) + 1 pixels, half of that beyond each side
+    d = int(p.dilation)
+    kh_eff, kw_eff = (kh - 1) * d + 1, (kw - 1) * d + 1
+    xp = np.pad(xa, ((0, 0), (kh_eff // 2, kh_eff // 2), (kw_eff // 2, kw_eff // 2)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh_eff, kw_eff), axis=(1, 2))
-    win = win[:, ::s, ::s, ::d, ::d]
+    win = win[:, :, :, ::d, ::d]
     return np.einsum("cyxij,ocij->oyx", win, wa) + ba[:, None, None]
 
 

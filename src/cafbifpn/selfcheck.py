@@ -88,13 +88,13 @@ def check_op_gradients():
     # the convolution, attention and fusion primitives, each operand on its own
     rng = T.Rng(26)
     x = rng.tensor([2, 7, 6], -1.0, 1.0)
-    convs = [Conv2dParams(weights=rng.tensor([3, 2, 3, 2], -0.5, 0.5),
-                          bias=rng.tensor([3], -0.2, 0.2), stride=s, padding=pad, dilation=d)
-             for s, d, pad in ((2, 2, (1, 2)), (1, 2, (2, 0)))]
+    convs = [Conv2dParams(weights=rng.tensor([3, 2, kh, kw], -0.5, 0.5),
+                          bias=rng.tensor([3], -0.2, 0.2), dilation=d)
+             for kh, kw, d in ((3, 5, 1), (3, 3, 2))]
     kernel = rng.tensor([2, 3, 3], -0.5, 0.5)
     xd = rng.tensor([2, 4, 4], -1.0, 1.0)
     base = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
-                        bias=rng.tensor([2], -0.2, 0.2), padding=1)
+                        bias=rng.tensor([2], -0.2, 0.2))
     # fractions held in [0.15, 0.55], off the lattice; whole-pixel shifts
     # of up to 2 put some samples partly or wholly outside the map
     shift = np.floor(_arr(rng.tensor([18, 4, 4], -2.0, 3.0)))
@@ -120,10 +120,10 @@ def check_op_gradients():
 
     cases = [("composite-op", graph, T.Rng(40).tensor([2, 3], -1.0, 1.0))] + [
         case for c in convs for case in (
-            (f"conv2d stride {c.stride} input", lambda v, c=c: conv2d(v, c), x),
-            (f"conv2d stride {c.stride} weights",
+            (f"conv2d dilation {c.dilation} input", lambda v, c=c: conv2d(v, c), x),
+            (f"conv2d dilation {c.dilation} weights",
              lambda v, c=c: conv2d(x, replace(c, weights=v)), c.weights),
-            (f"conv2d stride {c.stride} bias",
+            (f"conv2d dilation {c.dilation} bias",
              lambda v, c=c: conv2d(x, replace(c, bias=v)), c.bias),
         )] + [
         ("deformable input", lambda v: deformable_conv2d_with_offsets(v, base, offsets), xd),
@@ -163,9 +163,9 @@ def _fused_cases() -> list:
         rng = T.Rng(seed)
         x = rng.tensor([2, 5, 4], -1.0, 1.0)
         conv = Conv2dParams(weights=rng.tensor([3, 2, 3, 3], -0.5, 0.5),
-                            bias=rng.tensor([3], -0.2, 0.2), padding=1)
+                            bias=rng.tensor([3], -0.2, 0.2))
         base = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -0.5, 0.5),
-                            bias=rng.tensor([2], -0.2, 0.2), padding=1)
+                            bias=rng.tensor([2], -0.2, 0.2))
         # off the lattice, with whole-pixel shifts that put some samples
         # partly or wholly outside the map
         offsets = T.tensor(_arr(rng.tensor([18, 5, 4], -0.2, 0.2)) + 0.35
@@ -261,40 +261,33 @@ def check_rng_uniform_bounds():
 # -- convolution ---------------------------------------------------------
 
 def check_conv_vs_loop_oracle():
-    """Seven kernel, dilation and stride cases at one shape, then 100
-    draws over nine kernel shapes, dilation 1 or 2, stride 1 or 2, widths
-    1..4 and extents 5..16."""
-    def params(rng, cout, cin, kh, kw, stride, pad, dil):
+    """Seven kernel and dilation cases at one shape (one at dilation 3),
+    then 100 draws over nine kernel shapes, dilation 1 or 2, widths 1..4
+    and extents 5..16."""
+    def params(rng, cout, cin, kh, kw, dil):
         return Conv2dParams(weights=rng.tensor([cout, cin, kh, kw], -1.0, 1.0),
-                            bias=rng.tensor([cout], -0.5, 0.5), stride=stride, padding=pad,
-                            dilation=dil)
+                            bias=rng.tensor([cout], -0.5, 0.5), dilation=dil)
 
     cases, rng = [], T.Rng(21)
-    for kh, kw, dil, pad, stride in ((1, 1, 1, 0, 1), (3, 3, 1, 1, 1), (1, 5, 1, (0, 2), 1),
-                                     (5, 1, 1, (2, 0), 1), (3, 1, 1, (1, 0), 1),
-                                     (3, 3, 2, (2, 2), 1), (3, 3, 1, 1, 2)):
+    for kh, kw, dil in ((1, 1, 1), (3, 3, 1), (1, 5, 1), (5, 1, 1), (3, 1, 1), (3, 3, 2), (3, 5, 3)):
         x = rng.tensor([3, 7, 9], -1.0, 1.0)
-        cases.append((x, params(rng, 4, 3, kh, kw, stride, pad, dil)))
+        cases.append((x, params(rng, 4, 3, kh, kw, dil)))
     kernels = [(1, 1), (3, 3), (5, 5), (1, 3), (3, 1), (5, 3), (3, 5), (1, 5), (5, 1)]
     for i in range(100):
         kh, kw = kernels[i % len(kernels)]
         dil, cin = 2 if i % 3 == 0 else 1, 1 + i % 4
         draw = T.Rng(33000 + i)
-        p = params(draw, 1 + (i // 2) % 4, cin, kh, kw, 2 if i % 4 == 0 else 1,
-                   (dil * (kh - 1) // 2, dil * (kw - 1) // 2), dil)
+        p = params(draw, 1 + (i // 2) % 4, cin, kh, kw, dil)
         cases.append((draw.tensor([cin, 5 + i % 12, 5 + (i * 7) % 12], -1.0, 1.0), p))
     for x, p in cases:
         kh, kw = _arr(p.weights).shape[2:]
         _close(conv2d(x, p), conv2d_reference(x, p), TOL_TIGHT,
-               f"kernel {kh}x{kw} dilation {p.dilation} stride {p.stride} input {list(x.dims)}")
+               f"kernel {kh}x{kw} dilation {p.dilation} input {list(x.dims)}")
 
 
 def check_conv_receptive_field():
-    rng = T.Rng(22)
     for k, d in ((3, 1), (3, 2), (5, 1)):
-        pad = d * (k - 1) // 2
-        p = Conv2dParams(weights=T.full([1, 1, k, k], 1.0), bias=T.zeros([1]),
-                         padding=pad, dilation=d)
+        p = Conv2dParams(weights=T.full([1, 1, k, k], 1.0), bias=T.zeros([1]), dilation=d)
         buf = np.zeros((1, 13, 13))
         buf[0, 6, 6] = 1.0
         out = _arr(conv2d(T.tensor(buf), p))[0]
@@ -309,7 +302,7 @@ def check_deformable_zero_offsets():
     extents 4..8."""
     def base(rng, cout, cin):
         return Conv2dParams(weights=rng.tensor([cout, cin, 3, 3], -1.0, 1.0),
-                            bias=rng.tensor([cout], -0.5, 0.5), padding=1)
+                            bias=rng.tensor([cout], -0.5, 0.5))
 
     rng = T.Rng(23)
     x = rng.tensor([3, 7, 7], -1.0, 1.0)
@@ -320,7 +313,7 @@ def check_deformable_zero_offsets():
         cases.append((rng.tensor([cin, hw, hw], -1.0, 1.0), b))
     for x, b in cases:
         cin = x.dims[0]
-        pred = Conv2dParams(weights=T.zeros([18, cin, 3, 3]), bias=T.zeros([18]), padding=1)
+        pred = Conv2dParams(weights=T.zeros([18, cin, 3, 3]), bias=T.zeros([18]))
         _close(deformable_conv2d(x, DeformableParams(b, pred)), conv2d(x, b),
                TOL_TIGHT, f"zero-offset collapse, input {list(x.dims)}")
 
@@ -652,7 +645,7 @@ def check_oracle_determinism():
     rng = T.Rng(61)
     x = rng.tensor([2, 6, 6], -1.0, 1.0)
     p = Conv2dParams(weights=rng.tensor([2, 2, 3, 3], -1.0, 1.0),
-                     bias=rng.tensor([2], -0.5, 0.5), padding=1)
+                     bias=rng.tensor([2], -0.5, 0.5))
     if not np.array_equal(_arr(conv2d_reference(x, p)), _arr(conv2d_reference(x, p))):
         raise AssertionError("loop convolution oracle not deterministic")
     y = rng.tensor([4, 4, 4], -1.0, 1.0)
@@ -670,7 +663,7 @@ def check_reference_vs_loop_oracle():
     rng = T.Rng(62)
     x = rng.tensor([3, 6, 6], -1.0, 1.0)
     p = Conv2dParams(weights=rng.tensor([4, 3, 3, 3], -1.0, 1.0),
-                     bias=rng.tensor([4], -0.5, 0.5), padding=(2, 2), dilation=2)
+                     bias=rng.tensor([4], -0.5, 0.5), dilation=2)
     _close(T.tensor(ref_conv2d(x, p)), conv2d_reference(x, p), 1e-13,
            "vectorized vs loop convolution")
 

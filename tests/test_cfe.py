@@ -65,3 +65,11 @@ def test_probe_invariant_to_sign_and_activation():
     assert cfe_receptive_probe(flipped) == cfe_receptive_probe(p)
     assert cfe_receptive_probe(replace(p, activation="relu")) == \
         cfe_receptive_probe(replace(p, activation="none"))
+
+
+@pytest.mark.parametrize("dilation", range(1, 9))
+def test_probe_radius_is_two_plus_the_dilation(dilation):
+    """The 1x5/5x1 pair of branch 2 spreads a response 2 pixels and its
+    dilated 3x3 another d, the furthest of the three branches."""
+    p = make_cfe_params(T.Rng(1), 3, 6, dilation=dilation)
+    assert cfe_receptive_probe(p) == 2 + dilation

@@ -188,7 +188,7 @@ def _stored_weights_attention(qkv, routing, heads):
 
 _rng = T.Rng(91)
 _X = _rng.tensor([2, 5, 4], -1.0, 1.0)
-_CONV = (_rng.tensor([3, 2, 3, 2], -0.5, 0.5), _rng.tensor([3], -0.2, 0.2))
+_CONV = (_rng.tensor([3, 2, 3, 3], -0.5, 0.5), _rng.tensor([3], -0.2, 0.2))
 _BASE = (_rng.tensor([2, 2, 3, 3], -0.5, 0.5), _rng.tensor([2], -0.2, 0.2))
 # fractions in [0.15, 0.55], off the lattice; whole-pixel shifts of up to 2
 # put some samples partly or wholly outside the map
@@ -214,7 +214,7 @@ _ATTENDED, _QKV_MAP = _rng.tensor([4, 6, 4], -1.0, 1.0), _rng.tensor([4, 6, 12],
 
 
 def _conv(w, b):
-    return Conv2dParams(weights=w, bias=b, padding=1)
+    return Conv2dParams(weights=w, bias=b)
 
 
 def _attend(fn):

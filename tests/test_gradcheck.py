@@ -108,7 +108,7 @@ def test_walk_directs_one_difference_at_every_leaf(monkeypatch, overrides, leave
     """Each pipeline group's direction count equals the leaves of its kind;
     the differences themselves are stubbed out, only the count is read."""
     monkeypatch.setattr(gradcheck, "directional_diffs",
-                        lambda fn, x, directions, h: np.zeros(len(directions)))
+                        lambda fn, x, directions: np.zeros(len(directions)))
     cfg = replace(RunConfig(), **overrides)
     report = gradcheck.run_gradcheck(cfg, 7)
     walked = {name: report["groups"][name]["directions"]

@@ -21,20 +21,19 @@ from conftest import arr, max_abs_diff
 
 # -- convolution oracle --------------------------------------------------
 
-@pytest.mark.parametrize("cin,cout,hw,kh,kw,stride,pad,dil", [
-    (1, 1, 5, 1, 1, 1, 0, 1),
-    (2, 3, 6, 3, 3, 1, 1, 1),
-    (3, 2, 7, 3, 1, 1, (1, 0), 1),
-    (2, 2, 8, 3, 3, 2, 1, 1),
-    (2, 2, 9, 3, 3, 1, 2, 2),
-    (1, 4, 6, 1, 5, 1, (0, 2), 1),
+@pytest.mark.parametrize("cin,cout,hw,kh,kw,dil", [
+    (1, 1, 5, 1, 1, 1),
+    (2, 3, 6, 3, 3, 1),
+    (3, 2, 7, 3, 1, 1),
+    (2, 2, 9, 3, 3, 2),
+    (1, 4, 6, 1, 5, 1),
+    (2, 2, 8, 3, 5, 3),
 ])
-def test_reference_convolutions_agree(cin, cout, hw, kh, kw, stride, pad, dil):
-    rng = T.Rng(hash((cin, cout, hw, kh, kw, stride)) & 0xFFFF)
+def test_reference_convolutions_agree(cin, cout, hw, kh, kw, dil):
+    rng = T.Rng(hash((cin, cout, hw, kh, kw, dil)) & 0xFFFF)
     x = rng.tensor([cin, hw, hw], -1.0, 1.0)
     p = Conv2dParams(weights=rng.tensor([cout, cin, kh, kw], -1.0, 1.0),
-                     bias=rng.tensor([cout], -0.5, 0.5),
-                     stride=stride, padding=pad, dilation=dil)
+                     bias=rng.tensor([cout], -0.5, 0.5), dilation=dil)
     assert max_abs_diff(conv2d_reference(x, p), ref_conv2d(x, p)) <= 1e-12
 
 
@@ -45,13 +44,6 @@ def test_conv_oracle_identity_kernel():
     w[1, 1, 0, 0] = 1.0
     p = Conv2dParams(weights=T.tensor(w), bias=T.zeros([2]))
     assert np.array_equal(arr(conv2d_reference(x, p)), arr(x))
-
-
-def test_conv_oracle_rejects_nonfitting_kernel():
-    x = T.zeros([1, 2, 2])
-    p = Conv2dParams(weights=T.zeros([1, 1, 5, 5]), bias=T.zeros([1]))
-    with pytest.raises(ShapeError):
-        conv2d_reference(x, p)
 
 
 def test_conv_oracle_rejects_channel_mismatch():

@@ -175,6 +175,13 @@ def test_full_forward_matches_reference():
     assert full_forward_error(tiny_pyramid(89)[1], tiny_cfg()) <= 1e-10
 
 
+@pytest.mark.parametrize("dilation", [1, 3])
+def test_full_forward_matches_reference_off_the_default_dilation(dilation):
+    """Each route derives the dilated stages' padding itself; at dilation 3
+    the 2x2 level-5 map reads only the centre tap of each dilated 3x3."""
+    assert full_forward_error(tiny_pyramid(89)[1], tiny_cfg(dilation=dilation)) <= 1e-10
+
+
 def test_reference_casts_no_far_sampling_position(fixture_dir):
     """The fixture times 1e150 predicts sampling positions near 1e149, far
     off every map.  The reference route clips them before its own cast to

@@ -64,7 +64,7 @@ def _narrow(*dims):
     return T.Rng(5).tensor(list(dims), -1.0, 1.0).astype("float32")
 
 
-_CONV = Conv2dParams(weights=T.Rng(6).tensor([3, 2, 3, 3], -1.0, 1.0), bias=T.zeros([3]), padding=1)
+_CONV = Conv2dParams(weights=T.Rng(6).tensor([3, 2, 3, 3], -1.0, 1.0), bias=T.zeros([3]))
 
 
 @pytest.mark.parametrize("kernel", [
@@ -72,7 +72,7 @@ _CONV = Conv2dParams(weights=T.Rng(6).tensor([3, 2, 3, 3], -1.0, 1.0), bias=T.ze
     pytest.param(lambda: T.mul(_narrow(2), T.zeros([2])), id="mul"),
     pytest.param(lambda: T.sum_all(_narrow(2)), id="sum_all"),
     pytest.param(lambda: conv2d(_narrow(2, 4, 4), Conv2dParams(
-        weights=_CONV.weights.astype("float32"), bias=_CONV.bias, padding=1)), id="conv2d"),
+        weights=_CONV.weights.astype("float32"), bias=_CONV.bias)), id="conv2d"),
     pytest.param(lambda: deformable_conv2d_with_offsets(T.zeros([2, 4, 4]), _CONV, _narrow(18, 4, 4)),
                  id="deformable"),
     pytest.param(lambda: region_qkv(_narrow(2, 4, 4), make_bra_params(T.Rng(7), 2, 2, 2)),
