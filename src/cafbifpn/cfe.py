@@ -19,13 +19,12 @@ from .errors import ConfigError, ShapeError
 
 @dataclass(frozen=True)
 class CfeParams:
-    """Each branch is the tuple of its stage params in application order:
-    branch1 (1x1, 1x3, 3x1, dilated 3x3), branch2 (1x1, 1x5, 5x1, dilated
-    3x3), branch3 (1x1, 3x1, 1x3, deformable 3x3)."""
+    """branches holds each branch as the tuple of its stage params in
+    application order: (1x1, 1x3, 3x1, dilated 3x3), (1x1, 1x5, 5x1,
+    dilated 3x3) and (1x1, 3x1, 1x3, deformable 3x3).  activation follows
+    every stage."""
 
-    branch1: tuple
-    branch2: tuple
-    branch3: tuple
+    branches: tuple
     residual: Conv2dParams
     activation: str = "relu"
 
@@ -66,8 +65,7 @@ def cfe_forward(f, p: CfeParams, kinks: dict | None = None):
     """[C_in, H, W] -> [width, H, W], width the residual's output width;
     no activation after the residual add.  kinks freezes the deformable
     stage's offsets (deformable_conv2d)."""
-    branches = [_run_branch(f, stages, p.activation, kinks)
-                for stages in (p.branch1, p.branch2, p.branch3)]
+    branches = [_run_branch(f, stages, p.activation, kinks) for stages in p.branches]
     return join_branches(branches, conv2d(f, p.residual))
 
 
@@ -99,12 +97,10 @@ def cfe_receptive_probe(p: CfeParams) -> int:
     sign cancellation; a single 3x3 scores 1 under the same procedure.  The
     map reaches one pixel beyond the furthest any branch can spread it.
     """
-    q = CfeParams(branch1=tuple(_surrogate_stage(s) for s in p.branch1),
-                  branch2=tuple(_surrogate_stage(s) for s in p.branch2),
-                  branch3=tuple(_surrogate_stage(s) for s in p.branch3),
-                  residual=_surrogate_stage(p.residual), activation="none")
+    q = CfeParams(tuple(tuple(_surrogate_stage(s) for s in branch) for branch in p.branches),
+                  _surrogate_stage(p.residual), activation="none")
     c_in = T._val(p.residual.weights).shape[1]
-    center = 1 + max(sum(_reach(s) for s in branch) for branch in (p.branch1, p.branch2, p.branch3))
+    center = 1 + max(sum(_reach(s) for s in branch) for branch in p.branches)
     buf = np.zeros((c_in, 2 * center + 1, 2 * center + 1))
     buf[:, center, center] = 1.0
     out = T._val(cfe_forward(T.tensor(buf), q))
@@ -122,25 +118,22 @@ def _rand_conv(rng: T.Rng, c_out: int, c_in: int, kh: int, kw: int,
     return Conv2dParams(weights=w, bias=b, dilation=dilation)
 
 
-def make_cfe_params(rng: T.Rng, c_in: int, width: int, activation: str = "relu",
-                    dilation: int = 2) -> CfeParams:
-    """Seeded random parameters; the offset predictor has no bias."""
+def make_cfe_params(rng: T.Rng, c_in: int, width: int, dilation: int = 2) -> CfeParams:
+    """Seeded random parameters, relu-activated, drawn stage by stage in
+    branch order except that the deformable 3x3's base and offset
+    predictor come before the rest of its branch; the predictor has no bias."""
     if width % 3:
         raise ConfigError(f"fusion width {width} not divisible by 3")
     wb = width // 3
-    branch1 = (_rand_conv(rng, wb, c_in, 1, 1),
-               _rand_conv(rng, wb, wb, 1, 3),
-               _rand_conv(rng, wb, wb, 3, 1),
-               _rand_conv(rng, wb, wb, 3, 3, dilation=dilation))
-    branch2 = (_rand_conv(rng, wb, c_in, 1, 1),
-               _rand_conv(rng, wb, wb, 1, 5),
-               _rand_conv(rng, wb, wb, 5, 1),
-               _rand_conv(rng, wb, wb, 3, 3, dilation=dilation))
+    # the two dilated branches differ only in their asymmetric pair's extent
+    branches = tuple((_rand_conv(rng, wb, c_in, 1, 1),
+                      _rand_conv(rng, wb, wb, 1, k),
+                      _rand_conv(rng, wb, wb, k, 1),
+                      _rand_conv(rng, wb, wb, 3, 3, dilation=dilation)) for k in (3, 5))
     base = _rand_conv(rng, wb, wb, 3, 3)
     predictor = _rand_conv(rng, 18, wb, 3, 3, bias_scale=0.0)
-    branch3 = (_rand_conv(rng, wb, c_in, 1, 1),
-               _rand_conv(rng, wb, wb, 3, 1),
-               _rand_conv(rng, wb, wb, 1, 3),
-               DeformableParams(base, predictor))
-    residual = _rand_conv(rng, width, c_in, 1, 1)
-    return CfeParams(branch1, branch2, branch3, residual, activation)
+    branches += ((_rand_conv(rng, wb, c_in, 1, 1),
+                  _rand_conv(rng, wb, wb, 3, 1),
+                  _rand_conv(rng, wb, wb, 1, 3),
+                  DeformableParams(base, predictor)),)
+    return CfeParams(branches, _rand_conv(rng, width, c_in, 1, 1))

@@ -205,18 +205,10 @@ def _depthwise(x: np.ndarray, weights: np.ndarray, add: np.ndarray | None = None
     def vjp(g, need_x, need_w):
         gx = gw = None
         if need_x:
-            gpad = np.zeros((c, h + 2 * pad, w + 2 * pad))
-
-            def input_grad(claimed):
-                tmp = np.empty((min(nb, c), h, w))
-                for cb in blocks(claimed):
-                    t = tmp[:cb.stop - cb.start]
-                    for i, j in reversed(taps):
-                        np.multiply(g[cb], weights[cb, i:i + 1, j:j + 1], out=t)
-                        gpad[cb, i:i + h, j:j + w] += t
-
-            T._run_rows(n_blocks, input_grad, work)
-            gx = gpad[:, pad:pad + h, pad:pad + w]
+            # the same correlation of g with the kernel flipped; its taps
+            # run in the reverse order of a scatter of g, the order backward
+            # sums per-tap nodes in
+            gx = _depthwise(g.reshape(c, 1, h, 1, w), weights[:, ::-1, ::-1])[0]
         if need_w:
             gw = np.zeros((c, k, k))
 

@@ -181,7 +181,10 @@ def _pipeline_case(cfg, case_seed: int):
     backbone = {lvl: rng.tensor([channels[lvl], h2 >> (lvl - 2), h2 >> (lvl - 2)], -1.0, 1.0)
                 for lvl in (2, 3, 4, 5)}
     config_check_extents(cfg, backbone)
-    params = build_pipeline_params(replace(cfg, activation="none", seed=case_seed), channels)
+    params = build_pipeline_params(replace(cfg, seed=case_seed), channels)
+    if params.cfe is not None:
+        params = replace(params, cfe={lvl: replace(block, activation="none")
+                                      for lvl, block in params.cfe.items()})
     # The production draw keeps projections small, which squeezes the
     # affinity gaps below the absolute resampling margin.  Boost them
     # for the check; the math under test is unchanged.
@@ -217,7 +220,7 @@ def _relu_case(case_seed: int):
     crosses the relu, so its walked parameters are differenced through a
     relu that clamps some outputs and passes others."""
     rng = T.Rng(case_seed)
-    record = make_cfe_params(rng, 3, 6, activation="relu")
+    record = make_cfe_params(rng, 3, 6)
     x = rng.tensor([3, 4, 4], -1.0, 1.0)
     kinks = {}
 
@@ -225,8 +228,7 @@ def _relu_case(case_seed: int):
         return T.sum_all(cfe_forward(x, p, kinks))
 
     _, reason = watched(lambda: loss(record))
-    crossed = all(crosses_relu(conv2d(x, stages[0], "relu"))
-                  for stages in (record.branch1, record.branch2, record.branch3))
+    crossed = all(crosses_relu(conv2d(x, stages[0], "relu")) for stages in record.branches)
     return (record, loss, crossed), reason and f"relu case: {reason}"
 
 

@@ -27,10 +27,11 @@ def conv2d_reference(x, p):
         raise ShapeError(f"input channels {xa.shape[0]} != kernel channels {c_in}")
     if ba.shape != (c_out,):
         raise ShapeError(f"bias dims {list(ba.shape)} != [{c_out}]")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError(f"reference conv wants odd kernel extents, got {kh}x{kw}")
-    h, w = xa.shape[1], xa.shape[2]
     d = int(p.dilation)
+    if kh % 2 == 0 or kw % 2 == 0 or d < 1:
+        raise ConfigError(f"reference conv wants odd kernel extents at dilation >= 1, "
+                          f"got {kh}x{kw} at {d}")
+    h, w = xa.shape[1], xa.shape[2]
     ph, pw = d * (kh - 1) // 2, d * (kw - 1) // 2
     out = np.empty((c_out, h, w), dtype=np.float64)
     for o in range(c_out):
@@ -111,15 +112,15 @@ def topk_reference(row, k: int):
     return order[:k]
 
 
-def directional_diffs(scalar_fn, x, directions, h: float = 1e-5) -> np.ndarray:
+def directional_diffs(scalar_fn, x, directions) -> np.ndarray:
     """The one central-difference loop: for each direction v (shaped like
     x), (f(x + s v) - f(x - s v)) / 2s, the derivative of scalar_fn along
-    v.  The step s is h * max(1, |x_i|) over the coordinates v moves.
+    v.  The step s is 1e-5 * max(1, |x_i|) over the coordinates v moves.
     Raises NumericError on a non-finite evaluation."""
     base = np.array(T._val(x), dtype=np.float64)
     out = []
     for n, v in enumerate(directions):
-        step = h * max(1.0, float(np.abs(base[v != 0]).max(initial=0.0)))
+        step = 1e-5 * max(1.0, float(np.abs(base[v != 0]).max(initial=0.0)))
         fp = float(scalar_fn(T.tensor(base + step * v)))
         fm = float(scalar_fn(T.tensor(base - step * v)))
         if not (math.isfinite(fp) and math.isfinite(fm)):

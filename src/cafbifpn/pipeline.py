@@ -330,8 +330,7 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
     """Seeded parameters for a config object and per-level backbone widths.
 
     cfg supplies seed, fusion_width, regions_s, topk_k, heads, epsilon,
-    dilation, lce_kernel, activation, cfe_enabled and
-    attention_fusion_enabled.  Draw order:
+    dilation, lce_kernel, cfe_enabled and attention_fusion_enabled.  Draw order:
     one entry block per level 2..5 (feature enhancement, or a single 1x1
     projection when disabled), then attention params for level 4 and
     level 3.  Fusion weights start at raw 1.0 and consume no draws.
@@ -344,8 +343,7 @@ def build_pipeline_params(cfg, channels: dict) -> PipelineParams:
     cfe_params = None
     projections = None
     if cfg.cfe_enabled:
-        cfe_params = {lvl: make_cfe_params(rng, channels[lvl], width, activation=cfg.activation,
-                                           dilation=cfg.dilation)
+        cfe_params = {lvl: make_cfe_params(rng, channels[lvl], width, dilation=cfg.dilation)
                       for lvl in LEVELS}
     else:
         projections = {lvl: _rand_conv(rng, width, channels[lvl], 1, 1) for lvl in LEVELS}

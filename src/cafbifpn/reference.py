@@ -37,8 +37,11 @@ def ref_conv2d(x, p: Conv2dParams) -> np.ndarray:
     c_out, c_in, kh, kw = wa.shape
     if xa.shape[0] != c_in:
         raise ShapeError(f"channel mismatch: input {xa.shape[0]} vs weights {c_in}")
-    # the window spans d (k - 1) + 1 pixels, half of that beyond each side
     d = int(p.dilation)
+    if kh % 2 == 0 or kw % 2 == 0 or d < 1:
+        raise ConfigError(f"reference conv wants odd kernel extents at dilation >= 1, "
+                          f"got {kh}x{kw} at {d}")
+    # the window spans d (k - 1) + 1 pixels, half of that beyond each side
     kh_eff, kw_eff = (kh - 1) * d + 1, (kw - 1) * d + 1
     xp = np.pad(xa, ((0, 0), (kh_eff // 2, kh_eff // 2), (kw_eff // 2, kw_eff // 2)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh_eff, kw_eff), axis=(1, 2))
@@ -50,6 +53,8 @@ def ref_depthwise(x, kernel) -> np.ndarray:
     xa = _np(x)
     ka = _np(kernel)
     c, k = ka.shape[0], ka.shape[1]
+    if k % 2 == 0:
+        raise ConfigError(f"reference depthwise wants an odd kernel extent, got {k}")
     pad = (k - 1) // 2
     xp = np.pad(xa, ((0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -115,7 +120,7 @@ def ref_cfe(x, p: CfeParams) -> np.ndarray:
             a = _ref_activate(a, p.activation)
         return a
 
-    stacked = np.concatenate([run(p.branch1), run(p.branch2), run(p.branch3)], axis=0)
+    stacked = np.concatenate([run(stages) for stages in p.branches], axis=0)
     return stacked + ref_conv2d(xa, p.residual)
 
 

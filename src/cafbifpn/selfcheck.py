@@ -443,14 +443,17 @@ def _zero_stage(stage):
                    bias=T.zeros([_arr(stage.bias).shape[0]]))
 
 
+def _kept(p, *kept):
+    """p with every branch but those numbered in kept zeroed."""
+    return replace(p, branches=tuple(b if i in kept else tuple(_zero_stage(s) for s in b)
+                                     for i, b in enumerate(p.branches)))
+
+
 def check_enh_zero_branch():
     rng = T.Rng(42)
     x = rng.tensor([4, 6, 6], -1.0, 1.0)
     p = make_cfe_params(T.Rng(420), 4, 6)
-    q = replace(p, branch1=tuple(_zero_stage(s) for s in p.branch1),
-                branch2=tuple(_zero_stage(s) for s in p.branch2),
-                branch3=tuple(_zero_stage(s) for s in p.branch3))
-    if not np.array_equal(_arr(cfe_forward(x, q)), _arr(conv2d(x, p.residual))):
+    if not np.array_equal(_arr(cfe_forward(x, _kept(p))), _arr(conv2d(x, p.residual))):
         raise AssertionError("zero branches do not collapse to the residual")
 
 
@@ -458,17 +461,19 @@ def check_enh_deformable_degeneracy():
     rng = T.Rng(43)
     x = rng.tensor([4, 6, 6], -1.0, 1.0)
     p = make_cfe_params(T.Rng(430), 4, 6)
-    base, predictor = p.branch3[3].base, _zero_stage(p.branch3[3].offset_predictor)
-    p = replace(p, branch3=p.branch3[:3] + (DeformableParams(base, predictor),))
-    q = replace(p, branch3=p.branch3[:3] + (base,))
-    _close(cfe_forward(x, p), cfe_forward(x, q), TOL_TIGHT, "zero-predictor collapse")
+    *dilated, (*pairs, deformable) = p.branches
+    zeroed = DeformableParams(deformable.base, _zero_stage(deformable.offset_predictor))
+    with_zeroed = replace(p, branches=(*dilated, (*pairs, zeroed)))
+    plain = replace(p, branches=(*dilated, (*pairs, deformable.base)))
+    _close(cfe_forward(x, with_zeroed), cfe_forward(x, plain), TOL_TIGHT,
+           "zero-predictor collapse")
 
 
 def check_enh_channel_accounting():
     p = make_cfe_params(T.Rng(450), 5, 9)
     widths = [_arr(b[-1].base.weights).shape[0] if isinstance(b[-1], DeformableParams)
               else _arr(b[-1].weights).shape[0]
-              for b in (p.branch1, p.branch2, p.branch3)]
+              for b in p.branches]
     if widths != [3, 3, 3] or _arr(p.residual.weights).shape[0] != 9:
         raise AssertionError(f"branch widths {widths} vs residual "
                              f"{_arr(p.residual.weights).shape[0]}")
@@ -479,14 +484,11 @@ def check_enh_channel_accounting():
 
 def check_enh_receptive_radii():
     p = make_cfe_params(T.Rng(460), 3, 6)
-    zero1 = {"branch1": tuple(_zero_stage(s) for s in p.branch1)}
-    zero2 = {"branch2": tuple(_zero_stage(s) for s in p.branch2)}
-    zero3 = {"branch3": tuple(_zero_stage(s) for s in p.branch3)}
     full = cfe_receptive_probe(p)
-    only1 = cfe_receptive_probe(replace(p, **zero2, **zero3))
-    only2 = cfe_receptive_probe(replace(p, **zero1, **zero3))
+    only1 = cfe_receptive_probe(_kept(p, 0))
+    only2 = cfe_receptive_probe(_kept(p, 1))
     # with every branch zeroed only the 1x1 residual is left
-    none = cfe_receptive_probe(replace(p, **zero1, **zero2, **zero3))
+    none = cfe_receptive_probe(_kept(p))
     if (full, only1, only2, none) != (4, 3, 4, 0):
         raise AssertionError(f"radii (full, b1, b2, none) = {(full, only1, only2, none)}, "
                              f"want (4, 3, 4, 0)")

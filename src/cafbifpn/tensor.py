@@ -55,11 +55,10 @@ class Tensor:
 
     __slots__ = ("array",)
 
-    def __init__(self, data, dtype: str | None = None, copy: bool = True):
-        np_dtype = _DTYPES[dtype] if dtype is not None else None
-        # copy=False still copies when the layout or dtype demands it
+    def __init__(self, data, copy: bool = True):
+        # copy=False still copies when the layout demands it
         make = np.array if copy else np.asarray
-        arr = make(data, dtype=np_dtype, order="C")
+        arr = make(data, order="C")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim == 0:
@@ -88,16 +87,17 @@ class Tensor:
         return f"Tensor(dims={self.dims}, dtype={self.dtype})"
 
 
-def tensor(data, dtype: str = "float64") -> Tensor:
-    return Tensor(data, dtype=dtype)
+def tensor(data) -> Tensor:
+    """A float64 copy of data."""
+    return Tensor(np.array(data, dtype=np.float64, order="C"), copy=False)
 
 
-def zeros(dims: Sequence[int], dtype: str = "float64") -> Tensor:
-    return Tensor(np.zeros(tuple(dims), dtype=_DTYPES[dtype]), copy=False)
+def zeros(dims: Sequence[int]) -> Tensor:
+    return Tensor(np.zeros(tuple(dims)), copy=False)
 
 
-def full(dims: Sequence[int], value: float, dtype: str = "float64") -> Tensor:
-    return Tensor(np.full(tuple(dims), value, dtype=_DTYPES[dtype]), copy=False)
+def full(dims: Sequence[int], value: float) -> Tensor:
+    return Tensor(np.full(tuple(dims), value, dtype=np.float64), copy=False)
 
 
 # ---------------------------------------------------------------------------

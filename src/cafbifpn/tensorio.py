@@ -81,7 +81,6 @@ class RunConfig:
     epsilon: float = 1e-4
     dilation: int = 2
     lce_kernel: int = 5
-    activation: str = "relu"
     cfe_enabled: bool = True
     attention_fusion_enabled: bool = True
     seed: int = 0
@@ -113,7 +112,6 @@ def config_validate(cfg: RunConfig) -> RunConfig:
     want(cfg.fusion_width ** 2 <= _MAX_VALUES, "fusion_width^2 fits in one numpy array")
     want(cfg.fusion_width * cfg.lce_kernel ** 2 <= _MAX_VALUES,
          "fusion_width * lce_kernel^2 fits in one numpy array")
-    want(cfg.activation in ("none", "relu"), "activation in {none, relu}")
     check_seed(cfg.seed, "config")
     return cfg
 
@@ -162,9 +160,6 @@ def config_parse(text: str) -> RunConfig:
         elif kinds[key] is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"config key {key} must be a boolean, got {value!r}")
-        elif kinds[key] is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {key} must be a string, got {value!r}")
         else:  # epsilon
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key} must be a number, got {value!r}")

@@ -46,12 +46,12 @@ def test_join_concatenates_branches_then_adds_residual():
 def test_agrees_with_vectorized_reference():
     for activation in ("relu", "none"):
         x = T.Rng(65).tensor([4, 7, 7], -1.0, 1.0)
-        p = make_cfe_params(T.Rng(650), 4, 9, activation=activation)
+        p = replace(make_cfe_params(T.Rng(650), 4, 9), activation=activation)
         assert max_abs_diff(cfe_forward(x, p), T.tensor(ref_cfe(x, p))) <= 1e-12
 
 
 def test_unknown_activation_rejected():
-    p = make_cfe_params(T.Rng(66), 3, 6, activation="gelu")
+    p = replace(make_cfe_params(T.Rng(66), 3, 6), activation="gelu")
     with pytest.raises(ConfigError):
         cfe_forward(T.zeros([3, 4, 4]), p)
 
@@ -60,8 +60,9 @@ def test_probe_invariant_to_sign_and_activation():
     # the magnitude surrogate measures connectivity, so neither kernel
     # signs nor the configured activation may change the radius
     p = make_cfe_params(T.Rng(69), 3, 6)
-    flipped = replace(p, branch2=tuple(
-        replace(s, weights=T.tensor(-arr(s.weights))) for s in p.branch2))
+    one, two, three = p.branches
+    flipped = replace(p, branches=(one, tuple(
+        replace(s, weights=T.tensor(-arr(s.weights))) for s in two), three))
     assert cfe_receptive_probe(flipped) == cfe_receptive_probe(p)
     assert cfe_receptive_probe(replace(p, activation="relu")) == \
         cfe_receptive_probe(replace(p, activation="none"))

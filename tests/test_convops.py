@@ -28,6 +28,8 @@ def test_conv_agrees_with_vectorized_reference():
     pytest.param(lambda x, p: deformable_conv2d_with_offsets(x, p, T.zeros([12, 5, 5])),
                  id="deformable"),
     pytest.param(conv2d_reference, id="loop-oracle"),
+    pytest.param(ref_conv2d, id="reference"),
+    pytest.param(lambda x, p: ref_depthwise(x, T.zeros([3, 2, 2])), id="reference-depthwise"),
 ])
 def test_even_kernel_extent_refused(conv):
     """An even extent has no centre tap, so no padding keeps the map's
@@ -66,13 +68,39 @@ def test_depthwise_channel_blocks_change_no_bit(monkeypatch):
     assert max_abs_diff(blocked[0], ref_depthwise(x, kernel)) <= 1e-13
 
 
-@pytest.mark.parametrize("dilation", [0, -1])
-def test_conv_refuses_a_dilation_below_one(dilation):
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("s", [1, 2], ids=["plain", "region-view"])
+def test_depthwise_input_gradient_is_the_reference_adjoint(s, k):
+    """The depthwise term is linear in x, so its input gradient gx at an
+    output gradient g satisfies <g, conv(x)> = <gx, x>.  Taking conv from
+    the reference route checks gx without _depthwise's own forward.  The
+    region view reads x through S x S tiles of tokens, as the
+    local-context term reads its values."""
+    rng = T.Rng(37 + 2 * k + s)
+    c, h, w = 3, 8, 12
+    tokens = arr(rng.tensor([s * s, (h // s) * (w // s), c], -1.0, 1.0))
+    view = tokens.reshape(s, s, h // s, w // s, c).transpose(4, 0, 2, 1, 3)
+    x = view.reshape(c, h, w)
+    kernel, g = arr(rng.tensor([c, k, k], -1.0, 1.0)), arr(rng.tensor([c, h, w], -1.0, 1.0))
+    gx, _ = _depthwise(view, kernel)[1](g, True, False)
+    forward, adjoint = np.vdot(g, ref_depthwise(x, kernel)), np.vdot(gx, x)
+    assert abs(forward - adjoint) <= 1e-12 * abs(forward)
+
+
+@pytest.mark.parametrize("conv, dilation", [
+    pytest.param(conv2d, 0, id="0"),
+    pytest.param(conv2d, -1, id="-1"),
+    pytest.param(conv2d_reference, 0, id="loop-oracle-0"),
+    pytest.param(conv2d_reference, -1, id="loop-oracle--1"),
+    pytest.param(ref_conv2d, 0, id="reference-0"),
+    pytest.param(ref_conv2d, -1, id="reference--1"),
+])
+def test_conv_refuses_a_dilation_below_one(conv, dilation):
     """At dilation 0 every tap would read the centre pixel, and below it
-    the padding is negative."""
+    the padding is negative; every route refuses it."""
     p = _rand_conv(T.Rng(36), 2, 3, 3, 3, dilation=dilation)
     with pytest.raises(ConfigError, match="dilation >= 1"):
-        conv2d(T.zeros([3, 5, 5]), p)
+        conv(T.zeros([3, 5, 5]), p)
 
 
 def test_deformable_agrees_with_reference():

@@ -10,6 +10,7 @@ import pytest
 
 from cafbifpn import convops, gradcheck, selfcheck
 from cafbifpn import tensor as T
+from cafbifpn.convops import DeformableParams
 from cafbifpn.errors import NumericError
 from cafbifpn.gradcheck import first_smooth, max_rel_err
 from cafbifpn.pipeline import build_pipeline_params
@@ -114,9 +115,9 @@ def test_walk_directs_one_difference_at_every_leaf(monkeypatch, overrides, leave
     walked = {name: report["groups"][name]["directions"]
               for name in gradcheck.PIPELINE_GROUPS if name in report["groups"]}
     params = build_pipeline_params(cfg, {2: 3, 3: 3, 4: 4, 5: 4})
-    convs = [c for block in (params.cfe or {}).values()
-             for c in block.branch1 + block.branch2 + block.branch3[:3]
-             + (block.branch3[3].base, block.residual)]
+    convs = [c.base if isinstance(c, DeformableParams) else c
+             for block in (params.cfe or {}).values()
+             for c in sum(block.branches, ()) + (block.residual,)]
     want = {"cfe-kernels": len(convs), "cfe-biases": len(convs),
             "projections": 2 * len(params.projection or {}),
             "bra-projections": 3 * len(params.bra or {}), "lce": len(params.bra or {}),

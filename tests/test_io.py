@@ -103,13 +103,11 @@ def test_empty_config_is_defaults():
 def test_config_round_trips_every_field():
     text = json.dumps({"regions_s": 4, "topk_k": 8, "heads": 2,
                        "fusion_width": 12, "epsilon": 0.01, "dilation": 1,
-                       "lce_kernel": 3, "activation": "none",
-                       "cfe_enabled": False, "attention_fusion_enabled": False,
-                       "seed": 9})
+                       "lce_kernel": 3, "cfe_enabled": False,
+                       "attention_fusion_enabled": False, "seed": 9})
     cfg = config_parse(text)
     assert cfg == RunConfig(regions_s=4, topk_k=8, heads=2, fusion_width=12,
-                            epsilon=0.01, dilation=1, lce_kernel=3,
-                            activation="none", cfe_enabled=False,
+                            epsilon=0.01, dilation=1, lce_kernel=3, cfe_enabled=False,
                             attention_fusion_enabled=False, seed=9)
 
 
@@ -118,6 +116,8 @@ def test_config_rejects_unknown_keys():
         config_parse('{"nope": 1}')
     with pytest.raises(ConfigError, match="unknown config keys: topdown_source"):
         config_parse('{"topdown_source": "input"}')  # a removed key
+    with pytest.raises(ConfigError, match="unknown config keys: activation"):
+        config_parse('{"activation": "relu"}')  # a removed key
 
 
 def test_config_rejects_non_object():
@@ -134,8 +134,6 @@ def test_config_type_guards():
         config_parse('{"seed": "7"}')
     with pytest.raises(ConfigError, match="must be a boolean"):
         config_parse('{"cfe_enabled": 1}')
-    with pytest.raises(ConfigError, match="must be a string"):
-        config_parse('{"activation": 0}')
     with pytest.raises(ConfigError, match="must be a number"):
         config_parse('{"epsilon": "small"}')
 
@@ -151,7 +149,6 @@ def test_config_type_guards():
     ({"epsilon": -1.0}, "epsilon >= 0"),
     ({"dilation": 0}, "dilation >= 1"),
     ({"lce_kernel": 4}, "lce_kernel odd"),
-    ({"activation": "gelu"}, "activation in"),
     ({"lce_kernel": -1}, "lce_kernel odd and >= 1"),
     ({"seed": -1}, "seed fits"),
 ])

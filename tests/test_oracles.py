@@ -103,7 +103,7 @@ def test_directional_diffs_on_quadratic():
         return float((arr(x) * arr(x) * arr(a)).sum())
 
     vs = [arr(T.Rng(25).tensor([6], -1.0, 1.0)), np.eye(6)[2]]
-    d = directional_diffs(f, x0, vs, 1e-5)
+    d = directional_diffs(f, x0, vs)
     assert np.abs(d - [2.0 * (arr(a) * arr(x0)) @ v for v in vs]).max() <= 1e-6
     assert seen[2][2] - arr(x0)[2] == pytest.approx(1e-5 * max(1.0, abs(arr(x0)[2])))
 
